@@ -1,10 +1,12 @@
 """Variances, skew information, and the five variance-product lower bounds.
 
 The scalar functions follow the defining formulas one observable pair at a
-time; :func:`batch_bounds` evaluates the same quantities vectorized over
-stacked triples for large corpora.  Both paths center the observables before
-taking traces, which makes every nonnegative quantity a trace of a Hermitian
-square and keeps round-off from manufacturing sign violations.
+time: they center the observables and take traces, so every nonnegative
+quantity is a trace of a Hermitian square.  :func:`batch_bounds` evaluates
+the same quantities vectorized over stacked triples for large corpora, in
+the eigenbasis of each state, where every nonnegative quantity is a sum of
+squared entry magnitudes with nonnegative weights.  On both paths round-off
+cannot manufacture sign violations.
 """
 
 from __future__ import annotations
@@ -199,44 +201,102 @@ def bound_report(a, b, rho: DensityMatrix) -> BoundReport:
     )
 
 
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2 entrywise, written into one real array."""
+    out = np.square(x.real)
+    out += np.square(x.imag)
+    return out
+
+
+def _diagonal_mean(xt: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
+    """<X> = sum_j lam_j X~_jj per triple, required to be real.
+
+    The imaginary part may reach ``EXPECTATION_IMAG_TOL`` times the largest
+    entry of X~ (at least 1): the rotation's round-off grows with the entries,
+    and a Hermitian X with entries near 1e6 would otherwise be rejected.
+    """
+    mean = np.einsum("nj,nj->n", lam, np.einsum("njj->nj", xt))
+    scale = np.maximum(1.0, np.abs(xt).max(axis=(1, 2)))
+    residue = float(np.max(np.abs(mean.imag) / scale))
+    if residue > EXPECTATION_IMAG_TOL:
+        raise NumericalConsistencyError(
+            f"expectation of {name} has relative imaginary residue {residue:.3e}"
+        )
+    return mean.real
+
+
+def _spread(xt: np.ndarray, lam: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V(X) = sum_jk lam_j |X~'_jk|^2 and C(X) = sum_jk root_j root_k |X~'_jk|^2."""
+    weights = _abs2(xt)
+    return np.einsum("nj,njk->n", lam, weights), np.einsum("nj,njk,nk->n", root, weights, root)
+
+
 def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized bound evaluation over stacked triples.
 
     ``a`` and ``b`` are (n, d, d) Hermitian arrays and ``rho`` an (n, d, d)
     array of valid states; validation is the caller's job on this hot path.
     Returns per-sample arrays for the product, the five bounds, and purity,
-    matching the scalar path to machine precision.
+    matching the scalar path to machine precision.  The inputs are never
+    written to, and read-only or broadcast arrays are accepted.
+
+    Each triple is evaluated in the eigenbasis rho = V diag(lam) V^dag, with
+    A~ = V^dag A V and B~ = V^dag B V.  Centering shifts the diagonal of A~
+    by <A> = sum_j lam_j A~_jj, and every column is a weighted sum over
+    entries of the centered A~', B~':
+
+    * V(A) = sum_jk lam_j |A~'_jk|^2;
+    * Tr(A' B' rho) = sum_jk lam_j A~'_jk B~'_kj, whose imaginary and real
+      parts give the Robertson and Schrodinger bounds;
+    * C(A) = sum_jk sqrt(lam_j lam_k) |A~'_jk|^2;
+    * |[A,B]|_rho^2 = sum_jk lam_k |C_jk|^2 with C = A~B~ - (A~B~)^dag,
+      taken before centering since the commutator ignores identity shifts.
+
+    With the clipped spectrum lam >= 0, the variances and classical
+    uncertainties are nonnegative and robertson <= schrodinger,
+    robertson <= luo_park and bound1 <= bound2 hold by construction, up to
+    rounding in the last digit, so only the scalar path's ``FACTOR_FLOOR``
+    test on the classical uncertainties is kept.  Two more cases raise
+    :class:`NumericalConsistencyError`: an imaginary part of <A> or <B>
+    beyond ``EXPECTATION_IMAG_TOL`` relative to the largest entry of A~ or
+    B~ (a non-Hermitian input), and any column that is not finite.
     """
-    n, d, _ = rho.shape
-    eye = np.eye(d)
     lam, vecs = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
-    sqrt_rho = np.einsum("nij,nj,nkj->nik", vecs, np.sqrt(lam), vecs.conj())
+    # Peak memory is set here, at four (n, d, d) arrays besides the inputs:
+    # the eigenvectors are conjugated in place and dropped once A, B rotated.
+    at = a @ vecs
+    bt = b @ vecs
+    vh = np.conj(vecs, out=vecs).swapaxes(1, 2)
+    at = vh @ at
+    bt = vh @ bt
+    del vecs, vh
 
-    mean_a = np.einsum("nij,nji->n", a, rho).real
-    mean_b = np.einsum("nij,nji->n", b, rho).real
-    ac = a - mean_a[:, None, None] * eye
-    bc = b - mean_b[:, None, None] * eye
+    comm = at @ bt
+    comm -= comm.conj().swapaxes(1, 2)
+    comm_norm = np.einsum("njk,nk->n", _abs2(comm), lam)
 
-    var_a = np.einsum("nij,njk,nki->n", ac, ac, rho).real
-    var_b = np.einsum("nij,njk,nki->n", bc, bc, rho).real
-    product = var_a * var_b
+    diag = np.arange(lam.shape[1])
+    mean_a = _diagonal_mean(at, lam, "A")
+    mean_b = _diagonal_mean(bt, lam, "B")
+    at[:, diag, diag] -= mean_a[:, None]
+    bt[:, diag, diag] -= mean_b[:, None]
 
-    cross = np.einsum("nij,njk,nki->n", ac, bc, rho)
+    cross = np.einsum("nj,njk,nkj->n", lam, at, bt)
     robertson = cross.imag**2
     schrodinger = robertson + cross.real**2
 
-    cu_a = np.einsum("nij,njk,nkl,nli->n", sqrt_rho, ac, sqrt_rho, ac).real
-    cu_b = np.einsum("nij,njk,nkl,nli->n", sqrt_rho, bc, sqrt_rho, bc).real
+    root = np.sqrt(lam)
+    var_a, cu_a = _spread(at, lam, root)
+    var_b, cu_b = _spread(bt, lam, root)
+    product = var_a * var_b
+
     lowest = min(float(cu_a.min()), float(cu_b.min()))
     if lowest < FACTOR_FLOOR:
         raise NumericalConsistencyError(f"classical uncertainty is negative: {lowest:.3e}")
     np.clip(cu_a, 0.0, None, out=cu_a)
     np.clip(cu_b, 0.0, None, out=cu_b)
     luo_park = robertson + cu_a * cu_b
-
-    comm = a @ b - b @ a
-    comm_norm = np.einsum("nji,njk,nki->n", comm.conj(), comm, rho).real
 
     lam_m = lam[:, 0]
     lam_sm = lam[:, 1]
@@ -247,7 +307,7 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
         prefactor = np.where(denom > 0.0, lam_m * lam_sm / np.where(denom > 0.0, denom, 1.0), 0.0)
     bound2 = prefactor * comm_norm
 
-    return {
+    cols = {
         "product": product,
         "robertson": robertson,
         "schrodinger": schrodinger,
@@ -256,6 +316,10 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
         "bound2": bound2,
         "purity": (lam**2).sum(axis=1),
     }
+    for name, col in cols.items():
+        if not np.isfinite(col).all():
+            raise NumericalConsistencyError(f"batch column {name} has non-finite values")
+    return cols
 
 
 def violation_masks(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

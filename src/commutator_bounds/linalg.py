@@ -105,12 +105,6 @@ def weighted_norm_sq(a, weight) -> float:
     return real
 
 
-def hermiticity_defect(a) -> float:
-    """Frobenius norm of A - A^dag."""
-    am = as_matrix(a, "A")
-    return float(np.linalg.norm(am - am.conj().T))
-
-
 def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within ``tol`` (absolute, Frobenius) and symmetrize.
 

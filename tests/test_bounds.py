@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commutator_bounds import (
     DensityMatrix,
+    NumericalConsistencyError,
     Observable,
     PAULI_X,
     PAULI_Y,
@@ -27,6 +30,7 @@ from commutator_bounds import (
     sample_hermitian,
     sample_hermitian_batch,
     sample_unit_vectors,
+    sample_unitary,
     skew_information,
     variance,
     violation_masks,
@@ -34,6 +38,8 @@ from commutator_bounds import (
 )
 
 SEED = 20240903
+
+COLUMNS = ("product", "robertson", "schrodinger", "luo_park", "bound1", "bound2", "purity")
 
 RHO_QUARTER = DensityMatrix.from_spectrum([0.25, 0.75])
 MIXED = DensityMatrix.maximally_mixed(2)
@@ -227,6 +233,154 @@ class TestBoundReport:
         )
         masks = violation_masks(cols)
         assert not any(mask.any() for mask in masks.values())
+
+
+def reference_batch_bounds(a, b, rho):
+    """The batch columns from the defining traces, computed with dense einsums."""
+    d = rho.shape[1]
+    eye = np.eye(d)
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, None)
+    sqrt_rho = np.einsum("nij,nj,nkj->nik", vecs, np.sqrt(lam), vecs.conj())
+    mean_a = np.einsum("nij,nji->n", a, rho).real
+    mean_b = np.einsum("nij,nji->n", b, rho).real
+    ac = a - mean_a[:, None, None] * eye
+    bc = b - mean_b[:, None, None] * eye
+    var_a = np.einsum("nij,njk,nki->n", ac, ac, rho).real
+    var_b = np.einsum("nij,njk,nki->n", bc, bc, rho).real
+    cross = np.einsum("nij,njk,nki->n", ac, bc, rho)
+    robertson = cross.imag**2
+    cu_a = np.clip(np.einsum("nij,njk,nkl,nli->n", sqrt_rho, ac, sqrt_rho, ac).real, 0.0, None)
+    cu_b = np.clip(np.einsum("nij,njk,nkl,nli->n", sqrt_rho, bc, sqrt_rho, bc).real, 0.0, None)
+    comm = a @ b - b @ a
+    comm_norm = np.einsum("nji,njk,nki->n", comm.conj(), comm, rho).real
+    lam_m, lam_sm, lam_big = lam[:, 0], lam[:, 1], lam[:, -1]
+    denom = lam_m + lam_sm
+    prefactor = np.where(denom > 0.0, lam_m * lam_sm / np.where(denom > 0.0, denom, 1.0), 0.0)
+    return {
+        "product": var_a * var_b,
+        "robertson": robertson,
+        "schrodinger": robertson + cross.real**2,
+        "luo_park": robertson + cu_a * cu_b,
+        "bound1": lam_m**2 / (2.0 * lam_big) * comm_norm,
+        "bound2": prefactor * comm_norm,
+        "purity": (lam**2).sum(axis=1),
+    }
+
+
+def _special_states(d, rng):
+    """Rank-deficient, pure and maximally mixed states U diag(spectrum) U^dag for a
+    Haar-random U each, then the pure and maximally mixed states unrotated."""
+    one_zero = np.concatenate([[0.0], rng.uniform(0.1, 1.0, d - 1)])
+    pure = np.zeros(d)
+    pure[-1] = 1.0
+    rotated = []
+    for spectrum in (one_zero / one_zero.sum(), pure, np.full(d, 1.0 / d)):
+        u = sample_unitary(d, rng)
+        rotated.append((u * spectrum) @ u.conj().T)
+    return np.array(rotated + [np.diag(pure), np.eye(d) / d], dtype=complex)
+
+
+def _assert_columns_close(got, want, rtol):
+    scale = rtol * np.maximum(1.0, np.abs(want["product"]))
+    for name in COLUMNS:
+        excess = np.abs(got[name] - want[name]) - scale
+        assert excess.max() <= 0.0, (name, float(excess.max()))
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_matches_reference(self, d):
+        rng = np.random.default_rng(SEED + 20 + d)
+        n = 64
+        rho = np.concatenate([sample_density_batch(d, n, rng), _special_states(d, rng)])
+        m = rho.shape[0]
+        a = sample_hermitian_batch(d, m, rng)
+        b = sample_hermitian_batch(d, m, rng)
+        before = [x.copy() for x in (a, b, rho)]
+        cols = batch_bounds(a, b, rho)
+        for x, saved in zip((a, b, rho), before):
+            np.testing.assert_array_equal(x, saved)
+        _assert_columns_close(cols, reference_batch_bounds(a, b, rho), 1e-12)
+        # rotated pure state, then the exactly diagonal pure state
+        assert cols["bound2"][n + 1] == pytest.approx(0.0, abs=1e-12)
+        assert cols["bound2"][n + 3] == 0.0
+        assert cols["purity"][n + 4] == pytest.approx(1.0 / d, abs=1e-15)
+
+    def test_read_only_inputs(self):
+        rng = np.random.default_rng(SEED + 40)
+        n, d = 16, 4
+        a = sample_hermitian_batch(d, n, rng)
+        b = sample_hermitian_batch(d, n, rng)
+        rho = sample_density(d, "hilbert-schmidt", rng).matrix
+        a.setflags(write=False)
+        b.setflags(write=False)
+        cols = batch_bounds(a, b, np.broadcast_to(rho, (n, d, d)))
+        want = reference_batch_bounds(a, b, np.broadcast_to(rho, (n, d, d)))
+        _assert_columns_close(cols, want, 1e-12)
+
+    def test_non_hermitian_observable_raises(self):
+        rng = np.random.default_rng(SEED + 41)
+        n, d = 8, 3
+        a = sample_hermitian_batch(d, n, rng)
+        b = sample_hermitian_batch(d, n, rng)
+        rho = sample_density_batch(d, n, rng)
+        b[5] += 1e-6j * np.eye(d)
+        with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+            batch_bounds(a, b, rho)
+
+    @pytest.mark.parametrize("operand", [0, 1])
+    def test_non_finite_column_raises(self, operand):
+        rng = np.random.default_rng(SEED + 42)
+        n, d = 8, 3
+        triple = [sample_hermitian_batch(d, n, rng), sample_hermitian_batch(d, n, rng)]
+        triple[operand][2, 0, 1] = np.nan
+        with pytest.raises(NumericalConsistencyError, match="non-finite"):
+            batch_bounds(*triple, sample_density_batch(d, n, rng))
+
+
+def _random_triples(seed, d, n=4):
+    rng = np.random.default_rng(seed)
+    return (
+        sample_hermitian_batch(d, n, rng),
+        sample_hermitian_batch(d, n, rng),
+        sample_density_batch(d, n, rng),
+        rng,
+    )
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+DIMS = st.integers(min_value=2, max_value=6)
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+
+class TestBatchProperties:
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, d=DIMS)
+    def test_unitary_covariance(self, seed, d):
+        a, b, rho, rng = _random_triples(seed, d)
+        u = sample_unitary(d, rng)
+        ud = u.conj().T
+        rotated = batch_bounds(u @ a @ ud, u @ b @ ud, u @ rho @ ud)
+        _assert_columns_close(rotated, batch_bounds(a, b, rho), 1e-10)
+
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, d=DIMS, s=st.floats(min_value=-4.0, max_value=4.0))
+    # rounding in the rotation grows with the entries; Hermitian input must still pass
+    @example(seed=SEED, d=8, s=1e8)
+    def test_scaling(self, seed, d, s):
+        a, b, rho, _ = _random_triples(seed, d)
+        base = batch_bounds(a, b, rho)
+        want = {name: s**2 * base[name] for name in COLUMNS}
+        want["purity"] = base["purity"]
+        _assert_columns_close(batch_bounds(s * a, b, rho), want, 1e-10 * max(1.0, s**2))
+
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, d=DIMS, shift=st.floats(min_value=-8.0, max_value=8.0))
+    def test_identity_shift_invariance(self, seed, d, shift):
+        a, b, rho, _ = _random_triples(seed, d)
+        shifted = batch_bounds(a + shift * np.eye(d), b, rho)
+        _assert_columns_close(shifted, batch_bounds(a, b, rho), 1e-10)
 
 
 class TestQubitClosedForm:
