@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from ._parallel import pairwise_reduce
 from .bounds import qubit_closed_form_batch
@@ -164,21 +163,13 @@ def monte_carlo_qubit_average(
 def crossover_purities() -> tuple[float, float]:
     """Purities where the conjectured averaged bound meets Robertson / Schroedinger.
 
-    Bisection roots of the averaged-bound differences on (1/2, 1); the first
-    is exactly 7/8, the second sqrt(3) - 1.
+    Both crossovers have closed forms.  Against Robertson,
+    2(2p - 1)/9 = 4(1 - p)/3 is linear with root p = 7/8.  Against
+    Schroedinger, whose average is 4(p^2 - p + 1)/9, the equation
+    4(p^2 - p + 1)/9 = 4(1 - p)/3 reduces to p^2 + 2p - 2 = 0, whose root in
+    [1/2, 1] is p = sqrt(3) - 1.
     """
-
-    def against_robertson(p: float) -> float:
-        av = averaged_bounds_qubit(p)
-        return av.robertson - av.bound2
-
-    def against_schrodinger(p: float) -> float:
-        av = averaged_bounds_qubit(p)
-        return av.schrodinger - av.bound2
-
-    p_r = float(bisect(against_robertson, 0.5, 1.0, xtol=1e-13))
-    p_s = float(bisect(against_schrodinger, 0.5, 1.0, xtol=1e-13))
-    return p_r, p_s
+    return 7.0 / 8.0, math.sqrt(3.0) - 1.0
 
 
 @dataclass(frozen=True)

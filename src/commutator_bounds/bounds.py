@@ -48,13 +48,22 @@ def _state_matrix(rho) -> np.ndarray:
 
 
 def expectation(x, rho) -> float:
-    """<X> = Tr(X rho), required to be real within 1e-10."""
+    """<X> = Tr(X rho), required to be real.
+
+    The imaginary part may reach ``EXPECTATION_IMAG_TOL`` times the largest
+    entry of X (at least 1), as in :func:`batch_bounds`: the trace's round-off
+    grows with the entries, and a Hermitian X with large entries would
+    otherwise be rejected.
+    """
     xm = as_matrix(x, "X")
     rm = _state_matrix(rho)
     require_same_dim(xm, rm)
     value = complex(np.einsum("ij,ji->", xm, rm))
-    if abs(value.imag) > EXPECTATION_IMAG_TOL:
-        raise NumericalConsistencyError(f"expectation has imaginary residue {value.imag:.3e}")
+    residue = abs(value.imag) / max(1.0, float(np.abs(xm).max()))
+    if residue > EXPECTATION_IMAG_TOL:
+        raise NumericalConsistencyError(
+            f"expectation has relative imaginary residue {residue:.3e}"
+        )
     return value.real
 
 

@@ -237,10 +237,13 @@ def _mc_batches(samples: int) -> list[tuple[int, int]]:
     return out
 
 
-def _report_lines(rows: list[dict], fmt: str) -> list[str]:
+_ESTIMATE_KEYS = ("name", "mean", "std_error", "samples", "target", "z")
+
+
+def _report_lines(rows: list[dict], fmt: str, keys: tuple[str, ...]) -> list[str]:
+    """JSON lines with sorted keys, or CSV with the ``keys`` columns (missing cells empty)."""
     if fmt == "json":
         return [json.dumps(row, sort_keys=True) for row in rows]
-    keys = ("name", "mean", "std_error", "samples", "target", "z")
     lines = [",".join(keys)]
     for row in rows:
         cells = []
@@ -319,7 +322,7 @@ def _cmd_mc_average(args) -> int:
         targets = averaged_bounds_qubit(args.purity).as_array()
     rows = _estimate_rows(names, targets, moments)
     with _Output(args.out) as out:
-        _write_lines(out, _report_lines(rows, args.format))
+        _write_lines(out, _report_lines(rows, args.format, _ESTIMATE_KEYS))
     return EXIT_OK
 
 
@@ -352,31 +355,12 @@ def _cmd_mub_average(args) -> int:
             for index, count in _mc_batches(args.samples)
         ]
         moments = merge_moments(map_ordered(_mc_mub_task, tasks, args.workers))
-        comm_est = moments.estimates()[0]
+        # the first moment column is the commutator norm
         target = mub_commutator_norm_average(args.dim)
-        rows.append(
-            {
-                "name": "comm_norm_mc",
-                "mean": comm_est.mean,
-                "std_error": comm_est.std_error,
-                "samples": comm_est.samples,
-                "target": target,
-                "z": comm_est.z_score(target),
-            }
-        )
-    if args.format == "json":
-        lines = [json.dumps(row, sort_keys=True) for row in rows]
-    else:
-        keys = ("name", "value", "mean", "std_error", "samples", "target", "z")
-        lines = [",".join(keys)]
-        for row in rows:
-            cells = []
-            for key in keys:
-                value = row.get(key, "")
-                cells.append(_fmt(value) if isinstance(value, float) else str(value))
-            lines.append(",".join(cells))
+        rows += _estimate_rows(("comm_norm_mc",), (target,), moments)
+    keys = ("name", "value") + _ESTIMATE_KEYS[1:]
     with _Output(args.out) as out:
-        _write_lines(out, lines)
+        _write_lines(out, _report_lines(rows, args.format, keys))
     return EXIT_OK
 
 

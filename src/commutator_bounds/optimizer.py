@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigensolverError, InvalidStateError, NumericalConsistencyError
 from .linalg import as_matrix, frozen, require_same_dim, weighted_norm_sq
@@ -212,9 +211,13 @@ class _RatioProblem:
         if self.mode == "hermitian":
             m = (self.trans.conj().T @ m @ self.trans).real
         n = m.shape[0]
+        # Imported here so that only the optimizer pays for scipy; the call goes
+        # through the module attribute, where a profiler may have wrapped it.
+        import scipy.linalg
+
         try:
             _, v = scipy.linalg.eigh(m, self.weight_red, subset_by_index=[n - 1, n - 1])
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"half-step eigenproblem failed: {exc}") from exc
         x = v[:, 0]
         if self.mode == "hermitian":

@@ -101,6 +101,23 @@ class TestCrossovers:
         av = averaged_bounds_qubit(p_s)
         assert abs(av.schrodinger - av.bound2) < 1e-11
 
+    def test_closed_forms_match_bisection(self):
+        # reference roots: bisection on the averaged-bound differences over [1/2, 1]
+        from scipy.optimize import bisect
+
+        def against(name):
+            def difference(p):
+                av = averaged_bounds_qubit(p)
+                return getattr(av, name) - av.bound2
+
+            return difference
+
+        p_r = bisect(against("robertson"), 0.5, 1.0, xtol=1e-13)
+        p_s = bisect(against("schrodinger"), 0.5, 1.0, xtol=1e-13)
+        closed_r, closed_s = crossover_purities()
+        assert abs(closed_r - p_r) < 1e-12
+        assert abs(closed_s - p_s) < 1e-12
+
 
 class TestSphereMoments:
     def test_second_moments_d3(self):

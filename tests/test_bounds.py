@@ -88,6 +88,20 @@ class TestExpectationVariance:
             centered = x.matrix - expectation(x, rho) * np.eye(d)
             assert variance(x, rho) == pytest.approx(weighted_norm_sq(centered, rho), abs=1e-10)
 
+    def test_large_hermitian_entries_accepted(self):
+        # the trace's round-off grows with the entries; near 1e7 it exceeds 1e-10 absolute
+        rng = np.random.default_rng(SEED + 50)
+        for _ in range(10):
+            x = sample_hermitian(8, rng).matrix
+            rho = sample_density(8, "hilbert-schmidt", rng)
+            assert expectation(1e7 * x, rho) == pytest.approx(1e7 * expectation(x, rho), rel=1e-9)
+
+    def test_non_hermitian_observable_raises(self):
+        rng = np.random.default_rng(SEED + 51)
+        x = sample_hermitian(3, rng).matrix + 1e-6j * np.eye(3)
+        with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
+            expectation(x, sample_density(3, "hilbert-schmidt", rng))
+
 
 class TestSkewInformation:
     def test_commuting_pair_vanishes(self):
@@ -458,6 +472,29 @@ class TestQubitClosedForm:
         rho = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", c, PAULIS))
         generic = batch_bounds(a_mats, b_mats, np.broadcast_to(rho, (n, 2, 2)))
         for name in ("product", "robertson", "schrodinger", "luo_park", "bound1", "bound2"):
+            assert np.max(np.abs(closed[name] - generic[name])) < 1e-10, name
+
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, radius=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(seed=SEED, radius=0.0)
+    @example(seed=SEED, radius=1.0)
+    def test_matches_batch_bounds(self, seed, radius):
+        # A = a.sigma, B = b.sigma, rho = (I + c.sigma)/2 through the generic batch kernel
+        from commutator_bounds import PAULIS
+
+        rng = np.random.default_rng(seed)
+        n = 8
+        a = sample_unit_vectors(3, n, rng)
+        b = sample_unit_vectors(3, n, rng)
+        c = radius * sample_unit_vectors(3, 1, rng)[0]
+        closed = qubit_closed_form_batch(a, b, c)
+        rho = 0.5 * (np.eye(2) + np.einsum("k,kij->ij", c, PAULIS))
+        generic = batch_bounds(
+            np.einsum("nk,kij->nij", a, PAULIS),
+            np.einsum("nk,kij->nij", b, PAULIS),
+            np.broadcast_to(rho, (n, 2, 2)),
+        )
+        for name in COLUMNS:
             assert np.max(np.abs(closed[name] - generic[name])) < 1e-10, name
 
 

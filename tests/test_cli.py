@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output schemas, byte-level determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -242,6 +243,30 @@ class TestMubAverage:
         assert rows["comm_norm_avg"]["value"] == pytest.approx(0.25)
         assert rows["robertson_mub"]["value"] < 1e-10
         assert rows["schrodinger_mub"]["value"] < 1e-10
+
+    # sha256 of stdout, recorded from mub-average's former CSV/JSON writer before it
+    # moved onto _report_lines: the shared writer must reproduce it byte for byte
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("--dim", "4", "--format", "csv"),
+                "40bfcae395bd243b464bfda986323ab736aba281862b16700b757640b87c93eb",
+            ),
+            (
+                ("--dim", "4", "--format", "json"),
+                "b6b20b126264b4fe27ab783842cbbc9ab2a6b4415cda29a45585e117bfdd7520",
+            ),
+            (
+                ("--dim", "3", "--samples", "20000", "--seed", "42", "--format", "csv"),
+                "e09fb8787feb1a7cf0b2d9d5f09b64de449ae547619f9510230862d273a62830",
+            ),
+        ],
+        ids=["d4-csv", "d4-json", "d3-mc-csv"],
+    )
+    def test_golden_bytes(self, args, digest, tmp_path):
+        out = ok_stdout(run_cli("mub-average", *args, cwd=tmp_path))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_bad_spectrum_rejected(self, tmp_path):
         proc = run_cli("mub-average", "--dim", "2", "--spectrum", "0.9,0.3", cwd=tmp_path)
