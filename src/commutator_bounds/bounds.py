@@ -1,12 +1,11 @@
 """Variances, skew information, and the five variance-product lower bounds.
 
-The scalar functions follow the defining formulas one observable pair at a
-time: they center the observables and take traces, so every nonnegative
-quantity is a trace of a Hermitian square.  :func:`batch_bounds` evaluates
-the same quantities vectorized over stacked triples for large corpora, in
-the eigenbasis of each state, where every nonnegative quantity is a sum of
-squared entry magnitudes with nonnegative weights.  On both paths round-off
-cannot manufacture sign violations.
+Every quantity comes from one kernel that evaluates stacked triples in the
+eigenbasis of each state, where every nonnegative quantity is a sum of
+squared entry magnitudes with nonnegative weights, so round-off cannot
+manufacture sign violations.  :func:`batch_bounds` runs it over large
+corpora; the scalar functions validate one (A, B, rho) triple and read a
+single row of it.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalConsistencyError
-from .linalg import (
-    as_matrix,
-    commutator,
-    require_same_dim,
-    weighted_norm_sq,
-)
+from .linalg import as_matrix, require_same_dim
 from .states import DensityMatrix, BlochVector
 
 logger = logging.getLogger(__name__)
@@ -43,20 +37,15 @@ EXPECTATION_IMAG_TOL = 1e-10
 ORDERING_SLACK = 1e-12
 
 
-def _state_matrix(rho) -> np.ndarray:
-    return as_matrix(rho, "rho")
-
-
 def expectation(x, rho) -> float:
     """<X> = Tr(X rho), required to be real.
 
     The imaginary part may reach ``EXPECTATION_IMAG_TOL`` times the largest
-    entry of X (at least 1), as in :func:`batch_bounds`: the trace's round-off
-    grows with the entries, and a Hermitian X with large entries would
-    otherwise be rejected.
+    entry of X (at least 1): the trace's round-off grows with the entries, and
+    a Hermitian X with large entries would otherwise be rejected.
     """
     xm = as_matrix(x, "X")
-    rm = _state_matrix(rho)
+    rm = as_matrix(rho, "rho")
     require_same_dim(xm, rm)
     value = complex(np.einsum("ij,ji->", xm, rm))
     residue = abs(value.imag) / max(1.0, float(np.abs(xm).max()))
@@ -67,25 +56,37 @@ def expectation(x, rho) -> float:
     return value.real
 
 
-def _centered(x, rho) -> np.ndarray:
-    xm = as_matrix(x, "X")
-    return xm - expectation(xm, rho) * np.eye(xm.shape[0])
+def _single(a, b, rho) -> dict[str, float]:
+    """Every kernel column for one triple, after the scalar path's input checks.
+
+    A raw-array ``rho`` is validated as a :class:`DensityMatrix`.  The triple
+    reaches the kernel in the state's cached eigenbasis, where the kernel's
+    eigendecomposition of diag(spectrum) is exact; decomposing
+    ``state.matrix`` again would move zero eigenvalues by round-off, which
+    sqrt(lam) in C(X) magnifies to about 1e-8.
+    """
+    am = as_matrix(a, "A")
+    bm = as_matrix(b, "B")
+    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    require_same_dim(am, bm)
+    require_same_dim(am, state.matrix)
+    vecs = state.eigenvectors
+    vh = vecs.conj().T
+    cols = _eigenbasis_columns(
+        (vh @ am @ vecs)[None], (vh @ bm @ vecs)[None], np.diag(state.spectrum)[None]
+    )
+    return {name: float(col[0]) for name, col in cols.items()}
 
 
 def variance(x, rho) -> float:
-    """V(X) = Tr(X^2 rho) - <X>^2, evaluated as the weighted norm of X - <X> I."""
-    return weighted_norm_sq(_centered(x, rho), rho)
+    """V(X) = Tr(X^2 rho) - <X>^2."""
+    return _single(x, x, rho)["var_a"]
 
 
-def skew_information(x, rho: DensityMatrix) -> float:
-    """Tr(X^2 rho) - Tr(sqrt(rho) X sqrt(rho) X): the quantum part of the variance."""
-    xm = as_matrix(x, "X")
-    rm = _state_matrix(rho)
-    require_same_dim(xm, rm)
-    sm = rho.sqrt_matrix
-    square = complex(np.einsum("ij,jk,ki->", xm, xm, rm))
-    cross = complex(np.einsum("ij,jk,kl,li->", sm, xm, sm, xm))
-    value = square.real - cross.real
+def skew_information(x, rho) -> float:
+    """V(X) - C(X) = Tr(X^2 rho) - Tr(sqrt(rho) X sqrt(rho) X): the quantum part of V(X)."""
+    cols = _single(x, x, rho)
+    value = cols["var_a"] - cols["cu_a"]
     if value < 0.0:
         if value < FACTOR_FLOOR:
             raise NumericalConsistencyError(f"skew information is negative: {value:.3e}")
@@ -93,70 +94,38 @@ def skew_information(x, rho: DensityMatrix) -> float:
     return value
 
 
-def classical_uncertainty(x, rho: DensityMatrix) -> float:
-    """C(X) = V(X) - skew(X) = Tr(sqrt(rho) X' sqrt(rho) X') for centered X'.
-
-    Nonnegative analytically; values inside the round-off floor are clipped,
-    anything lower raises.
-    """
-    xc = _centered(x, rho)
-    sm = rho.sqrt_matrix
-    value = complex(np.einsum("ij,jk,kl,li->", sm, xc, sm, xc)).real
-    if value < 0.0:
-        if value < FACTOR_FLOOR:
-            raise NumericalConsistencyError(f"classical uncertainty is negative: {value:.3e}")
-        value = 0.0
-    return value
-
-
-def _centered_cross(a, b, rho) -> complex:
-    """Tr(A' B' rho) for centered A', B'; encodes both commutator and covariance terms."""
-    am = as_matrix(a, "A")
-    bm = as_matrix(b, "B")
-    rm = _state_matrix(rho)
-    require_same_dim(am, bm)
-    require_same_dim(am, rm)
-    ac = am - expectation(am, rho) * np.eye(am.shape[0])
-    bc = bm - expectation(bm, rho) * np.eye(bm.shape[0])
-    return complex(np.einsum("ij,jk,ki->", ac, bc, rm))
+def classical_uncertainty(x, rho) -> float:
+    """C(X) = V(X) - skew(X) = Tr(sqrt(rho) X' sqrt(rho) X') for centered X'."""
+    return _single(x, x, rho)["cu_a"]
 
 
 def bound_robertson(a, b, rho) -> float:
     """|Tr([A,B] rho)|^2 / 4."""
-    return _centered_cross(a, b, rho).imag ** 2
+    return _single(a, b, rho)["robertson"]
 
 
 def bound_schrodinger(a, b, rho) -> float:
     """Robertson bound plus the squared symmetrized covariance."""
-    return abs(_centered_cross(a, b, rho)) ** 2
+    return _single(a, b, rho)["schrodinger"]
 
 
-def bound_luo_park(a, b, rho: DensityMatrix) -> float:
+def bound_luo_park(a, b, rho) -> float:
     """Robertson bound plus the product of classical uncertainties C(A) C(B)."""
-    return bound_robertson(a, b, rho) + classical_uncertainty(a, rho) * classical_uncertainty(
-        b, rho
-    )
+    return _single(a, b, rho)["luo_park"]
 
 
-def bound_one(a, b, rho: DensityMatrix) -> float:
+def bound_one(a, b, rho) -> float:
     """Proven commutator-norm bound: lam_min^2 / (2 lam_max) * |[A,B]|_rho^2."""
-    lam = rho.spectrum
-    return float(lam[0]) ** 2 / (2.0 * float(lam[-1])) * weighted_norm_sq(commutator(a, b), rho)
+    return _single(a, b, rho)["bound1"]
 
 
-def bound_two(a, b, rho: DensityMatrix) -> float:
+def bound_two(a, b, rho) -> float:
     """Conjectured commutator-norm bound with prefactor lam1 lam2 / (lam1 + lam2).
 
     For qubits the prefactor reduces to lam1 lam2.  States with two vanishing
     eigenvalues make the prefactor 0/0; the bound is then 0.
     """
-    lam = rho.spectrum
-    denom = float(lam[0]) + float(lam[1])
-    if denom <= 0.0:
-        logger.debug("bound prefactor degenerate: two zero eigenvalues, returning 0")
-        return 0.0
-    factor = float(lam[0]) * float(lam[1]) / denom
-    return factor * weighted_norm_sq(commutator(a, b), rho)
+    return _single(a, b, rho)["bound2"]
 
 
 @dataclass(frozen=True)
@@ -183,28 +152,26 @@ def _check_ordering(lo: float, hi: float, label: str) -> None:
         raise NumericalConsistencyError(f"bound ordering violated: {label} ({lo!r} > {hi!r})")
 
 
-def bound_report(a, b, rho: DensityMatrix) -> BoundReport:
+def bound_report(a, b, rho) -> BoundReport:
     """Evaluate every bound for one triple and validate the internal orderings."""
-    robertson = bound_robertson(a, b, rho)
-    schrodinger = bound_schrodinger(a, b, rho)
-    luo_park = bound_luo_park(a, b, rho)
-    b1 = bound_one(a, b, rho)
-    b2 = bound_two(a, b, rho)
-    product = variance(a, rho) * variance(b, rho)
-    _check_ordering(robertson, schrodinger, "robertson <= schrodinger")
-    _check_ordering(robertson, luo_park, "robertson <= luo_park")
-    _check_ordering(b1, b2, "bound1 <= bound2")
+    cols = _single(a, b, rho)
+    robertson = cols["robertson"]
+    product = cols["product"]
+    b2 = cols["bound2"]
+    _check_ordering(robertson, cols["schrodinger"], "robertson <= schrodinger")
+    _check_ordering(robertson, cols["luo_park"], "robertson <= luo_park")
+    _check_ordering(cols["bound1"], b2, "bound1 <= bound2")
     conjecture_ok = b2 - product <= CONJECTURE_SLACK * max(1.0, product)
     if not conjecture_ok:
         logger.warning("conjectured inequality violated: bound2=%r product=%r", b2, product)
     return BoundReport(
-        dim=rho.dim,
-        purity=rho.purity,
+        dim=as_matrix(a, "A").shape[0],
+        purity=cols["purity"],
         product=product,
         robertson=robertson,
-        schrodinger=schrodinger,
-        luo_park=luo_park,
-        bound1=b1,
+        schrodinger=cols["schrodinger"],
+        luo_park=cols["luo_park"],
+        bound1=cols["bound1"],
         bound2=b2,
         conjecture_ok=conjecture_ok,
     )
@@ -220,12 +187,13 @@ def _abs2(x: np.ndarray) -> np.ndarray:
 def _diagonal_mean(xt: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
     """<X> = sum_j lam_j X~_jj per triple, required to be real.
 
-    The imaginary part may reach ``EXPECTATION_IMAG_TOL`` times the largest
-    entry of X~ (at least 1): the rotation's round-off grows with the entries,
-    and a Hermitian X with entries near 1e6 would otherwise be rejected.
+    The imaginary part may reach ``EXPECTATION_IMAG_TOL`` times the root mean
+    square entry of X (at least 1), since the rotation's round-off grows with
+    the entries.  That scale is the same in every basis and never exceeds the
+    largest entry, so whatever :func:`expectation` rejects is rejected here.
     """
     mean = np.einsum("nj,nj->n", lam, np.einsum("njj->nj", xt))
-    scale = np.maximum(1.0, np.abs(xt).max(axis=(1, 2)))
+    scale = np.maximum(1.0, np.sqrt(_abs2(xt).mean(axis=(1, 2))))
     residue = float(np.max(np.abs(mean.imag) / scale))
     if residue > EXPECTATION_IMAG_TOL:
         raise NumericalConsistencyError(
@@ -240,14 +208,9 @@ def _spread(xt: np.ndarray, lam: np.ndarray, root: np.ndarray) -> tuple[np.ndarr
     return np.einsum("nj,njk->n", lam, weights), np.einsum("nj,njk,nk->n", root, weights, root)
 
 
-def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
-    """Vectorized bound evaluation over stacked triples.
-
-    ``a`` and ``b`` are (n, d, d) Hermitian arrays and ``rho`` an (n, d, d)
-    array of valid states; validation is the caller's job on this hot path.
-    Returns per-sample arrays for the product, the five bounds, and purity,
-    matching the scalar path to machine precision.  The inputs are never
-    written to, and read-only or broadcast arrays are accepted.
+def _eigenbasis_columns(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
+    """The :func:`batch_bounds` columns plus the variances ``var_a``, ``var_b``
+    and classical uncertainties ``cu_a``, ``cu_b`` of stacked triples.
 
     Each triple is evaluated in the eigenbasis rho = V diag(lam) V^dag, with
     A~ = V^dag A V and B~ = V^dag B V.  Centering shifts the diagonal of A~
@@ -264,11 +227,12 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
     With the clipped spectrum lam >= 0, the variances and classical
     uncertainties are nonnegative and robertson <= schrodinger,
     robertson <= luo_park and bound1 <= bound2 hold by construction, up to
-    rounding in the last digit, so only the scalar path's ``FACTOR_FLOOR``
-    test on the classical uncertainties is kept.  Two more cases raise
+    rounding in the last digit, so of the sign tests only ``FACTOR_FLOOR``
+    on the classical uncertainties is kept.  Two more cases raise
     :class:`NumericalConsistencyError`: an imaginary part of <A> or <B>
-    beyond ``EXPECTATION_IMAG_TOL`` relative to the largest entry of A~ or
-    B~ (a non-Hermitian input), and any column that is not finite.
+    beyond ``EXPECTATION_IMAG_TOL`` relative to the root mean square of the
+    entries of A or B (a non-Hermitian input), and any column that is not
+    finite.
     """
     lam, vecs = np.linalg.eigh(rho)
     lam = np.clip(lam, 0.0, None)
@@ -298,37 +262,58 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
     root = np.sqrt(lam)
     var_a, cu_a = _spread(at, lam, root)
     var_b, cu_b = _spread(bt, lam, root)
-    product = var_a * var_b
 
     lowest = min(float(cu_a.min()), float(cu_b.min()))
     if lowest < FACTOR_FLOOR:
         raise NumericalConsistencyError(f"classical uncertainty is negative: {lowest:.3e}")
     np.clip(cu_a, 0.0, None, out=cu_a)
     np.clip(cu_b, 0.0, None, out=cu_b)
-    luo_park = robertson + cu_a * cu_b
 
     lam_m = lam[:, 0]
     lam_sm = lam[:, 1]
     lam_big = lam[:, -1]
-    bound1 = lam_m**2 / (2.0 * lam_big) * comm_norm
     denom = lam_m + lam_sm
     with np.errstate(divide="ignore", invalid="ignore"):
         prefactor = np.where(denom > 0.0, lam_m * lam_sm / np.where(denom > 0.0, denom, 1.0), 0.0)
-    bound2 = prefactor * comm_norm
 
     cols = {
-        "product": product,
+        "product": var_a * var_b,
         "robertson": robertson,
         "schrodinger": schrodinger,
-        "luo_park": luo_park,
-        "bound1": bound1,
-        "bound2": bound2,
+        "luo_park": robertson + cu_a * cu_b,
+        "bound1": lam_m**2 / (2.0 * lam_big) * comm_norm,
+        "bound2": prefactor * comm_norm,
         "purity": (lam**2).sum(axis=1),
+        "var_a": var_a,
+        "var_b": var_b,
+        "cu_a": cu_a,
+        "cu_b": cu_b,
     }
     for name, col in cols.items():
         if not np.isfinite(col).all():
             raise NumericalConsistencyError(f"batch column {name} has non-finite values")
     return cols
+
+
+_BATCH_COLUMNS = ("product", "robertson", "schrodinger", "luo_park", "bound1", "bound2", "purity")
+
+
+def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
+    """Vectorized bound evaluation over stacked triples.
+
+    ``a`` and ``b`` are (n, d, d) Hermitian arrays and ``rho`` an (n, d, d)
+    array of valid states; validation is the caller's job on this hot path.
+    Returns per-sample arrays for the product, the five bounds, and purity.
+    The inputs are never written to, and read-only or broadcast arrays are
+    accepted.
+
+    The scalar functions read single rows of the same kernel,
+    :func:`_eigenbasis_columns`, whose formulas and checks are documented
+    there.  Its variance and classical-uncertainty columns are dropped, so a
+    caller keeps (and a worker pickles back) only these seven.
+    """
+    cols = _eigenbasis_columns(a, b, rho)
+    return {name: cols[name] for name in _BATCH_COLUMNS}
 
 
 def violation_masks(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from commutator_bounds import (
     DensityMatrix,
+    InvalidStateError,
     NumericalConsistencyError,
     Observable,
     PAULI_X,
@@ -351,6 +352,115 @@ class TestBatchKernel:
         triple[operand][2, 0, 1] = np.nan
         with pytest.raises(NumericalConsistencyError, match="non-finite"):
             batch_bounds(*triple, sample_density_batch(d, n, rng))
+
+
+SCALAR_BOUNDS = {
+    "robertson": bound_robertson,
+    "schrodinger": bound_schrodinger,
+    "luo_park": bound_luo_park,
+    "bound1": bound_one,
+    "bound2": bound_two,
+}
+
+
+class TestScalarMatchesReference:
+    """The scalar wrappers against formulas that do not go through the batch kernel."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bounds_match_reference(self, d):
+        rng = np.random.default_rng(SEED + 60 + d)
+        n = 16
+        rho = np.concatenate([sample_density_batch(d, n, rng), _special_states(d, rng)])
+        a = sample_hermitian_batch(d, rho.shape[0], rng)
+        b = sample_hermitian_batch(d, rho.shape[0], rng)
+        states = [DensityMatrix(r) for r in rho]
+        triples = list(zip(a, b, states))
+        got = {name: [fn(*t) for t in triples] for name, fn in SCALAR_BOUNDS.items()}
+        got["product"] = [variance(x, s) * variance(y, s) for x, y, s in triples]
+        reports = [bound_report(*t) for t in triples]
+        from_report = {name: np.array([getattr(rep, name) for rep in reports]) for name in COLUMNS}
+        assert all(rep.dim == d for rep in reports)
+        # The states as the wrappers evaluate them: diag(spectrum), with A and B in
+        # the eigenbasis.  C(X) takes sqrt(lam), so a second eigendecomposition of a
+        # rank-deficient state would differ from the first by about 1e-8.
+        vecs = np.array([s.eigenvectors for s in states])
+        vh = vecs.conj().swapaxes(1, 2)
+        spectra = np.array([np.diag(s.spectrum) for s in states], dtype=complex)
+        want = reference_batch_bounds(vh @ a @ vecs, vh @ b @ vecs, spectra)
+        _assert_columns_close(from_report, want, 1e-12)
+        scale = 1e-12 * np.maximum(1.0, np.abs(want["product"]))
+        for name, values in got.items():
+            assert np.all(np.abs(np.array(values) - want[name]) <= scale), name
+        # the Hilbert-Schmidt states are well conditioned: no rotation needed
+        raw = reference_batch_bounds(a[:n], b[:n], rho[:n])
+        _assert_columns_close({k: v[:n] for k, v in from_report.items()}, raw, 1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_single_observable_match_oracle(self, d):
+        rng = np.random.default_rng(SEED + 70 + d)
+        rho = np.concatenate([sample_density_batch(d, 16, rng), _special_states(d, rng)])
+        xs = sample_hermitian_batch(d, rho.shape[0], rng)
+        for x, r in zip(xs, rho):
+            state = DensityMatrix(r)
+            mean = expectation(x, state)
+            square = np.einsum("ij,jk,ki->", x, x, state.matrix).real
+            cross = cross_trace_oracle(x, state)
+            tol = 1e-12 * max(1.0, square)
+            assert variance(x, state) == pytest.approx(square - mean**2, abs=tol)
+            assert classical_uncertainty(x, state) == pytest.approx(cross - mean**2, abs=tol)
+            assert skew_information(x, state) == pytest.approx(square - cross, abs=tol)
+
+
+def _call(fn, a, b, rho):
+    if fn in (variance, skew_information, classical_uncertainty):
+        return fn(a, rho)
+    return fn(a, b, rho)
+
+
+SCALAR_FUNCTIONS = [
+    variance,
+    skew_information,
+    classical_uncertainty,
+    bound_robertson,
+    bound_schrodinger,
+    bound_luo_park,
+    bound_one,
+    bound_two,
+    bound_report,
+]
+
+
+def _invalid_states():
+    rho = sample_density(3, "hilbert-schmidt", np.random.default_rng(SEED + 80)).matrix
+    non_hermitian = rho.copy()
+    non_hermitian[0, 1] += 1e-3
+    return {
+        "non-hermitian": non_hermitian,
+        "negative-eigenvalue": np.diag([1.5, -0.5, 0.0]).astype(complex),
+        "trace-2": 2.0 * rho,
+    }
+
+
+INVALID_STATES = _invalid_states()
+
+
+class TestScalarStateChecks:
+    """Every scalar function validates a raw-array state as a DensityMatrix."""
+
+    A = sample_hermitian(3, np.random.default_rng(SEED + 81)).matrix
+    B = sample_hermitian(3, np.random.default_rng(SEED + 82)).matrix
+
+    @pytest.mark.parametrize("case", sorted(INVALID_STATES))
+    @pytest.mark.parametrize("fn", SCALAR_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_invalid_raw_state_raises(self, fn, case):
+        with pytest.raises(InvalidStateError):
+            _call(fn, self.A, self.B, INVALID_STATES[case])
+
+    @pytest.mark.parametrize("fn", SCALAR_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_raw_state_equals_density_matrix(self, fn):
+        rng = np.random.default_rng(SEED + 83)
+        raw = np.array(sample_density(3, "hilbert-schmidt", rng).matrix)
+        assert _call(fn, self.A, self.B, raw) == _call(fn, self.A, self.B, DensityMatrix(raw))
 
 
 def _random_triples(seed, d, n=4):

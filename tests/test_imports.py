@@ -1,4 +1,5 @@
-"""Import hygiene: scipy stays off the import path of everything but the optimizer."""
+"""Import hygiene: the export list resolves, and scipy stays off the import path of
+everything but the optimizer."""
 
 import json
 import os
@@ -64,3 +65,11 @@ def test_verify_conjecture_loads_scipy_linalg(tmp_path):
     out = tmp_path / "out.jsonl"
     argv = ("verify-conjecture", "--dim", "2", "--trials", "1", "--workers", "1")
     assert "scipy.linalg" in scipy_modules_after(*argv, "--out", str(out), cwd=tmp_path)
+
+
+def test_every_export_resolves_once():
+    import commutator_bounds
+
+    names = commutator_bounds.__all__
+    assert sorted({n for n in names if names.count(n) > 1}) == []
+    assert [n for n in names if not hasattr(commutator_bounds, n)] == []

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commutator_bounds import (
     DensityMatrix,
+    classical_uncertainty,
     commutator,
     fig2_rows,
     fourier_mub_pair,
@@ -15,10 +18,13 @@ from commutator_bounds import (
     mub_commutator_norm_average,
     mub_lp_average,
     mub_pair,
+    mub_sample_columns,
     mub_vanishing_check,
     qubit_mub_theta_lp,
     qubit_spectrum_from_purity,
     sample_unit_vector,
+    sample_unit_vectors,
+    variance,
     weighted_norm_sq,
 )
 
@@ -129,6 +135,39 @@ class TestCommutatorNormPhaseSum:
         rng = np.random.default_rng(SEED + 6)
         pair = fourier_mub_pair(d, spectrum, unit_spectrum(rng, d))
         assert mub_commutator_norm(pair, np.full(d, 1.0 / d)) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestSampleColumnsMatrixPath:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=2, max_value=6),
+        rank_deficient=st.booleans(),
+    )
+    @example(seed=SEED, d=2, rank_deficient=True)
+    def test_columns_match_matrix_path(self, seed, d, rank_deficient):
+        # any valid table: Fourier phases plus row phases alpha_j and column phases beta_k
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.0, 2.0 * np.pi, (d, 1))
+        beta = rng.uniform(0.0, 2.0 * np.pi, (1, d))
+        phases = fourier_phases(d) + alpha + beta
+        lam = rng.dirichlet(np.ones(d))
+        if rank_deficient:
+            lam[rng.integers(d)] = 0.0
+            lam /= lam.sum()
+        a = sample_unit_vectors(d, 4, rng)
+        b = sample_unit_vectors(d, 4, rng)
+        cols = mub_sample_columns(phases, lam, a, b)
+        rho = DensityMatrix.from_spectrum(lam)  # diagonal in the given order
+        for row, sa, sb in zip(cols, a, b):
+            pair = mub_pair(d, phases, sa, sb)
+            obs_a, obs_b = pair.observable_a(), pair.observable_b()
+            comm_norm = weighted_norm_sq(commutator(obs_a, obs_b), rho)
+            # A commutes with rho, so its classical uncertainty is its variance
+            factor_a = variance(obs_a, rho)
+            factor_b = classical_uncertainty(obs_b, rho)
+            want = [comm_norm, factor_a * factor_b, factor_a, factor_b]
+            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-12)
 
 
 class TestMonteCarlo:
