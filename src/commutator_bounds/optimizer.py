@@ -7,9 +7,12 @@ For a fixed full-rank state the target
 is conjectured to have supremum (lam1 + lam2) / (lam1 lam2) over nonzero
 complex (and already over Hermitian) matrices, with a proven ceiling of
 2 lam_max / lam_min^2.  With one argument fixed, R is a generalized Rayleigh
-quotient in the vectorized other argument, so alternating maximization
-solves a top generalized eigenpair per half step; each half step is globally
-optimal for its block, which makes the ratio monotone nondecreasing.
+quotient in the vectorized other argument.  In rho's eigenbasis its
+denominator form is diagonal, so after a diagonal rescaling each half step of
+the alternating maximization is the top eigenpair of a standard symmetric
+form (real in Hermitian mode), and that eigenvalue is the new ratio.  Each
+half step is globally optimal for its block, which makes the ratio monotone
+nondecreasing.
 Gradient ascent was rejected: step sizes turn fragile near the boundary of
 the positive cone of denominator forms, while the eigenpair step has no
 tuning at all.
@@ -40,6 +43,10 @@ EXCEEDANCE_SLACK = 1e-6
 
 #: Allowed relative dip of the ratio between half steps.
 MONOTONE_SLACK = 1e-12
+
+#: Allowed relative gap between the ascent's last eigenvalue and the ratio
+#: re-evaluated from the reported matrices.
+CONSISTENCY_SLACK = 1e-10
 
 
 def _spectrum_of(rho) -> np.ndarray:
@@ -145,86 +152,130 @@ class OptimizationResult:
         return abs(self.achieved_ratio / self.conjectured_constant - 1.0)
 
 
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis of Hermitian dim x dim matrices."""
-    mats = []
-    for j in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[j, j] = 1.0
-        mats.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / math.sqrt(2.0)
-            mats.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1.0j / math.sqrt(2.0)
-            m[k, j] = 1.0j / math.sqrt(2.0)
-            mats.append(m)
-    return np.stack(mats)
+def _hermitian_entries(dim: int) -> tuple[np.ndarray, ...]:
+    """Nonzero entries H_r[a, b] = h of the orthonormal Hermitian basis.
 
-
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape((dim, dim), order="F")
+    The basis is E_jj, then (E_jk + E_kj)/sqrt 2, then i(E_kj - E_jk)/sqrt 2
+    for j < k.  Returns the arrays (r, a, b, h).
+    """
+    j, k = np.triu_indices(dim, 1)
+    diag = np.arange(dim)
+    sym = dim + np.arange(j.size)
+    skew = sym + j.size
+    half = math.sqrt(0.5)
+    r = np.concatenate([diag, sym, sym, skew, skew])
+    a = np.concatenate([diag, j, k, j, k])
+    b = np.concatenate([diag, k, j, k, j])
+    h = np.concatenate(
+        [
+            np.ones(dim),
+            np.full(2 * j.size, half),
+            np.full(j.size, -1j * half),
+            np.full(j.size, 1j * half),
+        ]
+    )
+    return r, a, b, h
 
 
 class _RatioProblem:
     """Quadratic-form machinery shared by all restarts for one state.
 
-    Column-stacking vectorization: vec([A, B]) = (B^T ox I - I ox B) vec(A)
-    and Tr(X^dag X rho) = vec(X)^dag (rho^T ox I) vec(X).  The forms are
-    assembled densely; at the supported sizes they are tiny.
+    Everything happens in rho's eigenbasis, where the weighted norm
+    Tr(X^dag X rho) = sum_jk |X_jk|^2 lam_k is a diagonal form D in the
+    coordinates: lam_k on E_jk in complex mode, and lam_j on E_jj and
+    (lam_j + lam_k)/2 on both off-diagonal elements of the Hermitian basis.
+    With B fixed, the commutator is a linear map G of A's coordinates, and
+    each entry of G is a signed sum of entries of B.  In complex mode G is
+    the row-major vectorization K = I ox B^T - B ox I.  In Hermitian mode G
+    maps to the real coordinates of the Hermitian matrix i[A, B]:
+    G_rc = Tr(H_r i[H_c, B]) = -2 Im Tr(H_r H_c B), real arithmetic
+    throughout.  In both modes G is assembled by one ``bincount`` over index
+    arrays fixed per state, already scaled to D^(1/2) G D^(-1/2), so that a
+    half step is the top eigenpair of the standard form G^dag G.  The same form
+    serves both sides, since [A, B] = -[B, A].
     """
 
     def __init__(self, rho: DensityMatrix, mode: str) -> None:
         self.rho = rho
         self.mode = mode
-        self.dim = rho.dim
         d = rho.dim
-        self.eye = np.eye(d)
-        self.weight = np.kron(rho.matrix.T, self.eye)
+        n = d * d
+        self.dim = d
+        self.vectors = rho.eigenvectors
+        lam = rho.spectrum
         if mode == "hermitian":
-            basis = _hermitian_basis(d)
-            self.basis = basis
-            self.trans = np.stack([_vec(m) for m in basis], axis=1)  # unitary d^2 x d^2
-            self.weight_red = (self.trans.conj().T @ self.weight @ self.trans).real
+            r, a, b, h = _hermitian_entries(d)
+            # Each H_r[a, b] pairs with the 2d - 1 entries H_c[b, e] in row b.
+            partner = np.argsort(a, kind="stable").reshape(d, 2 * d - 1)[b]
+            prod = h[:, None] * h[partner]
+            real = prod.imag == 0.0
+            row = np.broadcast_to(r[:, None], partner.shape)
+            col = r[partner]
+            # Im(prod B_ea) reads Im B_ea for a real product and Re B_ea otherwise.
+            src = 2 * (b[partner] * d + a[:, None]) + real
+            val = -2.0 * np.where(real, prod.real, prod.imag)
+            dst = row * n + col
+            pair = (lam[:, None] + lam[None, :])[np.triu_indices(d, 1)] / 2.0
+            weight = np.concatenate([lam, pair, pair])
+            self.slots = n * n
+            # Coordinate, slot in the real view of a d x d matrix, and value of
+            # each basis entry, to rebuild a matrix from its coordinates.
+            self.entries = (r, 2 * (a * d + b) + (h.imag != 0.0), h.real + h.imag)
         else:
-            self.basis = None
-            self.trans = None
-            self.weight_red = self.weight
+            x, y, z = np.indices((d, d, d)).reshape(3, -1)
+            # [A, B]_xz = sum_y A_xy B_yz - B_xy A_yz, for the real and imaginary parts.
+            row = np.tile(x * d + z, 4)
+            col = np.tile(np.concatenate([x * d + y, y * d + z]), 2)
+            part = np.repeat([0, 1], 2 * x.size)
+            src = 2 * np.tile(np.concatenate([y * d + z, x * d + y]), 2) + part
+            val = np.tile(np.repeat([1.0, -1.0], x.size), 2)
+            dst = 2 * (row * n + col) + part
+            weight = np.tile(lam, d)
+            self.slots = 2 * n * n
+        root = np.sqrt(weight)
+        self.inv_root = 1.0 / root
+        self.dst = dst.ravel()
+        self.src = src.ravel()
+        self.coef = (val * root[row] / root[col]).ravel()
 
-    def half_step(self, other: np.ndarray, side: str) -> np.ndarray:
+    def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
+        return self.vectors.conj().T @ m @ self.vectors
+
+    def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
+        return self.vectors @ m @ self.vectors.conj().T
+
+    def half_step(self, other: np.ndarray) -> tuple[np.ndarray, float]:
         """Globally maximize the ratio over one argument, the other fixed.
 
-        Returns the new matrix, normalized to unit weighted norm.
+        Both matrices are in the eigenbasis, and ``other`` has unit weighted
+        norm.  Returns the new matrix, of unit weighted norm, and the ratio
+        of the pair, which is the top eigenvalue.
         """
         d = self.dim
-        if side == "a":
-            k = np.kron(other.T, self.eye) - np.kron(self.eye, other)
-        else:
-            k = np.kron(self.eye, other) - np.kron(other.T, self.eye)
-        m = k.conj().T @ self.weight @ k
+        n = d * d
+        entries = other.view(float).ravel()
+        g = np.bincount(self.dst, self.coef * entries[self.src], minlength=self.slots)
         if self.mode == "hermitian":
-            m = (self.trans.conj().T @ m @ self.trans).real
-        n = m.shape[0]
+            g = g.reshape(n, n)
+            form = g.T @ g
+        else:
+            g = g.view(complex).reshape(n, n)
+            form = g.conj().T @ g
         # Imported here so that only the optimizer pays for scipy; the call goes
         # through the module attribute, where a profiler may have wrapped it.
         import scipy.linalg
 
         try:
-            _, v = scipy.linalg.eigh(m, self.weight_red, subset_by_index=[n - 1, n - 1])
+            mu, v = scipy.linalg.eigh(form, subset_by_index=[n - 1, n - 1])
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"half-step eigenproblem failed: {exc}") from exc
-        x = v[:, 0]
+        x = v[:, 0] * self.inv_root
         if self.mode == "hermitian":
-            new = np.einsum("i,ijk->jk", x, self.basis)
+            coord, slot, h = self.entries
+            new = np.bincount(slot, x[coord] * h, minlength=2 * n).view(complex)
         else:
-            new = _unvec(x, d)
-        return new / math.sqrt(weighted_norm_sq(new, self.rho))
+            new = x
+        return new.reshape(d, d), float(mu[0])
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
@@ -247,8 +298,8 @@ def _ascend(
     if a0 is not None:
         a = a0 / math.sqrt(weighted_norm_sq(a0, rho))
         trace.append(ratio(a, b, rho))
-    else:
-        a = None
+        a = problem.to_eigenbasis(a)
+    b = problem.to_eigenbasis(b)
 
     def record(value: float) -> None:
         if trace and value < trace[-1] - MONOTONE_SLACK * max(1.0, abs(trace[-1])):
@@ -261,16 +312,17 @@ def _ascend(
     iterations = 0
     previous = trace[-1] if trace else None
     for it in range(max_iters):
-        a = problem.half_step(b, side="a")
-        record(ratio(a, b, rho))
-        b = problem.half_step(a, side="b")
-        current = ratio(a, b, rho)
+        a, value = problem.half_step(b)
+        record(value)
+        b, current = problem.half_step(a)
         record(current)
         iterations = it + 1
         if previous is not None and current - previous <= tol * max(previous, 1e-300):
             converged = True
             break
         previous = current
+    a = problem.from_eigenbasis(a)
+    b = problem.from_eigenbasis(b)
     return a, b, trace[-1], trace, iterations, converged
 
 
@@ -328,8 +380,12 @@ def maximize_ratio(
     if best is None:
         raise EigensolverError("every start failed in the half-step eigensolver")
 
-    a, b, _, trace, iterations, converged = best
+    a, b, last, trace, iterations, converged = best
     achieved = ratio(a, b, rho)
+    if abs(achieved - last) > CONSISTENCY_SLACK * abs(last):
+        raise NumericalConsistencyError(
+            f"ratio {achieved!r} of the reported pair disagrees with the ascent's {last!r}"
+        )
     conj = conjectured_constant(rho)
     loose = loose_constant(rho)
     if achieved > loose * (1.0 + CEILING_SLACK):

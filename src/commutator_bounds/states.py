@@ -35,9 +35,9 @@ class DensityMatrix:
     within 1e-10, every eigenvalue is above ``EIGENVALUE_FLOOR``, and the
     trace is 1 within ``TRACE_TOL``.  Round-off-negative eigenvalues are
     clipped to zero and the spectrum renormalized (keeping the square root
-    real).  The ascending spectrum, eigenvectors, matrix square root, and
-    purity are cached; all arrays are write-protected, so instances are safe
-    to share between concurrent tasks.
+    real).  The ascending spectrum, eigenvectors and purity are cached, and
+    the matrix square root is built on first access; all arrays are
+    write-protected, so instances are safe to share between concurrent tasks.
     """
 
     __slots__ = ("_matrix", "_spectrum", "_vectors", "_sqrt_matrix", "_purity")
@@ -60,9 +60,8 @@ class DensityMatrix:
         lam /= total
         vec = eig.vectors
         mat = (vec * lam) @ vec.conj().T
-        sqrt_mat = (vec * np.sqrt(lam)) @ vec.conj().T
         self._matrix = frozen((mat + mat.conj().T) / 2.0)
-        self._sqrt_matrix = frozen((sqrt_mat + sqrt_mat.conj().T) / 2.0)
+        self._sqrt_matrix = None
         self._spectrum = frozen(lam)
         self._vectors = vec
         self._purity = float(lam @ lam)
@@ -115,6 +114,10 @@ class DensityMatrix:
 
     @property
     def sqrt_matrix(self) -> np.ndarray:
+        if self._sqrt_matrix is None:
+            vec = self._vectors
+            root = (vec * np.sqrt(self._spectrum)) @ vec.conj().T
+            self._sqrt_matrix = frozen((root + root.conj().T) / 2.0)
         return self._sqrt_matrix
 
     @property

@@ -1,13 +1,16 @@
 """Conjecture optimizer: constants, witnesses, ratio, alternating maximization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from commutator_bounds import (
     DensityMatrix,
     InvalidStateError,
+    NumericalConsistencyError,
     PAULI_X,
     PAULI_Y,
     commutator,
@@ -23,10 +26,61 @@ from commutator_bounds import (
     sample_unitary,
     weighted_norm_sq,
 )
+from commutator_bounds.optimizer import _RatioProblem
 
 SEED = 20240906
 
 RHO123 = DensityMatrix.from_spectrum([1 / 6, 2 / 6, 3 / 6])
+
+
+def _hermitian_basis(dim):
+    """Orthonormal (Hilbert-Schmidt) basis of Hermitian dim x dim matrices."""
+    mats = []
+    for j in range(dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[j, j] = 1.0
+        mats.append(m)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / math.sqrt(2.0)
+            mats.append(m)
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = -1.0j / math.sqrt(2.0)
+            m[k, j] = 1.0j / math.sqrt(2.0)
+            mats.append(m)
+    return np.stack(mats)
+
+
+def reference_half_step(rho, mode, other, side):
+    """The dense Kronecker formulation of a half step, in the original basis.
+
+    Column-stacking vectorization: vec([A, B]) = (B^T ox I - I ox B) vec(A) and
+    Tr(X^dag X rho) = vec(X)^dag (rho^T ox I) vec(X); the top generalized
+    eigenpair of K^dag W K against W, restricted to the Hermitian basis in
+    Hermitian mode.  Returns the maximizer, of unit weighted norm, and the
+    optimal ratio.
+    """
+    d = rho.dim
+    eye = np.eye(d)
+    weight = np.kron(rho.matrix.T, eye)
+    k = np.kron(other.T, eye) - np.kron(eye, other)
+    if side == "b":
+        k = -k
+    m = k.conj().T @ weight @ k
+    if mode == "hermitian":
+        basis = _hermitian_basis(d)
+        trans = np.stack([b.reshape(-1, order="F") for b in basis], axis=1)
+        m = (trans.conj().T @ m @ trans).real
+        weight = (trans.conj().T @ weight @ trans).real
+    n = m.shape[0]
+    top, v = scipy.linalg.eigh(m, weight, subset_by_index=[n - 1, n - 1])
+    if mode == "hermitian":
+        new = np.einsum("i,ijk->jk", v[:, 0], basis)
+    else:
+        new = v[:, 0].reshape((d, d), order="F")
+    optimum = float(top[0]) / weighted_norm_sq(other, rho)
+    return new / math.sqrt(weighted_norm_sq(new, rho)), optimum
 
 
 class TestConstants:
@@ -226,6 +280,76 @@ class TestMaximizeRatio:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             maximize_ratio(RHO123, mode="quaternionic", rng=np.random.default_rng(0))
+
+
+class TestHalfStep:
+    @pytest.mark.parametrize("mode", ["hermitian", "complex"])
+    @pytest.mark.parametrize("ensemble", ["spectrum", "hilbert-schmidt"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_dense_reference(self, d, ensemble, mode):
+        rng = np.random.default_rng(SEED + 30 + d)
+        if ensemble == "spectrum":
+            rho = DensityMatrix.from_spectrum(np.sort(rng.dirichlet(np.ones(d))))
+        else:
+            rho = sample_density(d, "hilbert-schmidt", rng)
+        problem = _RatioProblem(rho, mode)
+        b = problem.random_start(rng)
+        b = b / math.sqrt(weighted_norm_sq(b, rho))
+        current = problem.to_eigenbasis(b)
+        for side in ("a", "b", "a"):
+            _, optimum = reference_half_step(rho, mode, b, side)
+            current, value = problem.half_step(current)
+            new = problem.from_eigenbasis(current)
+            assert value == pytest.approx(optimum, rel=1e-12)
+            assert ratio(new, b, rho) == pytest.approx(value, rel=1e-12)
+            assert weighted_norm_sq(new, rho) == pytest.approx(1.0, rel=1e-12)
+            if mode == "hermitian":
+                assert np.array_equal(current, current.conj().T)
+            b = new
+
+    def test_reported_ratio_must_match_ascent(self, monkeypatch):
+        # rotating back with V^dag X V instead of V X V^dag breaks the pair
+        def wrong_way(self, m):
+            return self.vectors.conj().T @ m @ self.vectors
+
+        monkeypatch.setattr(_RatioProblem, "from_eigenbasis", wrong_way)
+        rho = sample_density(4, "hilbert-schmidt", np.random.default_rng(SEED + 40))
+        with pytest.raises(NumericalConsistencyError, match="disagrees"):
+            maximize_ratio(rho, restarts=1, rng=np.random.default_rng(SEED + 41))
+
+
+class TestIllConditionedSpectra:
+    """Spectra whose smallest eigenvalue sits many decades below the rest.
+
+    The diagonal rescaling of a half step then reaches 1/sqrt(lam_min).
+    """
+
+    @staticmethod
+    def state(d, lam_min):
+        rest = np.arange(1.0, d)
+        return DensityMatrix.from_spectrum(
+            np.concatenate([[lam_min], (1.0 - lam_min) * rest / rest.sum()])
+        )
+
+    @pytest.mark.parametrize("lam_min", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_witness_start(self, d, lam_min):
+        result = maximize_ratio(
+            self.state(d, lam_min), restarts=2, rng=np.random.default_rng(SEED + 50)
+        )
+        assert result.relative_deviation <= 1e-12
+
+    @pytest.mark.parametrize("lam_min", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_random_starts_alone(self, d, lam_min):
+        result = maximize_ratio(
+            self.state(d, lam_min),
+            restarts=4,
+            max_iters=200,
+            rng=np.random.default_rng(SEED + 51),
+            seed_witness=False,
+        )
+        assert result.relative_deviation <= 1e-9
 
 
 class TestSerialization:

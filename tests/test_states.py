@@ -90,6 +90,17 @@ class TestDensityValidation:
                 rho.sqrt_matrix @ rho.sqrt_matrix, rho.matrix, atol=1e-9
             )
 
+    def test_sqrt_built_on_first_access(self):
+        rng = np.random.default_rng(SEED + 2)
+        rho = sample_density(4, "hilbert-schmidt", rng)
+        vec = rho.eigenvectors
+        expected = (vec * np.sqrt(rho.spectrum)) @ vec.conj().T
+        first = rho.sqrt_matrix
+        np.testing.assert_allclose(first, expected, atol=1e-15)
+        assert rho.sqrt_matrix is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
 
 class TestSpectralSummary:
     def test_maximally_mixed(self):
