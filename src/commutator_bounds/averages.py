@@ -4,12 +4,17 @@ Averaging is over independent uniform unit axes for both observables.  The
 pair average depends on the state only through its purity (the average is
 invariant under simultaneous rotations), so Monte Carlo fixes the state
 direction along z without bias.
+
+Every Monte Carlo average here, in ``mub`` and in the CLI, is one chunk plan
+(:func:`chunk_plan`) with one per-chunk rule (:func:`chunk_moments`); the
+callers differ only in the sampler and in the generator each chunk draws from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -81,6 +86,32 @@ def merge_moments(parts: list[Moments]) -> Moments:
     return pairwise_reduce(parts, lambda x, y: x.merge(y))
 
 
+def chunk_plan(total: int, size: int) -> list[tuple[int, int]]:
+    """(index, count) of the consecutive chunks of at most ``size`` that make up ``total``."""
+    return [(index, min(size, total - start)) for index, start in enumerate(range(0, total, size))]
+
+
+def chunk_moments(sample, rng_for, chunk: tuple[int, int]) -> Moments:
+    """Moments of one chunk: ``sample(count, rng_for(index))``, a (count, k) array."""
+    index, count = chunk
+    return Moments.of(sample(count, rng_for(index)))
+
+
+def sequential_moments(sample, total: int, size: int, rng: np.random.Generator) -> Moments:
+    """Moments of ``total`` samples drawn from ``rng`` in order, in chunks of ``size``."""
+    return merge_moments(
+        [chunk_moments(sample, lambda _: rng, chunk) for chunk in chunk_plan(total, size)]
+    )
+
+
+def checked_purity(purity: float) -> float:
+    """``purity`` as a float; ValueError unless it lies in [1/2, 1] up to round-off."""
+    p = float(purity)
+    if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
+        raise ValueError(f"purity must lie in [1/2, 1], got {p!r}")
+    return p
+
+
 @dataclass(frozen=True)
 class AveragedBounds:
     """The five bounds averaged over all unit observable axes, at fixed purity."""
@@ -100,10 +131,7 @@ class AveragedBounds:
 
 def averaged_bounds_qubit(purity: float) -> AveragedBounds:
     """Closed-form pair-averaged qubit bounds as functions of purity in [1/2, 1]."""
-    p = float(purity)
-    if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
-        raise ValueError(f"purity must lie in [1/2, 1], got {p!r}")
-    p = min(max(p, 0.5), 1.0)
+    p = min(max(checked_purity(purity), 0.5), 1.0)
     root = math.sqrt(2.0 * p - 1.0)
     robertson = 2.0 * (2.0 * p - 1.0) / 9.0
     schrodinger = robertson + 2.0 * (2.0 * p * p - 4.0 * p + 3.0) / 9.0
@@ -126,25 +154,12 @@ def qubit_bound_samples(purity: float, count: int, rng: np.random.Generator) -> 
     Column order follows ``BOUND_NAMES``.  The state is the purity-matching
     Bloch vector along z.
     """
-    p = float(purity)
-    if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
-        raise ValueError(f"purity must lie in [1/2, 1], got {p!r}")
+    p = checked_purity(purity)
     c = np.array([0.0, 0.0, math.sqrt(max(2.0 * p - 1.0, 0.0))])
     a = sample_unit_vectors(3, count, rng)
     b = sample_unit_vectors(3, count, rng)
     cols = qubit_closed_form_batch(a, b, c)
     return np.column_stack([cols[name] for name in BOUND_NAMES])
-
-
-def qubit_bound_moments(purity: float, count: int, rng: np.random.Generator) -> Moments:
-    """Accumulated moments of :func:`qubit_bound_samples` in fixed-size chunks."""
-    parts = []
-    done = 0
-    while done < count:
-        n = min(_CHUNK, count - done)
-        parts.append(Moments.of(qubit_bound_samples(purity, n, rng)))
-        done += n
-    return merge_moments(parts)
 
 
 def monte_carlo_qubit_average(
@@ -157,7 +172,8 @@ def monte_carlo_qubit_average(
     """
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    return qubit_bound_moments(purity, samples, rng).estimates()
+    moments = sequential_moments(partial(qubit_bound_samples, purity), samples, _CHUNK, rng)
+    return moments.estimates()
 
 
 def crossover_purities() -> tuple[float, float]:
@@ -191,15 +207,12 @@ def sphere_moment_check(dim: int, samples: int, rng: np.random.Generator) -> Mom
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
-    parts = []
-    done = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        x = sample_unit_vectors(dim, n, rng)
-        outer = np.einsum("ni,nj->nij", x, x).reshape(n, dim * dim)
-        parts.append(Moments.of(outer))
-        done += n
-    merged = merge_moments(parts)
+
+    def outer_products(count: int, chunk_rng: np.random.Generator) -> np.ndarray:
+        x = sample_unit_vectors(dim, count, chunk_rng)
+        return np.einsum("ni,nj->nij", x, x).reshape(count, dim * dim)
+
+    merged = sequential_moments(outer_products, samples, _CHUNK, rng)
     ests = merged.estimates()
     mean = np.array([e.mean for e in ests]).reshape(dim, dim)
     se = np.array([e.std_error for e in ests]).reshape(dim, dim)

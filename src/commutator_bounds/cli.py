@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,8 @@ from .averages import (
     FIG1_HEADER,
     Moments,
     averaged_bounds_qubit,
+    chunk_moments,
+    chunk_plan,
     fig1_rows,
     merge_moments,
     qubit_bound_samples,
@@ -143,14 +146,10 @@ def _cmd_compare(args) -> int:
         return _usage_error(f"--dim must be >= 2, got {args.dim}")
     if args.samples < 1:
         return _usage_error(f"--samples must be >= 1, got {args.samples}")
-    tasks = []
-    start = 0
-    index = 0
-    while start < args.samples:
-        count = min(_BATCH, args.samples - start)
-        tasks.append((args.seed, args.dim, index, start, count))
-        start += count
-        index += 1
+    tasks = [
+        (args.seed, args.dim, index, index * _BATCH, count)
+        for index, count in chunk_plan(args.samples, _BATCH)
+    ]
     results = map_ordered(_compare_task, tasks, args.workers)
 
     hard_violations = 0
@@ -209,32 +208,18 @@ def _cmd_fig2(args) -> int:
 # Monte Carlo averages
 
 
-def _mc_purity_task(payload):
-    seed, purity, batch_index, count = payload
-    rng = task_rng(seed, _D_MC_PURITY, batch_index)
-    return Moments.of(qubit_bound_samples(purity, count, rng))
-
-
-def _mc_mub_task(payload):
-    seed, dim, lams, batch_index, count = payload
-    rng = task_rng(seed, _D_MC_MUB, batch_index)
-    phases = fourier_phases(dim)
-    lam = np.asarray(lams)
+def _mub_samples(dim: int, lams: np.ndarray, count: int, rng) -> np.ndarray:
+    # mub.mub_samples on the Fourier table, through this module's names: perfbench's
+    # traced run wraps them here
     a = sample_unit_vectors(dim, count, rng)
     b = sample_unit_vectors(dim, count, rng)
-    return Moments.of(mub_sample_columns(phases, lam, a, b))
+    return mub_sample_columns(fourier_phases(dim), lams, a, b)
 
 
-def _mc_batches(samples: int) -> list[tuple[int, int]]:
-    out = []
-    start = 0
-    index = 0
-    while start < samples:
-        count = min(_MC_BATCH, samples - start)
-        out.append((index, count))
-        start += count
-        index += 1
-    return out
+def _mc_moments(sample, domain: int, args) -> Moments:
+    """Moments of ``args.samples`` draws of ``sample``, one counter-based stream per batch."""
+    per_batch = partial(chunk_moments, sample, partial(task_rng, args.seed, domain))
+    return merge_moments(map_ordered(per_batch, chunk_plan(args.samples, _MC_BATCH), args.workers))
 
 
 _ESTIMATE_KEYS = ("name", "mean", "std_error", "samples", "target", "z")
@@ -274,11 +259,14 @@ def _estimate_rows(names, targets, moments) -> list[dict]:
 
 
 def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
+    """The ``--spectrum`` values (uniform when absent); ValueError unless they make a state."""
     if text is None:
-        return np.full(dim, 1.0 / dim)
-    values = np.array([float(tok) for tok in text.split(",")])
-    if values.shape != (dim,):
-        raise ValueError(f"spectrum needs exactly {dim} comma-separated values")
+        values = np.full(dim, 1.0 / dim)
+    else:
+        values = np.array([float(tok) for tok in text.split(",")])
+        if values.shape != (dim,):
+            raise ValueError(f"spectrum needs exactly {dim} comma-separated values")
+    DensityMatrix.from_spectrum(values)
     return values
 
 
@@ -294,14 +282,9 @@ def _cmd_mc_average(args) -> int:
             return _usage_error("--mub averaging needs --samples >= 10000")
         try:
             lams = _parse_spectrum(args.spectrum, args.dim)
-            DensityMatrix.from_spectrum(lams)  # validates
         except ValueError as err:
             return _usage_error(str(err))
-        tasks = [
-            (args.seed, args.dim, tuple(float(x) for x in lams), index, count)
-            for index, count in _mc_batches(args.samples)
-        ]
-        moments = merge_moments(map_ordered(_mc_mub_task, tasks, args.workers))
+        moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
         purity = float(lams @ lams)
         d = args.dim
         names = ("comm_norm", "lp_term", "lp_factor_a", "lp_factor_b")
@@ -314,10 +297,7 @@ def _cmd_mc_average(args) -> int:
     else:
         if not 0.5 <= args.purity <= 1.0:
             return _usage_error(f"--purity must lie in [0.5, 1], got {args.purity}")
-        tasks = [
-            (args.seed, args.purity, index, count) for index, count in _mc_batches(args.samples)
-        ]
-        moments = merge_moments(map_ordered(_mc_purity_task, tasks, args.workers))
+        moments = _mc_moments(partial(qubit_bound_samples, args.purity), _D_MC_PURITY, args)
         names = BOUND_NAMES
         targets = averaged_bounds_qubit(args.purity).as_array()
     rows = _estimate_rows(names, targets, moments)
@@ -335,7 +315,6 @@ def _cmd_mub_average(args) -> int:
         return _usage_error(f"--dim must be >= 2, got {args.dim}")
     try:
         lams = _parse_spectrum(args.spectrum, args.dim)
-        DensityMatrix.from_spectrum(lams)
     except ValueError as err:
         return _usage_error(str(err))
     pair = fourier_mub_pair(args.dim, *_default_unit_spectra(args.dim))
@@ -350,11 +329,7 @@ def _cmd_mub_average(args) -> int:
     if args.samples is not None:
         if args.samples < 10_000:
             return _usage_error("--samples must be >= 10000 for --mub averaging")
-        tasks = [
-            (args.seed, args.dim, tuple(float(x) for x in lams), index, count)
-            for index, count in _mc_batches(args.samples)
-        ]
-        moments = merge_moments(map_ordered(_mc_mub_task, tasks, args.workers))
+        moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
         # the first moment column is the commutator norm
         target = mub_commutator_norm_average(args.dim)
         rows += _estimate_rows(("comm_norm_mc",), (target,), moments)
@@ -413,6 +388,10 @@ def _cmd_verify_conjecture(args) -> int:
         return _usage_error(f"--trials must be >= 1, got {args.trials}")
     if args.mode not in ("hermitian", "complex"):
         return _usage_error(f"--mode must be hermitian or complex, got {args.mode}")
+    if args.max_iters < 1:
+        return _usage_error(f"--max-iters must be >= 1, got {args.max_iters}")
+    if args.restarts < 0:
+        return _usage_error(f"--restarts must be >= 0, got {args.restarts}")
     if args.no_witness_seed and args.restarts < 1:
         return _usage_error("--no-witness-seed needs --restarts >= 1")
     tasks = [

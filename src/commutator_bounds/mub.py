@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .averages import MCEstimate, Moments, merge_moments
+from .averages import MCEstimate, checked_purity, sequential_moments
 from .bounds import bound_robertson, bound_schrodinger
 from .linalg import frozen
 from .states import DensityMatrix, Observable, sample_unit_vectors
@@ -126,6 +127,16 @@ def mub_sample_columns(
     return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
 
 
+def mub_samples(
+    phases: np.ndarray, lams: np.ndarray, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(count, 4) :func:`mub_sample_columns` for ``count`` uniform unit spectra pairs."""
+    d = phases.shape[0]
+    a = sample_unit_vectors(d, count, rng)
+    b = sample_unit_vectors(d, count, rng)
+    return mub_sample_columns(phases, lams, a, b)
+
+
 def mub_commutator_norm(pair: MUBPair, lams) -> float:
     """State-weighted squared commutator norm via the double phase sum.
 
@@ -192,22 +203,6 @@ class MubAverages:
     lp_factor_b: MCEstimate
 
 
-def mub_mc_moments(
-    phases: np.ndarray, lams: np.ndarray, samples: int, rng: np.random.Generator
-) -> Moments:
-    """Accumulated moments of the four per-sample columns in fixed-size chunks."""
-    d = phases.shape[0]
-    parts = []
-    done = 0
-    while done < samples:
-        n = min(_CHUNK, samples - done)
-        a = sample_unit_vectors(d, n, rng)
-        b = sample_unit_vectors(d, n, rng)
-        parts.append(Moments.of(mub_sample_columns(phases, lams, a, b)))
-        done += n
-    return merge_moments(parts)
-
-
 def mc_mub_average(
     dim: int, lams, samples: int, rng: np.random.Generator, phases: np.ndarray | None = None
 ) -> MubAverages:
@@ -223,7 +218,7 @@ def mc_mub_average(
     if lam.shape != (dim,):
         raise ValueError(f"spectrum must have {dim} entries, got shape {lam.shape}")
     ph = fourier_phases(dim) if phases is None else np.asarray(phases, dtype=float)
-    ests = mub_mc_moments(ph, lam, samples, rng).estimates()
+    ests = sequential_moments(partial(mub_samples, ph, lam), samples, _CHUNK, rng).estimates()
     return MubAverages(comm_norm=ests[0], lp_term=ests[1], lp_factor_a=ests[2], lp_factor_b=ests[3])
 
 
@@ -236,9 +231,7 @@ def qubit_mub_theta_lp(purity: float, theta: float) -> float:
     where it reduces to q^3.  It never exceeds the conjectured bound
     2 (1 - P).
     """
-    p = float(purity)
-    if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
-        raise ValueError(f"purity must lie in [1/2, 1], got {p!r}")
+    p = checked_purity(purity)
     q = math.sqrt(max(2.0 * (1.0 - p), 0.0))
     return q**2 * (1.0 + (q - 1.0) * math.cos(theta) ** 2) * (
         1.0 + (q - 1.0) * math.sin(theta) ** 2
@@ -247,10 +240,7 @@ def qubit_mub_theta_lp(purity: float, theta: float) -> float:
 
 def qubit_spectrum_from_purity(purity: float) -> np.ndarray:
     """Ascending qubit spectrum ((1 - r)/2, (1 + r)/2) with r = sqrt(2P - 1)."""
-    p = float(purity)
-    if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
-        raise ValueError(f"purity must lie in [1/2, 1], got {p!r}")
-    r = math.sqrt(max(2.0 * p - 1.0, 0.0))
+    r = math.sqrt(max(2.0 * checked_purity(purity) - 1.0, 0.0))
     return np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
 
 

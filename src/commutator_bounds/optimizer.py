@@ -353,6 +353,10 @@ def maximize_ratio(
         raise ValueError(f"mode must be 'hermitian' or 'complex', got {mode!r}")
     if float(rho.spectrum[0]) <= 0.0:
         raise InvalidStateError("ratio is unbounded for rank-deficient states")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     if not seed_witness and restarts < 1:
         raise ValueError("need at least one random restart without the witness start")
     if rng is None:

@@ -75,6 +75,17 @@ class TestMonteCarlo:
         np.testing.assert_allclose(whole.total, split.total, rtol=1e-12)
         assert whole.count == split.count
 
+    def test_exact_estimates_across_chunks(self):
+        # 300_001 samples are two full chunks and a ragged tail, drawn in order from one rng
+        estimates = monte_carlo_qubit_average(0.8, 300_001, np.random.default_rng(5))
+        assert [(e.mean, e.std_error, e.samples) for e in estimates] == [
+            (0.13338314194948106, 0.00026243337368373664, 300_001),
+            (0.3738434716925308, 0.0004465358406878297, 300_001),
+            (0.4414219304262992, 0.0003322106902156572, 300_001),
+            (0.01906613409493053, 1.5610384188659972e-05, 300_001),
+            (0.2663800143517098, 0.00021809845370368593, 300_001),
+        ]
+
     def test_estimate_needs_two_samples(self):
         with pytest.raises(ValueError):
             Moments.of(np.ones((1, 2))).estimates()
@@ -131,6 +142,22 @@ class TestSphereMoments:
         rng = np.random.default_rng(SEED + 4)
         result = sphere_moment_check(2, 10_000, rng)
         assert np.trace(result.mean) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_estimates_across_chunks(self):
+        result = sphere_moment_check(3, 300_007, np.random.default_rng(8))
+        assert result.samples == 300_007
+        mean = [
+            [0.33274115185294245, 0.0004112215597442034, -0.00016556165513744307],
+            [0.0004112215597442034, 0.33360417358281147, 0.0002045833858844481],
+            [-0.00016556165513744307, 0.0002045833858844481, 0.3336546745642444],
+        ]
+        se = [
+            [0.0005442637546995453, 0.00047076236154294744, 0.00047140842195959474],
+            [0.00047076236154294744, 0.0005447193604512985, 0.0004718999082757122],
+            [0.00047140842195959474, 0.0004718999082757122, 0.0005442122436108562],
+        ]
+        np.testing.assert_array_equal(result.mean, mean)
+        np.testing.assert_array_equal(result.std_error, se)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

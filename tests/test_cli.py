@@ -209,6 +209,19 @@ class TestVerifyConjecture:
         assert_exit(run_cli("verify-conjecture", "--dim", "16", cwd=tmp_path), 2)
         assert_exit(run_cli("verify-conjecture", "--dim", "1", cwd=tmp_path), 2)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--max-iters", "0"), ("--max-iters", "-3"), ("--restarts", "-1")],
+        ids=["max-iters-0", "max-iters-negative", "restarts-negative"],
+    )
+    def test_bad_iteration_budget_is_usage_error(self, flags, tmp_path):
+        proc = run_cli(
+            "verify-conjecture", "--dim", "3", "--trials", "1", "--restarts", "1", *flags,
+            cwd=tmp_path,
+        )
+        assert_exit(proc, 2)
+        assert flags[0] in proc.stderr and "Traceback" not in proc.stderr
+
     def test_deterministic_bytes(self, tmp_path):
         args = (
             "verify-conjecture",
@@ -274,3 +287,45 @@ class TestMubAverage:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert_exit(run_cli("mub-average", "--dim", "2", "--frobnicate", cwd=tmp_path), 2)
+
+
+class TestChunkedGoldenBytes:
+    """sha256 of stdout for chunked Monte Carlo and compare runs.
+
+    Recorded before the sampling loops were folded into one chunk plan; every
+    sample count leaves a ragged last batch, and the worker count must not
+    change a byte.
+    """
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7"),
+                "87c2dea2472a4a4799cdd7658dfe4e02bc4f409fffca1cd56d370165cfa49d78",
+            ),
+            (
+                ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7",
+                 "--format", "csv"),
+                "93da012bc0c75d4e7ca3586c3a1dbd3cd80ecc98993378cf280f7b130e4737b5",
+            ),
+            (
+                ("mc-average", "--mub", "--dim", "4", "--samples", "300000", "--seed", "101"),
+                "e6feade731d99db98874cb67d5e031289e47af0b76ef3dec6ff3a7358f5fbb96",
+            ),
+            (
+                ("mc-average", "--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5",
+                 "--samples", "70000", "--seed", "3"),
+                "723d9a7eb483c6d2f46eaf20719d6c0d53d0211dd4a32b609f8daea44d7afafb",
+            ),
+            (
+                ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),
+                "f224aa039c0ab278288c64257ba7cec857c08ae3b2869960300a3511170fd3db",
+            ),
+        ],
+        ids=["purity-json", "purity-csv", "mub-d4", "mub-d3-spectrum", "compare-d4"],
+    )
+    def test_golden_bytes(self, args, digest, workers, tmp_path):
+        out = ok_stdout(run_cli(*args, "--workers", workers, cwd=tmp_path))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -170,6 +170,72 @@ class TestSampleColumnsMatrixPath:
             np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-12)
 
 
+def f4_phases(a):
+    """Phase table of the d = 4 complex Hadamard family F4(a).
+
+    Rows [1, 1, 1, 1], [1, i e^(ia), -1, -i e^(ia)], [1, -1, 1, -1] and
+    [1, -i e^(ia), -1, i e^(ia)].  F4(0) is the Fourier table; for other a no
+    row and column phases turn one into the other.
+    """
+    q = np.pi / 2
+    return np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, q + a, np.pi, -q + a],
+            [0.0, np.pi, 0.0, np.pi],
+            [0.0, -q + a, np.pi, q + a],
+        ]
+    )
+
+
+# F4(a) is symmetric, so only the column-permuted copy tells a table from its transpose
+NON_FOURIER_TABLES = {
+    "f4": f4_phases(0.7),
+    "f4-permuted": f4_phases(0.7)[:, [2, 0, 3, 1]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FOURIER_TABLES))
+class TestNonFourierPhaseTable:
+    def test_columns_match_matrix_path(self, name):
+        phases = NON_FOURIER_TABLES[name]
+        d = 4
+        rng = np.random.default_rng(SEED + 13)
+        for lam in (np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.0, 0.3, 0.2])):
+            a = sample_unit_vectors(d, 8, rng)
+            b = sample_unit_vectors(d, 8, rng)
+            cols = mub_sample_columns(phases, lam, a, b)
+            rho = DensityMatrix.from_spectrum(lam)
+            for row, sa, sb in zip(cols, a, b):
+                pair = mub_pair(d, phases, sa, sb)
+                obs_a, obs_b = pair.observable_a(), pair.observable_b()
+                factor_a = variance(obs_a, rho)
+                factor_b = classical_uncertainty(obs_b, rho)
+                want = [
+                    weighted_norm_sq(commutator(obs_a, obs_b), rho),
+                    factor_a * factor_b,
+                    factor_a,
+                    factor_b,
+                ]
+                np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-12)
+
+    def test_averages_meet_closed_forms(self, name):
+        # the averages do not depend on which valid phase table is used
+        d = 4
+        lam = np.array([0.1, 0.2, 0.3, 0.4])
+        result = mc_mub_average(
+            d, lam, 100_000, np.random.default_rng(SEED + 14), phases=NON_FOURIER_TABLES[name]
+        )
+        targets = {
+            "comm_norm": mub_commutator_norm_average(d),
+            "lp_term": mub_lp_average(lam),
+            "lp_factor_a": (1.0 - lam @ lam) / d,
+            "lp_factor_b": (np.sqrt(lam).sum() ** 2 - 1.0) / d**2,
+        }
+        for field, target in targets.items():
+            assert abs(getattr(result, field).z_score(target)) <= 5.0, field
+
+
 class TestMonteCarlo:
     def test_qubit_uniform_state(self):
         rng = np.random.default_rng(SEED + 7)
@@ -208,6 +274,20 @@ class TestMonteCarlo:
         mutual = abs(base.comm_norm.mean - other_phases.comm_norm.mean)
         scale = np.hypot(base.comm_norm.std_error, other_phases.comm_norm.std_error)
         assert mutual < 5.0 * scale
+
+    def test_exact_estimates_across_chunks(self):
+        # 150_003 samples are two full chunks and a ragged tail, drawn in order from one rng
+        result = mc_mub_average(4, [0.1, 0.2, 0.3, 0.4], 150_003, np.random.default_rng(6))
+        got = [
+            (e.mean, e.std_error, e.samples)
+            for e in (result.comm_norm, result.lp_term, result.lp_factor_a, result.lp_factor_b)
+        ]
+        assert got == [
+            (0.09371291669845264, 0.00013396534734318706, 150_003),
+            (0.030356617718456144, 4.4074995883976174e-05, 150_003),
+            (0.17479796079806698, 0.00019351719071986572, 150_003),
+            (0.17358449846988733, 0.00014956498635091626, 150_003),
+        ]
 
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):

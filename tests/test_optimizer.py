@@ -271,6 +271,15 @@ class TestMaximizeRatio:
         with pytest.raises(ValueError):
             maximize_ratio(RHO123, restarts=0, seed_witness=False, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_iteration_cap_below_one_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            maximize_ratio(RHO123, restarts=1, max_iters=max_iters, rng=np.random.default_rng(0))
+
+    def test_negative_restarts_rejected(self):
+        with pytest.raises(ValueError, match="restarts"):
+            maximize_ratio(RHO123, restarts=-1, rng=np.random.default_rng(0))
+
     def test_rank_deficient_rejected(self):
         with pytest.raises(InvalidStateError):
             maximize_ratio(
