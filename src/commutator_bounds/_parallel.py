@@ -8,8 +8,9 @@ a fixed seed.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,17 +24,32 @@ def task_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def map_ordered(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> list[R]:
-    """Map ``fn`` over ``tasks``, returning results in task order.
+def map_ordered(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> Iterator[R]:
+    """Yield ``fn(task)`` for each of ``tasks``, in task order.
 
-    Uses a process pool when ``workers`` > 1; ``fn`` and the task payloads
-    must then be picklable.
+    Serially (``workers`` <= 1) each result is yielded as it is computed.
+    Otherwise the tasks run in a process pool, and at most 2 x ``workers`` of
+    them are submitted but not yet yielded, so a caller that consumes results
+    as they come holds a bounded number of them; ``fn`` and the task payloads
+    must then be picklable.  Closing the iterator early, or a task raising,
+    cancels the tasks not yet started and shuts the pool down.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+        yield from map(fn, tasks)
+        return
+    window = 2 * workers
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    try:
+        pending = deque()
+        for task in tasks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, task))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def pairwise_reduce(items: Iterable[T], combine: Callable[[T, T], T]) -> T:

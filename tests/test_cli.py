@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from commutator_bounds import FIG1_HEADER, FIG2_HEADER, averaged_bounds_qubit
+from commutator_bounds.cli import _compare_lines
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -72,6 +75,114 @@ class TestCompare:
         one = run_cli(*base, "--workers", "1", cwd=tmp_path)
         two = run_cli(*base, "--workers", "2", cwd=tmp_path)
         assert ok_stdout(one) == ok_stdout(two)
+
+
+COMPARE_VALUES = ("purity", "product", "robertson", "schrodinger", "luo_park", "bound1", "bound2")
+COMPARE_FLAGS = ("robertson", "schrodinger", "luo_park", "bound1", "bound2")
+
+
+def reference_compare_lines(dim, start, cols, masks):
+    """compare's former line builder: one dict per row, through json.dumps with sorted keys."""
+    lines = []
+    for i in range(cols["product"].shape[0]):
+        record = {"dim": dim, "index": start + i}
+        for name in COMPARE_VALUES:
+            record[name] = float(cols[name][i])
+        for name in COMPARE_FLAGS:
+            record[f"pass_{name}"] = not bool(masks[name][i])
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return lines
+
+
+# floats whose repr takes each of its forms: signed zero, subnormal, tiny, exponent
+# switch-over at 1e16, and integers too large for a double to hold exactly
+EDGE_FLOATS = (-0.0, 5e-324, 1e-300, 1.0, 0.1, 1e16, 1e22)
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def compare_columns(values, flags):
+    cols = {name: values[:, k] for k, name in enumerate(COMPARE_VALUES)}
+    masks = {name: flags[:, k] for k, name in enumerate(COMPARE_FLAGS)}
+    return cols, masks
+
+
+class TestCompareLines:
+    @given(
+        dim=st.integers(2, 64),
+        start=st.integers(0, 2**40),
+        rows=st.lists(
+            st.tuples(st.lists(FINITE, min_size=7, max_size=7),
+                      st.lists(st.booleans(), min_size=5, max_size=5)),
+            min_size=1, max_size=40,
+        ),
+    )
+    @example(dim=64, start=2**40, rows=[(list(EDGE_FLOATS), [True, False, True, False, True])])
+    def test_matches_json_dumps_line_for_line(self, dim, start, rows):
+        cols, masks = compare_columns(
+            np.array([v for v, _ in rows], dtype=float), np.array([f for _, f in rows], dtype=bool)
+        )
+        got = "".join(_compare_lines(dim, start, cols, masks)).splitlines(keepends=True)
+        assert got == reference_compare_lines(dim, start, cols, masks)
+
+    def test_pieces_join_into_the_batch(self):
+        # a full batch of 4096 rows and a ragged one, across several pieces of text
+        rng = np.random.default_rng(5)
+        for n in (4096, 1000):
+            cols, masks = compare_columns(rng.standard_normal((n, 7)), rng.random((n, 5)) < 0.1)
+            pieces = _compare_lines(5, 12288, cols, masks)
+            assert len(pieces) > 1
+            got = "".join(pieces).splitlines(keepends=True)
+            assert got == reference_compare_lines(5, 12288, cols, masks)
+
+
+class TestCompareViolations:
+    """Exit codes, pass flags and counterexample files of flagged rows.
+
+    Random triples never violate a bound, so ``violation_masks`` is patched to
+    flag fixed global indices: row 7 and row 4100 sit in the first and second
+    batch of 4096, and row 4500 is the conjectured-bound row.
+    """
+
+    HARD = {(7, "robertson"), (4100, "luo_park")}
+    CONJECTURE = {(4500, "bound2")}
+
+    def run_flagged(self, flagged, monkeypatch, tmp_path):
+        from commutator_bounds import cli
+
+        real = cli.violation_masks
+        batches = iter(range(10))
+
+        def flagging(cols):
+            masks = real(cols)
+            start = next(batches) * cli._BATCH
+            for index, name in flagged:
+                if start <= index < start + len(masks[name]):
+                    masks[name][index - start] = True
+            return masks
+
+        monkeypatch.setattr(cli, "violation_masks", flagging)
+        out = tmp_path / "compare.jsonl"
+        code = cli.main([
+            "compare", "--dim", "4", "--samples", "5000", "--seed", "9", "--workers", "1",
+            "--out", str(out), "--counterexample-dir", str(tmp_path / "cx"),
+        ])
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [r["index"] for r in records] == list(range(5000))
+        for record in records:
+            for name in ("robertson", "schrodinger", "luo_park", "bound1", "bound2"):
+                assert record[f"pass_{name}"] is ((record["index"], name) not in flagged)
+        return code
+
+    def test_hard_rows_exit_1(self, monkeypatch, tmp_path):
+        assert self.run_flagged(self.HARD, monkeypatch, tmp_path) == 1
+        assert not (tmp_path / "cx").exists()
+
+    def test_bound2_row_exits_3_and_writes_its_counterexample(self, monkeypatch, tmp_path):
+        assert self.run_flagged(self.HARD | self.CONJECTURE, monkeypatch, tmp_path) == 3
+        files = sorted(p.name for p in (tmp_path / "cx").iterdir())
+        assert files == ["compare_d4_4500.json"]
+        payload = json.loads((tmp_path / "cx" / files[0]).read_text(encoding="utf-8"))
+        assert payload["index"] == 4500 and payload["dim"] == 4
 
 
 class TestFigures:
@@ -292,9 +403,10 @@ class TestMubAverage:
 class TestChunkedGoldenBytes:
     """sha256 of stdout for chunked Monte Carlo and compare runs.
 
-    Recorded before the sampling loops were folded into one chunk plan; every
-    sample count leaves a ragged last batch, and the worker count must not
-    change a byte.
+    Recorded before the sampling loops were folded into one chunk plan, and the
+    compare-d2 and compare-d16 digests before compare's lines were formatted in
+    the workers; every sample count leaves a ragged last batch, and the worker
+    count must not change a byte.
     """
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -323,8 +435,17 @@ class TestChunkedGoldenBytes:
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),
                 "f224aa039c0ab278288c64257ba7cec857c08ae3b2869960300a3511170fd3db",
             ),
+            (
+                ("compare", "--dim", "2", "--samples", "5000", "--seed", "3"),
+                "b77f513a7b7494d89aa8deb3a50a7f50c7a927c84ad97027a573fe5eb3d10e6b",
+            ),
+            (
+                ("compare", "--dim", "16", "--samples", "300", "--seed", "5"),
+                "ce88a961c46d472e7508e193c2397e2cac45f7d8cfaa9b3a06895efbb574edac",
+            ),
         ],
-        ids=["purity-json", "purity-csv", "mub-d4", "mub-d3-spectrum", "compare-d4"],
+        ids=["purity-json", "purity-csv", "mub-d4", "mub-d3-spectrum", "compare-d4",
+             "compare-d2", "compare-d16"],
     )
     def test_golden_bytes(self, args, digest, workers, tmp_path):
         out = ok_stdout(run_cli(*args, "--workers", workers, cwd=tmp_path))
