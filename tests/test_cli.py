@@ -450,3 +450,44 @@ class TestChunkedGoldenBytes:
     def test_golden_bytes(self, args, digest, workers, tmp_path):
         out = ok_stdout(run_cli(*args, "--workers", workers, cwd=tmp_path))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestReportGoldenBytes:
+    """sha256 of stdout for the figure tables and conjecture campaigns.
+
+    Recorded before the figures and verify-conjecture moved onto the shared row
+    writer; the worker count must not change a byte of a campaign.
+    """
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("fig1", "--points", "200"),
+                "d06f1c57f864bc5574d60c55caf96600750f6d582d791095ad75121b7bc0bc0b",
+            ),
+            (
+                ("fig2", "--points", "200"),
+                "7dc03244d9e66acbf22d1730c61ff5d4f4fd04d4e47b5927af226307a68b2d28",
+            ),
+        ],
+        ids=["fig1", "fig2"],
+    )
+    def test_figure_bytes(self, args, digest, tmp_path):
+        out = ok_stdout(run_cli(*args, cwd=tmp_path))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "mode, digest",
+        [
+            ("hermitian", "8d8b3c9ee9720731c4f23a58389cd08f5f379e6db1f6dd30b2a72832acf1928f"),
+            ("complex", "8dde038b4cde5cc66598aeb8e66883d0f5a064cd9faa9d450620063d5a5df05d"),
+        ],
+    )
+    def test_conjecture_bytes(self, mode, digest, workers, tmp_path):
+        out = ok_stdout(run_cli(
+            "verify-conjecture", "--dim", "3", "--trials", "3", "--restarts", "2",
+            "--seed", "19", "--mode", mode, "--workers", workers, cwd=tmp_path,
+        ))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
