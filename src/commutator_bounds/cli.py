@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -78,34 +80,28 @@ _HARD_NAMES = ("robertson", "schrodinger", "luo_park", "bound1")
 _BOUNDS = (*_HARD_NAMES, "bound2")
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal (never more than 17 significant digits)."""
-    return repr(float(x))
+def _output(path: str):
+    """The stream for --out, as a context manager: stdout when the path is '-'."""
+    if path == "-":
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_lines(out, lines) -> None:
-    for line in lines:
-        out.write(line)
+def _write_rows(out, rows, fmt: str, keys=()) -> None:
+    """Write dict rows as sorted-key JSON lines, or as CSV under a ``keys`` header.
+
+    CSV cells hold floats as their shortest round-trip decimal (``float.__repr__``,
+    also for numpy floats), other values as ``str``, and a missing key as nothing.
+    """
+    if fmt == "json":
+        for row in rows:
+            out.write(json.dumps(row, sort_keys=True) + "\n")
+        return
+    out.write(",".join(keys) + "\n")
+    for row in rows:
+        cells = (row.get(key, "") for key in keys)
+        out.write(",".join(float.__repr__(v) if isinstance(v, float) else str(v) for v in cells))
         out.write("\n")
-
-
-class _Output:
-    """Output stream bound to --out; stdout when the path is '-' or absent."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self.handle = None
-
-    def __enter__(self):
-        if self.path in (None, "-"):
-            return sys.stdout
-        self.handle = open(self.path, "w", encoding="utf-8", newline="")
-        return self.handle
-
-    def __exit__(self, *exc):
-        if self.handle is not None:
-            self.handle.close()
-        return False
 
 
 def _usage_error(message: str) -> int:
@@ -150,10 +146,11 @@ def _compare_lines(dim: int, start: int, cols: dict, masks: dict) -> list[str]:
     return pieces
 
 
-def _compare_task(payload):
+def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
     """One batch of compare: its output lines in pieces, its count of hard-inequality
     violations and the counterexample payloads of its ``bound2`` violations."""
-    seed, dim, batch_index, start, count = payload
+    batch_index, count = chunk
+    start = batch_index * _BATCH
     rng = task_rng(seed, _D_COMPARE, dim, batch_index)
     a = sample_hermitian_batch(dim, count, rng)
     b = sample_hermitian_batch(dim, count, rng)
@@ -184,14 +181,13 @@ def _cmd_compare(args) -> int:
         return _usage_error(f"--dim must be >= 2, got {args.dim}")
     if args.samples < 1:
         return _usage_error(f"--samples must be >= 1, got {args.samples}")
-    tasks = [
-        (args.seed, args.dim, index, index * _BATCH, count)
-        for index, count in chunk_plan(args.samples, _BATCH)
-    ]
+    task = partial(_compare_task, args.seed, args.dim)
     hard_violations = 0
     conjecture_violations = 0
-    with _Output(args.out) as out:
-        for lines, hard, counterexamples in map_ordered(_compare_task, tasks, args.workers):
+    with _output(args.out) as out:
+        for lines, hard, counterexamples in map_ordered(
+            task, chunk_plan(args.samples, _BATCH), args.workers
+        ):
             out.writelines(lines)
             hard_violations += hard
             conjecture_violations += len(counterexamples)
@@ -209,26 +205,14 @@ def _cmd_compare(args) -> int:
 # figure tables
 
 
-def _csv_lines(header: str, rows: np.ndarray) -> list[str]:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return lines
-
-
-def _cmd_fig1(args) -> int:
+def _cmd_figure(header: str, table, args) -> int:
+    """A figure table: ``table(points)`` under its CSV ``header``."""
     if args.points < 2:
         return _usage_error(f"--points must be >= 2, got {args.points}")
-    with _Output(args.out) as out:
-        _write_lines(out, _csv_lines(FIG1_HEADER, fig1_rows(args.points)))
-    return EXIT_OK
-
-
-def _cmd_fig2(args) -> int:
-    if args.points < 2:
-        return _usage_error(f"--points must be >= 2, got {args.points}")
-    with _Output(args.out) as out:
-        _write_lines(out, _csv_lines(FIG2_HEADER, fig2_rows(args.points)))
+    keys = header.split(",")
+    rows = (dict(zip(keys, row)) for row in table(args.points).tolist())
+    with _output(args.out) as out:
+        _write_rows(out, rows, "csv", keys)
     return EXIT_OK
 
 
@@ -252,23 +236,6 @@ def _mc_moments(sample, domain: int, args) -> Moments:
 
 
 _ESTIMATE_KEYS = ("name", "mean", "std_error", "samples", "target", "z")
-
-
-def _report_lines(rows: list[dict], fmt: str, keys: tuple[str, ...]) -> list[str]:
-    """JSON lines with sorted keys, or CSV with the ``keys`` columns (missing cells empty)."""
-    if fmt == "json":
-        return [json.dumps(row, sort_keys=True) for row in rows]
-    lines = [",".join(keys)]
-    for row in rows:
-        cells = []
-        for key in keys:
-            value = row.get(key, "")
-            if isinstance(value, float):
-                cells.append(_fmt(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return lines
 
 
 def _estimate_rows(names, targets, moments) -> list[dict]:
@@ -329,9 +296,8 @@ def _cmd_mc_average(args) -> int:
         moments = _mc_moments(partial(qubit_bound_samples, args.purity), _D_MC_PURITY, args)
         names = BOUND_NAMES
         targets = averaged_bounds_qubit(args.purity).as_array()
-    rows = _estimate_rows(names, targets, moments)
-    with _Output(args.out) as out:
-        _write_lines(out, _report_lines(rows, args.format, _ESTIMATE_KEYS))
+    with _output(args.out) as out:
+        _write_rows(out, _estimate_rows(names, targets, moments), args.format, _ESTIMATE_KEYS)
     return EXIT_OK
 
 
@@ -363,8 +329,8 @@ def _cmd_mub_average(args) -> int:
         target = mub_commutator_norm_average(args.dim)
         rows += _estimate_rows(("comm_norm_mc",), (target,), moments)
     keys = ("name", "value") + _ESTIMATE_KEYS[1:]
-    with _Output(args.out) as out:
-        _write_lines(out, _report_lines(rows, args.format, keys))
+    with _output(args.out) as out:
+        _write_rows(out, rows, args.format, keys)
     return EXIT_OK
 
 
@@ -381,21 +347,13 @@ def _default_unit_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
 # conjecture campaign
 
 
-def _conjecture_task(payload):
-    seed, dim, trial, restarts, max_iters, tol, mode, seed_witness = payload
+def _conjecture_task(seed: int, dim: int, trial: int, **options) -> dict:
+    """One trial: ``maximize_ratio(..., **options)`` on a random Dirichlet spectrum."""
     spec_rng = task_rng(seed, _D_CONJECTURE, dim, trial, 0)
     lam = np.sort(spec_rng.dirichlet(np.ones(dim)))
     rho = DensityMatrix.from_spectrum(lam)
     opt_rng = task_rng(seed, _D_CONJECTURE, dim, trial, 1)
-    result = maximize_ratio(
-        rho,
-        restarts=restarts,
-        max_iters=max_iters,
-        tol=tol,
-        mode=mode,
-        rng=opt_rng,
-        seed_witness=seed_witness,
-    )
+    result = maximize_ratio(rho, rng=opt_rng, **options)
     record = result_record(result)
     record["trial"] = trial
     return record
@@ -419,32 +377,30 @@ def _cmd_verify_conjecture(args) -> int:
         return _usage_error(f"--mode must be hermitian or complex, got {args.mode}")
     if args.max_iters < 1:
         return _usage_error(f"--max-iters must be >= 1, got {args.max_iters}")
+    if not 0.0 <= args.tol < math.inf:
+        return _usage_error(f"--tol must be finite and >= 0, got {args.tol}")
     if args.restarts < 0:
         return _usage_error(f"--restarts must be >= 0, got {args.restarts}")
     if args.no_witness_seed and args.restarts < 1:
         return _usage_error("--no-witness-seed needs --restarts >= 1")
-    tasks = [
-        (
-            args.seed,
-            args.dim,
-            trial,
-            args.restarts,
-            args.max_iters,
-            args.tol,
-            args.mode,
-            not args.no_witness_seed,
-        )
-        for trial in range(args.trials)
-    ]
-    records = map_ordered(_conjecture_task, tasks, args.workers)
+    task = partial(
+        _conjecture_task,
+        args.seed,
+        args.dim,
+        restarts=args.restarts,
+        max_iters=args.max_iters,
+        tol=args.tol,
+        mode=args.mode,
+        seed_witness=not args.no_witness_seed,
+    )
+    records = map_ordered(task, range(args.trials), args.workers)
 
     counterexamples = 0
     non_converged = []
     max_deviation = 0.0
-    with _Output(args.out) as out:
+    with _output(args.out) as out:
         for record in records:
-            out.write(json.dumps(record, sort_keys=True))
-            out.write("\n")
+            _write_rows(out, (record,), "json")
             max_deviation = max(max_deviation, record["relative_deviation"])
             if not record["converged"]:
                 non_converged.append(record["trial"])
@@ -462,8 +418,7 @@ def _cmd_verify_conjecture(args) -> int:
             "non_converged_trials": non_converged,
             "counterexamples": counterexamples,
         }
-        out.write(json.dumps(summary, sort_keys=True))
-        out.write("\n")
+        _write_rows(out, (summary,), "json")
     if counterexamples:
         return EXIT_COUNTEREXAMPLE
     if non_converged:
@@ -486,13 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", default="-", help="output path (default stdout)")
     common.add_argument(
-        "--format", choices=("csv", "json"), default="json", help="report format where applicable"
-    )
-    common.add_argument(
         "--counterexample-dir",
         default="counterexamples",
         help="directory for counterexample artifacts",
     )
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("csv", "json"), default="json", help="report format")
 
     parser = argparse.ArgumentParser(
         prog="cbounds",
@@ -507,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", parents=[common], help="averaged qubit bounds vs purity (CSV)")
     p.add_argument("--points", type=int, required=True)
-    p.set_defaults(func=_cmd_fig1)
+    p.set_defaults(func=partial(_cmd_figure, FIG1_HEADER, fig1_rows))
 
     p = sub.add_parser("fig2", parents=[common], help="unbiased-pair averages vs purity (CSV)")
     p.add_argument("--points", type=int, required=True)
-    p.set_defaults(func=_cmd_fig2)
+    p.set_defaults(func=partial(_cmd_figure, FIG2_HEADER, fig2_rows))
 
-    p = sub.add_parser("mc-average", parents=[common], help="Monte Carlo averaged bounds")
+    p = sub.add_parser("mc-average", parents=[common, report], help="Monte Carlo averaged bounds")
     p.add_argument("--purity", type=float, default=None)
     p.add_argument("--mub", action="store_true", help="average a mutually unbiased pair instead")
     p.add_argument("--dim", type=int, default=2)
@@ -538,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_conjecture)
 
     p = sub.add_parser(
-        "mub-average", parents=[common], help="mutually unbiased closed-form averages"
+        "mub-average", parents=[common, report], help="mutually unbiased closed-form averages"
     )
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--spectrum", default=None, help="comma-separated state spectrum")

@@ -355,6 +355,8 @@ def maximize_ratio(
         raise InvalidStateError("ratio is unbounded for rank-deficient states")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     if not seed_witness and restarts < 1:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError, NotHermitianError
-from .linalg import frozen, hermitian_eigensystem, require_hermitian
+from .linalg import as_matrix, frozen, hermitian_eigensystem, require_hermitian
 
 #: Eigenvalues below this are rejected; the band [floor, 0) is clipped to 0.
 EIGENVALUE_FLOOR = -1e-12
@@ -31,11 +31,11 @@ PAULIS = frozen(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 class DensityMatrix:
     """A validated quantum state with cached spectral data.
 
-    Construction symmetrizes the input, rejects it unless it is Hermitian
-    within 1e-10, every eigenvalue is above ``EIGENVALUE_FLOOR``, and the
-    trace is 1 within ``TRACE_TOL``.  Round-off-negative eigenvalues are
-    clipped to zero and the spectrum renormalized (keeping the square root
-    real).  The ascending spectrum, eigenvectors and purity are cached, and
+    Construction symmetrizes the input, rejects it unless every entry is
+    finite, it is Hermitian within 1e-10, every eigenvalue is above
+    ``EIGENVALUE_FLOOR``, and the trace is 1 within ``TRACE_TOL``.
+    Round-off-negative eigenvalues are clipped to zero and the spectrum
+    renormalized (keeping the square root real).  The ascending spectrum, eigenvectors and purity are cached, and
     the matrix square root is built on first access; all arrays are
     write-protected, so instances are safe to share between concurrent tasks.
     """
@@ -43,11 +43,13 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_spectrum", "_vectors", "_sqrt_matrix", "_purity")
 
     def __init__(self, matrix) -> None:
+        mat = as_matrix(matrix, "density matrix")
+        if not np.isfinite(mat).all():
+            raise InvalidStateError("density matrix has a non-finite entry")
         try:
-            sym = require_hermitian(matrix, name="density matrix")
+            eig = hermitian_eigensystem(mat)
         except NotHermitianError as exc:
-            raise InvalidStateError(str(exc)) from exc
-        eig = hermitian_eigensystem(sym)
+            raise InvalidStateError(f"density matrix: {exc}") from exc
         lam = np.array(eig.values)
         if float(lam.min()) < EIGENVALUE_FLOOR:
             raise InvalidStateError(

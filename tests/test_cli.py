@@ -1,5 +1,6 @@
 """CLI contract: exit codes, output schemas, byte-level determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from commutator_bounds import FIG1_HEADER, FIG2_HEADER, averaged_bounds_qubit
-from commutator_bounds.cli import _compare_lines
+from commutator_bounds.cli import _compare_lines, build_parser, main
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -333,6 +334,15 @@ class TestVerifyConjecture:
         assert_exit(proc, 2)
         assert flags[0] in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_is_usage_error(self, tol, tmp_path):
+        proc = run_cli(
+            "verify-conjecture", "--dim", "3", "--trials", "1", "--restarts", "1", "--tol", tol,
+            cwd=tmp_path,
+        )
+        assert_exit(proc, 2)
+        assert "--tol" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_deterministic_bytes(self, tmp_path):
         args = (
             "verify-conjecture",
@@ -369,7 +379,7 @@ class TestMubAverage:
         assert rows["schrodinger_mub"]["value"] < 1e-10
 
     # sha256 of stdout, recorded from mub-average's former CSV/JSON writer before it
-    # moved onto _report_lines: the shared writer must reproduce it byte for byte
+    # moved onto the shared row writer, which must reproduce it byte for byte
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -398,6 +408,60 @@ class TestMubAverage:
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert_exit(run_cli("mub-average", "--dim", "2", "--frobnicate", cwd=tmp_path), 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("mub-average", "--dim", "2", "--spectrum", "nan,nan"),
+        ("mc-average", "--mub", "--dim", "2", "--spectrum", "nan,nan", "--samples", "10000"),
+    ],
+    ids=["mub-average", "mc-average"],
+)
+def test_non_finite_spectrum_is_usage_error(args, tmp_path):
+    proc = run_cli(*args, cwd=tmp_path)
+    assert_exit(proc, 2)
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+COMMON_OPTIONS = {"-h", "--help", "--seed", "--workers", "--out", "--counterexample-dir"}
+SUBCOMMAND_OPTIONS = {
+    "compare": {"--dim", "--samples"},
+    "fig1": {"--points"},
+    "fig2": {"--points"},
+    "mc-average": {"--format", "--purity", "--mub", "--dim", "--spectrum", "--samples"},
+    "verify-conjecture": {
+        "--dim", "--trials", "--restarts", "--max-iters", "--tol", "--mode", "--no-witness-seed",
+    },
+    "mub-average": {"--format", "--dim", "--spectrum", "--samples"},
+}
+
+
+class TestParser:
+    def test_option_set_of_each_subcommand(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {opt for action in p._actions for opt in action.option_strings}
+            for name, p in sub.choices.items()
+        }
+        assert got == {name: COMMON_OPTIONS | own for name, own in SUBCOMMAND_OPTIONS.items()}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig1", "--points", "3"),
+            ("fig2", "--points", "3"),
+            ("compare", "--dim", "2", "--samples", "10"),
+            ("verify-conjecture", "--dim", "2", "--trials", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_rejected_where_unused(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--format", "csv", "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestChunkedGoldenBytes:

@@ -276,6 +276,15 @@ class TestMaximizeRatio:
         with pytest.raises(ValueError, match="max_iters"):
             maximize_ratio(RHO123, restarts=1, max_iters=max_iters, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+    def test_negative_or_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            maximize_ratio(RHO123, restarts=1, tol=tol, rng=np.random.default_rng(0))
+
+    def test_zero_tol_accepted(self):
+        result = maximize_ratio(RHO123, restarts=0, tol=0.0, rng=np.random.default_rng(0))
+        assert result.relative_deviation < 1e-12
+
     def test_negative_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts"):
             maximize_ratio(RHO123, restarts=-1, rng=np.random.default_rng(0))

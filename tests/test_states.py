@@ -81,6 +81,19 @@ class TestDensityValidation:
         with pytest.raises(InvalidStateError):
             DensityMatrix.from_spectrum([0.3, 0.3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_matrix_rejected(self, bad, where):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[where] = mat[where[::-1]] = bad
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            DensityMatrix(mat)
+
+    @pytest.mark.parametrize("spectrum", [[np.nan, np.nan], [np.nan, 1.0], [0.5, 0.5, np.nan]])
+    def test_non_finite_spectrum_rejected(self, spectrum):
+        with pytest.raises(InvalidStateError):
+            DensityMatrix.from_spectrum(spectrum)
+
     def test_sqrt_cache(self):
         rng = np.random.default_rng(SEED + 1)
         for _ in range(50):
