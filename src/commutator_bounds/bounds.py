@@ -161,7 +161,7 @@ def bound_report(a, b, rho) -> BoundReport:
     _check_ordering(robertson, cols["schrodinger"], "robertson <= schrodinger")
     _check_ordering(robertson, cols["luo_park"], "robertson <= luo_park")
     _check_ordering(cols["bound1"], b2, "bound1 <= bound2")
-    conjecture_ok = b2 - product <= CONJECTURE_SLACK * max(1.0, product)
+    conjecture_ok = not violation_masks(cols)["bound2"]
     if not conjecture_ok:
         logger.warning("conjectured inequality violated: bound2=%r product=%r", b2, product)
     return BoundReport(
@@ -406,18 +406,16 @@ def qubit_bounds_closed_form(a, b, c) -> BoundReport:
     if float(cv @ cv) > 1.0 + 2e-12:
         raise InvalidStateError(f"state Bloch vector has length {np.linalg.norm(cv)!r} > 1")
     cols = qubit_closed_form_batch(av[None, :], bv[None, :], cv)
-    b2 = float(cols["bound2"][0])
-    product = float(cols["product"][0])
     return BoundReport(
         dim=2,
         purity=float(cols["purity"][0]),
-        product=product,
+        product=float(cols["product"][0]),
         robertson=float(cols["robertson"][0]),
         schrodinger=float(cols["schrodinger"][0]),
         luo_park=float(cols["luo_park"][0]),
         bound1=float(cols["bound1"][0]),
-        bound2=b2,
-        conjecture_ok=b2 - product <= CONJECTURE_SLACK * max(1.0, product),
+        bound2=float(cols["bound2"][0]),
+        conjecture_ok=not violation_masks(cols)["bound2"][0],
     )
 
 

@@ -104,11 +104,6 @@ def _write_rows(out, rows, fmt: str, keys=()) -> None:
         out.write("\n")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 # ---------------------------------------------------------------------------
 # compare
 
@@ -177,10 +172,6 @@ def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
 
 
 def _cmd_compare(args) -> int:
-    if args.dim < 2:
-        return _usage_error(f"--dim must be >= 2, got {args.dim}")
-    if args.samples < 1:
-        return _usage_error(f"--samples must be >= 1, got {args.samples}")
     task = partial(_compare_task, args.seed, args.dim)
     hard_violations = 0
     conjecture_violations = 0
@@ -207,8 +198,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_figure(header: str, table, args) -> int:
     """A figure table: ``table(points)`` under its CSV ``header``."""
-    if args.points < 2:
-        return _usage_error(f"--points must be >= 2, got {args.points}")
     keys = header.split(",")
     rows = (dict(zip(keys, row)) for row in table(args.points).tolist())
     with _output(args.out) as out:
@@ -267,19 +256,10 @@ def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
 
 
 def _cmd_mc_average(args) -> int:
-    if args.samples < 1000:
-        return _usage_error(f"--samples must be >= 1000, got {args.samples}")
-    if args.mub == (args.purity is not None):
-        return _usage_error("give exactly one of --purity or --mub")
     if args.mub:
-        if args.dim < 2:
-            return _usage_error(f"--dim must be >= 2, got {args.dim}")
         if args.samples < 10_000:
-            return _usage_error("--mub averaging needs --samples >= 10000")
-        try:
-            lams = _parse_spectrum(args.spectrum, args.dim)
-        except ValueError as err:
-            return _usage_error(str(err))
+            raise ValueError("--mub averaging needs --samples >= 10000")
+        lams = _parse_spectrum(args.spectrum, args.dim)
         moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
         purity = float(lams @ lams)
         d = args.dim
@@ -291,8 +271,8 @@ def _cmd_mc_average(args) -> int:
             (np.sqrt(lams).sum() ** 2 - 1.0) / d**2,
         )
     else:
-        if not 0.5 <= args.purity <= 1.0:
-            return _usage_error(f"--purity must lie in [0.5, 1], got {args.purity}")
+        if args.dim != 2 or args.spectrum is not None:
+            raise ValueError("--dim and --spectrum need --mub; the --purity average is over qubits")
         moments = _mc_moments(partial(qubit_bound_samples, args.purity), _D_MC_PURITY, args)
         names = BOUND_NAMES
         targets = averaged_bounds_qubit(args.purity).as_array()
@@ -306,12 +286,7 @@ def _cmd_mc_average(args) -> int:
 
 
 def _cmd_mub_average(args) -> int:
-    if args.dim < 2:
-        return _usage_error(f"--dim must be >= 2, got {args.dim}")
-    try:
-        lams = _parse_spectrum(args.spectrum, args.dim)
-    except ValueError as err:
-        return _usage_error(str(err))
+    lams = _parse_spectrum(args.spectrum, args.dim)
     pair = fourier_mub_pair(args.dim, *_default_unit_spectra(args.dim))
     vanishing = mub_vanishing_check(pair, lams)
     rows = [
@@ -322,8 +297,6 @@ def _cmd_mub_average(args) -> int:
         {"name": "schrodinger_mub", "value": float(vanishing[1])},
     ]
     if args.samples is not None:
-        if args.samples < 10_000:
-            return _usage_error("--samples must be >= 10000 for --mub averaging")
         moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
         # the first moment column is the commutator norm
         target = mub_commutator_norm_average(args.dim)
@@ -369,20 +342,8 @@ def _write_counterexample(dirpath: str, kind: str, payload: dict) -> Path:
 
 
 def _cmd_verify_conjecture(args) -> int:
-    if not 2 <= args.dim <= 15:
-        return _usage_error(f"--dim must lie in [2, 15], got {args.dim}")
-    if args.trials < 1:
-        return _usage_error(f"--trials must be >= 1, got {args.trials}")
-    if args.mode not in ("hermitian", "complex"):
-        return _usage_error(f"--mode must be hermitian or complex, got {args.mode}")
-    if args.max_iters < 1:
-        return _usage_error(f"--max-iters must be >= 1, got {args.max_iters}")
-    if not 0.0 <= args.tol < math.inf:
-        return _usage_error(f"--tol must be finite and >= 0, got {args.tol}")
-    if args.restarts < 0:
-        return _usage_error(f"--restarts must be >= 0, got {args.restarts}")
     if args.no_witness_seed and args.restarts < 1:
-        return _usage_error("--no-witness-seed needs --restarts >= 1")
+        raise ValueError("--no-witness-seed needs --restarts >= 1")
     task = partial(
         _conjecture_task,
         args.seed,
@@ -430,12 +391,32 @@ def _cmd_verify_conjecture(args) -> int:
 # parser
 
 
+def _checked(convert, accept, rule: str):
+    """An argparse ``type``: ``convert`` the text, then reject it as "must be ``rule``"
+    unless ``accept(value)``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names the type
+    return parse
+
+
+def _count(low: int, high: float = math.inf):
+    """An integer ``type`` accepting ``low`` through ``high``."""
+    rule = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    return _checked(int, lambda n: low <= n <= high, rule)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="base RNG seed (default 42)")
+    common.add_argument("--seed", type=_count(0), default=42, help="base RNG seed (default 42)")
     common.add_argument(
         "--workers",
-        type=int,
+        type=_count(1),
         default=os.cpu_count() or 1,
         help="worker processes (default: available parallelism)",
     )
@@ -455,35 +436,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compare", parents=[common], help="bound comparison over random triples")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--dim", type=_count(2), required=True)
+    p.add_argument("--samples", type=_count(1), required=True)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("fig1", parents=[common], help="averaged qubit bounds vs purity (CSV)")
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=_count(2), required=True)
     p.set_defaults(func=partial(_cmd_figure, FIG1_HEADER, fig1_rows))
 
     p = sub.add_parser("fig2", parents=[common], help="unbiased-pair averages vs purity (CSV)")
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=_count(2), required=True)
     p.set_defaults(func=partial(_cmd_figure, FIG2_HEADER, fig2_rows))
 
     p = sub.add_parser("mc-average", parents=[common, report], help="Monte Carlo averaged bounds")
-    p.add_argument("--purity", type=float, default=None)
-    p.add_argument("--mub", action="store_true", help="average a mutually unbiased pair instead")
-    p.add_argument("--dim", type=int, default=2)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--purity", type=_checked(float, lambda x: 0.5 <= x <= 1.0, "in [0.5, 1]"))
+    mode.add_argument("--mub", action="store_true", help="average a mutually unbiased pair instead")
+    p.add_argument("--dim", type=_count(2), default=2)
     p.add_argument("--spectrum", default=None, help="comma-separated state spectrum")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_count(1000), required=True)
     p.set_defaults(func=_cmd_mc_average)
 
     p = sub.add_parser(
         "verify-conjecture", parents=[common], help="maximize the commutator ratio per state"
     )
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--mode", default="hermitian")
+    p.add_argument("--dim", type=_count(2, 15), required=True)
+    p.add_argument("--trials", type=_count(1), default=20)
+    p.add_argument("--restarts", type=_count(0), default=8)
+    p.add_argument("--max-iters", type=_count(1), default=500)
+    p.add_argument(
+        "--tol",
+        type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+        default=1e-10,
+    )
+    p.add_argument("--mode", choices=("hermitian", "complex"), default="hermitian")
     p.add_argument(
         "--no-witness-seed",
         action="store_true",
@@ -494,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mub-average", parents=[common, report], help="mutually unbiased closed-form averages"
     )
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_count(2), required=True)
     p.add_argument("--spectrum", default=None, help="comma-separated state spectrum")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_count(10_000), default=None)
     p.set_defaults(func=_cmd_mub_average)
 
     return parser

@@ -249,6 +249,29 @@ class TestBoundReport:
         masks = violation_masks(cols)
         assert not any(mask.any() for mask in masks.values())
 
+    @pytest.mark.parametrize("product", [0.25, 4.0])
+    @pytest.mark.parametrize("excess", [0.5, 2.0])
+    def test_conjecture_verdict_is_the_mask(self, excess, product, monkeypatch, caplog):
+        # bound2 lies `excess` slacks above the product: inside the slack, then beyond it
+        from commutator_bounds import bounds
+
+        b2 = product + excess * bounds.CONJECTURE_SLACK * max(1.0, product)
+        cols = dict.fromkeys(("robertson", "schrodinger", "luo_park", "bound1"), 0.0)
+        cols.update(product=product, bound2=b2, purity=0.5)
+        monkeypatch.setattr(bounds, "_single", lambda a, b, rho: dict(cols))
+        monkeypatch.setattr(
+            bounds, "qubit_closed_form_batch",
+            lambda a, b, c: {name: np.array([value]) for name, value in cols.items()},
+        )
+        violated = bool(violation_masks({k: np.array([v]) for k, v in cols.items()})["bound2"][0])
+        assert violated is (excess > 1.0)
+        with caplog.at_level("WARNING", logger="commutator_bounds.bounds"):
+            rep = bound_report(np.eye(2), np.eye(2), MIXED)
+        assert rep.conjecture_ok is not violated
+        assert ("conjectured inequality violated" in caplog.text) is violated
+        closed = qubit_bounds_closed_form([1, 0, 0], [0, 1, 0], [0, 0, 0])
+        assert closed.conjecture_ok is not violated
+
 
 def reference_batch_bounds(a, b, rho):
     """The batch columns from the defining traces, computed with dense einsums."""

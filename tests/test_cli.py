@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -252,6 +253,18 @@ class TestMCAverage:
         proc = run_cli("mc-average", "--purity", "0.75", "--samples", "500", cwd=tmp_path)
         assert_exit(proc, 2)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--dim", "7"), ("--spectrum", "0.1,0.9"), ("--dim", "7", "--spectrum", "0.1,0.9")],
+        ids=["dim", "spectrum", "both"],
+    )
+    def test_dim_or_spectrum_without_mub_rejected(self, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["mc-average", "--purity", "0.75", "--samples", "2000", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        assert "need --mub" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_exactly_one_mode(self, tmp_path):
         assert_exit(run_cli("mc-average", "--samples", "2000", cwd=tmp_path), 2)
         assert_exit(
@@ -332,7 +345,8 @@ class TestVerifyConjecture:
             cwd=tmp_path,
         )
         assert_exit(proc, 2)
-        assert flags[0] in proc.stderr and "Traceback" not in proc.stderr
+        # the usage line names every flag, so look for argparse's "argument --flag:"
+        assert f"argument {flags[0]}:" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     def test_bad_tol_is_usage_error(self, tol, tmp_path):
@@ -341,7 +355,7 @@ class TestVerifyConjecture:
             cwd=tmp_path,
         )
         assert_exit(proc, 2)
-        assert "--tol" in proc.stderr and "Traceback" not in proc.stderr
+        assert "argument --tol:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_deterministic_bytes(self, tmp_path):
         args = (
@@ -424,27 +438,103 @@ def test_non_finite_spectrum_is_usage_error(args, tmp_path):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
-COMMON_OPTIONS = {"-h", "--help", "--seed", "--workers", "--out", "--counterexample-dir"}
-SUBCOMMAND_OPTIONS = {
-    "compare": {"--dim", "--samples"},
-    "fig1": {"--points"},
-    "fig2": {"--points"},
-    "mc-average": {"--format", "--purity", "--mub", "--dim", "--spectrum", "--samples"},
-    "verify-conjecture": {
-        "--dim", "--trials", "--restarts", "--max-iters", "--tol", "--mode", "--no-witness-seed",
-    },
-    "mub-average": {"--format", "--dim", "--spectrum", "--samples"},
+# each option of each subcommand, with its default (None for a required option)
+COMMON_OPTIONS = {
+    "-h": argparse.SUPPRESS,
+    "--help": argparse.SUPPRESS,
+    "--seed": 42,
+    "--workers": os.cpu_count() or 1,
+    "--out": "-",
+    "--counterexample-dir": "counterexamples",
 }
+SUBCOMMAND_OPTIONS = {
+    "compare": {"--dim": None, "--samples": None},
+    "fig1": {"--points": None},
+    "fig2": {"--points": None},
+    "mc-average": {
+        "--format": "json", "--purity": None, "--mub": False, "--dim": 2, "--spectrum": None,
+        "--samples": None,
+    },
+    "verify-conjecture": {
+        "--dim": None, "--trials": 20, "--restarts": 8, "--max-iters": 500, "--tol": 1e-10,
+        "--mode": "hermitian", "--no-witness-seed": False,
+    },
+    "mub-average": {"--format": "json", "--dim": None, "--spectrum": None, "--samples": None},
+}
+
+# A valid command line per subcommand; a flag appended to it overrides an earlier value.
+VALID_ARGV = {
+    "compare": ("compare", "--dim", "2", "--samples", "1"),
+    "fig1": ("fig1", "--points", "2"),
+    "fig2": ("fig2", "--points", "2"),
+    "mc-average": ("mc-average", "--purity", "0.5", "--samples", "1000"),
+    "mc-average --mub": ("mc-average", "--mub", "--samples", "10000"),
+    "verify-conjecture": ("verify-conjecture", "--dim", "2"),
+    "mub-average": ("mub-average", "--dim", "2"),
+}
+BELOW_HALF = repr(math.nextafter(0.5, 0.0))
+ABOVE_ONE = repr(math.nextafter(1.0, 2.0))
+BELOW_ZERO = repr(math.nextafter(0.0, -1.0))
+# (command, flag, its type, an accepted value at the edge of the range, the value just past it)
+RANGED_FLAGS = [
+    ("compare", "--seed", int, "0", "-1"),
+    ("compare", "--workers", int, "1", "0"),
+    ("compare", "--dim", int, "2", "1"),
+    ("compare", "--samples", int, "1", "0"),
+    ("fig1", "--points", int, "2", "1"),
+    ("fig2", "--points", int, "2", "1"),
+    ("mc-average", "--purity", float, "0.5", BELOW_HALF),
+    ("mc-average", "--purity", float, "1.0", ABOVE_ONE),
+    ("mc-average", "--samples", int, "1000", "999"),
+    ("mc-average --mub", "--dim", int, "2", "1"),
+    ("verify-conjecture", "--dim", int, "2", "1"),
+    ("verify-conjecture", "--dim", int, "15", "16"),
+    ("verify-conjecture", "--trials", int, "1", "0"),
+    ("verify-conjecture", "--restarts", int, "0", "-1"),
+    ("verify-conjecture", "--max-iters", int, "1", "0"),
+    ("verify-conjecture", "--tol", float, "0.0", BELOW_ZERO),
+    ("verify-conjecture", "--tol", float, "1.7976931348623157e+308", "inf"),
+    ("verify-conjecture", "--tol", float, "0.0", "nan"),
+    ("mub-average", "--dim", int, "2", "1"),
+    ("mub-average", "--samples", int, "10000", "9999"),
+]
 
 
 class TestParser:
     def test_option_set_of_each_subcommand(self):
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         got = {
-            name: {opt for action in p._actions for opt in action.option_strings}
+            name: {opt: action.default for action in p._actions for opt in action.option_strings}
             for name, p in sub.choices.items()
         }
         assert got == {name: COMMON_OPTIONS | own for name, own in SUBCOMMAND_OPTIONS.items()}
+
+    @pytest.mark.parametrize(
+        "command, flag, kind, accepted, rejected", RANGED_FLAGS,
+        ids=[f"{row[0]} {row[1]} {row[4]}" for row in RANGED_FLAGS],
+    )
+    def test_range_of_each_flag(self, command, flag, kind, accepted, rejected, capsys):
+        parser = build_parser()
+        # --flag=value, since argparse reads "-5e-324" after a flag as another option
+        args = parser.parse_args([*VALID_ARGV[command], f"{flag}={accepted}"])
+        assert getattr(args, flag[2:].replace("-", "_")) == kind(accepted)
+        for value, message in ((rejected, "must be"), ("x", f"invalid {kind.__name__} value")):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args([*VALID_ARGV[command], f"{flag}={value}"])
+            assert exit_info.value.code == 2
+            assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [("--workers", "0"), ("--workers", "-4"), ("--seed", "-1")],
+        ids=["workers-0", "workers-negative", "seed-negative"],
+    )
+    def test_negative_workers_or_seed_is_usage_error(self, flags, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["compare", "--dim", "2", "--samples", "3", *flags, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"argument {flags[0]}:" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
