@@ -53,6 +53,7 @@ from .mub import (
 from .optimizer import matrix_to_pairs, maximize_ratio, result_record
 from .states import (
     DensityMatrix,
+    sample_density,
     sample_density_batch,
     sample_hermitian_batch,
     sample_unit_vectors,
@@ -244,14 +245,17 @@ def _estimate_rows(names, targets, moments) -> list[dict]:
 
 
 def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
-    """The ``--spectrum`` values (uniform when absent); ValueError unless they make a state."""
+    """The ``--spectrum`` values (uniform when absent); ValueError naming the flag unless
+    they make a state."""
     if text is None:
-        values = np.full(dim, 1.0 / dim)
-    else:
+        return np.full(dim, 1.0 / dim)
+    try:
         values = np.array([float(tok) for tok in text.split(",")])
         if values.shape != (dim,):
-            raise ValueError(f"spectrum needs exactly {dim} comma-separated values")
-    DensityMatrix.from_spectrum(values)
+            raise ValueError(f"needs exactly {dim} comma-separated values")
+        DensityMatrix.from_spectrum(values)
+    except ValueError as err:
+        raise ValueError(f"--spectrum: {err}") from err
     return values
 
 
@@ -310,8 +314,6 @@ def _cmd_mub_average(args) -> int:
 def _default_unit_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
     base = np.arange(1, dim + 1, dtype=float)
     base -= base.mean()
-    if float(np.linalg.norm(base)) < 1e-12:
-        base = np.ones(dim)
     unit = base / np.linalg.norm(base)
     return unit, unit
 
@@ -322,9 +324,7 @@ def _default_unit_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _conjecture_task(seed: int, dim: int, trial: int, **options) -> dict:
     """One trial: ``maximize_ratio(..., **options)`` on a random Dirichlet spectrum."""
-    spec_rng = task_rng(seed, _D_CONJECTURE, dim, trial, 0)
-    lam = np.sort(spec_rng.dirichlet(np.ones(dim)))
-    rho = DensityMatrix.from_spectrum(lam)
+    rho = sample_density(dim, "flat-simplex", task_rng(seed, _D_CONJECTURE, dim, trial, 0))
     opt_rng = task_rng(seed, _D_CONJECTURE, dim, trial, 1)
     result = maximize_ratio(rho, rng=opt_rng, **options)
     record = result_record(result)
@@ -413,12 +413,14 @@ def _count(low: int, high: float = math.inf):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_count(0), default=42, help="base RNG seed (default 42)")
+    common.add_argument(
+        "--seed", type=_count(0), default=42, help="base RNG seed, integer >= 0 (default 42)"
+    )
     common.add_argument(
         "--workers",
         type=_count(1),
         default=os.cpu_count() or 1,
-        help="worker processes (default: available parallelism)",
+        help="worker processes, integer >= 1 (default: available parallelism)",
     )
     common.add_argument("--out", default="-", help="output path (default stdout)")
     common.add_argument(
@@ -436,38 +438,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compare", parents=[common], help="bound comparison over random triples")
-    p.add_argument("--dim", type=_count(2), required=True)
-    p.add_argument("--samples", type=_count(1), required=True)
+    p.add_argument("--dim", type=_count(2), required=True, help="integer >= 2")
+    p.add_argument("--samples", type=_count(1), required=True, help="integer >= 1")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("fig1", parents=[common], help="averaged qubit bounds vs purity (CSV)")
-    p.add_argument("--points", type=_count(2), required=True)
+    p.add_argument("--points", type=_count(2), required=True, help="integer >= 2")
     p.set_defaults(func=partial(_cmd_figure, FIG1_HEADER, fig1_rows))
 
     p = sub.add_parser("fig2", parents=[common], help="unbiased-pair averages vs purity (CSV)")
-    p.add_argument("--points", type=_count(2), required=True)
+    p.add_argument("--points", type=_count(2), required=True, help="integer >= 2")
     p.set_defaults(func=partial(_cmd_figure, FIG2_HEADER, fig2_rows))
 
     p = sub.add_parser("mc-average", parents=[common, report], help="Monte Carlo averaged bounds")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--purity", type=_checked(float, lambda x: 0.5 <= x <= 1.0, "in [0.5, 1]"))
+    mode.add_argument(
+        "--purity",
+        type=_checked(float, lambda x: 0.5 <= x <= 1.0, "in [0.5, 1]"),
+        help="float in [0.5, 1]",
+    )
     mode.add_argument("--mub", action="store_true", help="average a mutually unbiased pair instead")
-    p.add_argument("--dim", type=_count(2), default=2)
+    p.add_argument("--dim", type=_count(2), default=2, help="integer >= 2 (default 2)")
     p.add_argument("--spectrum", default=None, help="comma-separated state spectrum")
-    p.add_argument("--samples", type=_count(1000), required=True)
+    p.add_argument(
+        "--samples", type=_count(1000), required=True, help="integer >= 1000 (10000 with --mub)"
+    )
     p.set_defaults(func=_cmd_mc_average)
 
     p = sub.add_parser(
         "verify-conjecture", parents=[common], help="maximize the commutator ratio per state"
     )
-    p.add_argument("--dim", type=_count(2, 15), required=True)
-    p.add_argument("--trials", type=_count(1), default=20)
-    p.add_argument("--restarts", type=_count(0), default=8)
-    p.add_argument("--max-iters", type=_count(1), default=500)
+    p.add_argument("--dim", type=_count(2, 15), required=True, help="integer in [2, 15]")
+    p.add_argument("--trials", type=_count(1), default=20, help="integer >= 1 (default 20)")
+    p.add_argument("--restarts", type=_count(0), default=8, help="integer >= 0 (default 8)")
+    p.add_argument("--max-iters", type=_count(1), default=500, help="integer >= 1 (default 500)")
     p.add_argument(
         "--tol",
         type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
         default=1e-10,
+        help="finite float >= 0 (default 1e-10)",
     )
     p.add_argument("--mode", choices=("hermitian", "complex"), default="hermitian")
     p.add_argument(
@@ -480,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mub-average", parents=[common, report], help="mutually unbiased closed-form averages"
     )
-    p.add_argument("--dim", type=_count(2), required=True)
+    p.add_argument("--dim", type=_count(2), required=True, help="integer >= 2")
     p.add_argument("--spectrum", default=None, help="comma-separated state spectrum")
-    p.add_argument("--samples", type=_count(10_000), default=None)
+    p.add_argument("--samples", type=_count(10_000), default=None, help="integer >= 10000")
     p.set_defaults(func=_cmd_mub_average)
 
     return parser

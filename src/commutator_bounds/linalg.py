@@ -105,16 +105,18 @@ def weighted_norm_sq(a, weight) -> float:
     return real
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``tol`` (absolute, Frobenius) and symmetrize.
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity within ``HERMITICITY_TOL`` (absolute, Frobenius) and symmetrize.
 
     Inputs inside tolerance are returned as (A + A^dag)/2 so that round-off
     from upstream arithmetic never leaks into spectral routines.
     """
     am = as_matrix(a, name)
     defect = float(np.linalg.norm(am - am.conj().T))
-    if defect > tol:
-        raise NotHermitianError(f"{name} deviates from Hermitian by {defect:.3e} (tol {tol:.1e})")
+    if defect > HERMITICITY_TOL:
+        raise NotHermitianError(
+            f"{name} deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})"
+        )
     return (am + am.conj().T) / 2.0
 
 
@@ -125,76 +127,22 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
     def reconstruct(self) -> np.ndarray:
         """Rebuild the matrix as sum_i values[i] |v_i><v_i|."""
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
-def _degenerate_clusters(values: np.ndarray) -> list[tuple[int, int]]:
-    scale = max(1.0, float(np.max(np.abs(values))))
-    gap_tol = 1e-9 * scale
-    clusters = []
-    start = 0
-    for i in range(1, values.shape[0]):
-        if values[i] - values[i - 1] > gap_tol:
-            clusters.append((start, i))
-            start = i
-    clusters.append((start, values.shape[0]))
-    return clusters
+def hermitian_eigensystem(h) -> EigenSystem:
+    """Eigendecomposition of a Hermitian matrix, as write-protected arrays.
 
-
-def _canonical_gauge(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Fix the eigenvector gauge so output depends only on the input matrix.
-
-    Degenerate clusters are re-spanned by Gram-Schmidt over projections of
-    the canonical basis vectors (in basis order); afterwards each column is
-    rotated so its largest-magnitude component lies on the positive real
-    axis.  Consumers must still treat the gauge as arbitrary.
+    The input is symmetrized after a Hermiticity check and decomposed with
+    LAPACK; the eigenvector gauge is LAPACK's and so arbitrary.
     """
-    out = vectors.copy()
-    d = out.shape[0]
-    for lo, hi in _degenerate_clusters(values):
-        size = hi - lo
-        if size <= 1:
-            continue
-        block = out[:, lo:hi]
-        proj = block @ block.conj().T
-        chosen: list[np.ndarray] = []
-        for i in range(d):
-            w = proj[:, i].copy()
-            for _ in range(2):  # second pass keeps orthogonality tight
-                for u in chosen:
-                    w -= u * (u.conj() @ w)
-            nrm = float(np.linalg.norm(w))
-            if nrm > 1e-6:
-                chosen.append(w / nrm)
-            if len(chosen) == size:
-                break
-        if len(chosen) == size:
-            out[:, lo:hi] = np.column_stack(chosen)
-    idx = np.argmax(np.abs(out), axis=0)
-    lead = out[idx, np.arange(out.shape[1])]
-    out = out * (lead.conj() / np.abs(lead))
-    return out
-
-
-def hermitian_eigensystem(h, tol: float = HERMITICITY_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
-
-    The input is symmetrized after a Hermiticity check, decomposed with
-    LAPACK, and gauge-fixed via :func:`_canonical_gauge` so repeated calls on
-    equal inputs return identical arrays.
-    """
-    hm = require_hermitian(h, tol=tol, name="H")
+    hm = require_hermitian(h, name="H")
     try:
         values, vectors = np.linalg.eigh(hm)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigensolver did not converge for a {hm.shape[0]}x{hm.shape[0]} matrix: {exc}"
         ) from exc
-    vectors = _canonical_gauge(values, vectors)
     return EigenSystem(values=frozen(values), vectors=frozen(vectors))

@@ -28,6 +28,11 @@ _CHUNK = 1 << 16
 BASIS_TOL = 1e-10
 
 
+def _overlaps(phases: np.ndarray) -> np.ndarray:
+    """The overlap matrix e^(i theta[j,k]) / sqrt(d) of a d x d phase table."""
+    return np.exp(1j * phases) / math.sqrt(phases.shape[0])
+
+
 @dataclass(frozen=True, eq=False)
 class MUBPair:
     """A mutually unbiased observable pair with fixed spectra.
@@ -44,7 +49,7 @@ class MUBPair:
 
     def basis(self) -> np.ndarray:
         """Unitary whose k-th column is the k-th eigenvector of the second observable."""
-        return np.exp(1j * self.phases) / math.sqrt(self.dim)
+        return _overlaps(self.phases)
 
     def observable_a(self) -> Observable:
         return Observable(np.diag(self.spectrum_a).astype(complex))
@@ -75,7 +80,7 @@ def mub_pair(dim, phases, spectrum_a, spectrum_b, require_unit: bool = True) -> 
         for name, s in (("spectrum_a", sa), ("spectrum_b", sb)):
             if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
                 raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(s)!r}")
-    u = np.exp(1j * ph) / math.sqrt(d)
+    u = _overlaps(ph)
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
     if defect > BASIS_TOL:
         raise ValueError(f"phases do not induce an orthonormal eigenbasis (defect {defect:.3e})")
@@ -104,7 +109,7 @@ def mub_sample_columns(
     """
     d = phases.shape[0]
     # off-diagonal matrix elements of B in the computational basis
-    u = np.exp(1j * phases) / math.sqrt(d)  # u[j, l] = <j|b_l>
+    u = _overlaps(phases)  # u[j, l] = <j|b_l>
     b_elems = np.einsum("nl,jl,kl->njk", b.astype(complex), u, u.conj())
     g = np.abs(b_elems) ** 2  # |<j|B|k>|^2
 

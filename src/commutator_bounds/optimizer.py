@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EigensolverError, InvalidStateError, NumericalConsistencyError
 from .linalg import as_matrix, frozen, require_same_dim, weighted_norm_sq
-from .states import DensityMatrix, Observable
+from .states import EIGENVALUE_FLOOR, DensityMatrix, Observable
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ def _spectrum_of(rho) -> np.ndarray:
     lam = np.sort(np.asarray(rho, dtype=float).ravel())
     if lam.size < 2:
         raise InvalidStateError("spectrum needs at least two eigenvalues")
-    if float(lam[0]) < -1e-12:
+    if float(lam[0]) < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"spectrum has negative entry {float(lam[0]):.3e}")
     return np.clip(lam, 0.0, None)
 

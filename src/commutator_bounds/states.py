@@ -244,9 +244,7 @@ def sample_density(dim: int, spec, rng: np.random.Generator) -> DensityMatrix:
     if isinstance(spec, str):
         key = spec.lower().replace("_", "-")
         if key == "hilbert-schmidt":
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            w = g @ g.conj().T
-            return DensityMatrix(w / np.trace(w).real)
+            return DensityMatrix(sample_density_batch(dim, 1, rng)[0])
         if key == "flat-simplex":
             lam = np.sort(rng.dirichlet(np.ones(dim)))
             return DensityMatrix.from_spectrum(lam)
@@ -254,10 +252,9 @@ def sample_density(dim: int, spec, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix.from_spectrum(spec)
 
 
-def sample_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> Observable:
+def sample_hermitian(dim: int, rng: np.random.Generator) -> Observable:
     """Random Hermitian observable (G + G^dag)/2 with complex Gaussian G."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Observable(scale * (g + g.conj().T) / 2.0)
+    return Observable(sample_hermitian_batch(dim, 1, rng)[0])
 
 
 def sample_observable_unit(dim: int, rng: np.random.Generator) -> Observable:
@@ -288,8 +285,8 @@ def sample_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def sample_hermitian_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, dim, dim) stack of Gaussian Hermitian matrices, for bulk corpora.
 
-    Raw arrays for the vectorized evaluation paths; matches the ensemble of
-    :func:`sample_hermitian` entry for entry.
+    Raw arrays for the vectorized evaluation paths; :func:`sample_hermitian`
+    draws one row of it.
     """
     g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
     return (g + g.conj().transpose(0, 2, 1)) / 2.0
@@ -298,8 +295,8 @@ def sample_hermitian_batch(dim: int, count: int, rng: np.random.Generator) -> np
 def sample_density_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, dim, dim) stack of random full states, G G^dag normalized to unit trace.
 
-    Same ensemble as ``sample_density(dim, "hilbert-schmidt", rng)`` but as
-    raw arrays without per-state validation, for bulk corpora.
+    Raw arrays without per-state validation, for bulk corpora;
+    ``sample_density(dim, "hilbert-schmidt", rng)`` validates one row of it.
     """
     g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
     w = g @ g.conj().transpose(0, 2, 1)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -417,8 +418,11 @@ class TestMubAverage:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_bad_spectrum_rejected(self, tmp_path):
-        proc = run_cli("mub-average", "--dim", "2", "--spectrum", "0.9,0.3", cwd=tmp_path)
-        assert_exit(proc, 2)
+        # a spectrum that is not a state, and one that is not numbers
+        for spectrum in ("0.9,0.3", "a,b"):
+            proc = run_cli("mub-average", "--dim", "2", "--spectrum", spectrum, cwd=tmp_path)
+            assert_exit(proc, 2)
+            assert "error: --spectrum: " in proc.stderr
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert_exit(run_cli("mub-average", "--dim", "2", "--frobnicate", cwd=tmp_path), 2)
@@ -499,6 +503,24 @@ RANGED_FLAGS = [
     ("mub-average", "--samples", int, "10000", "9999"),
 ]
 
+# (command, flag, the edge of its range as --help writes it), from RANGED_FLAGS
+HELP_BOUNDS = sorted(
+    {
+        (command, flag, "finite" if kind(accepted) == sys.float_info.max else f"{kind(accepted):g}")
+        for command, flag, kind, accepted, _ in RANGED_FLAGS
+    }
+)
+
+
+def _option_help(parser: argparse.ArgumentParser, flag: str) -> str:
+    """The --help entry of ``flag``: its line and any wrapped lines after it, one line."""
+    lines = parser.format_help().splitlines()
+    (start,) = [i for i, line in enumerate(lines) if line.startswith(f"  {flag} ")]
+    end = start + 1
+    while end < len(lines) and lines[end].startswith("   "):  # wrapped help text
+        end += 1
+    return " ".join(" ".join(lines[start:end]).split())
+
 
 class TestParser:
     def test_option_set_of_each_subcommand(self):
@@ -523,6 +545,14 @@ class TestParser:
                 parser.parse_args([*VALID_ARGV[command], f"{flag}={value}"])
             assert exit_info.value.code == 2
             assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, bound", HELP_BOUNDS, ids=[" ".join(row) for row in HELP_BOUNDS]
+    )
+    def test_help_states_each_range(self, command, flag, bound):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        entry = _option_help(sub.choices[command.split()[0]], flag)
+        assert re.search(rf"(?<![\w.]){re.escape(bound)}(?![\w.])", entry), entry
 
     @pytest.mark.parametrize(
         "flags", [("--workers", "0"), ("--workers", "-4"), ("--seed", "-1")],

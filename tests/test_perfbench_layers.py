@@ -39,8 +39,14 @@ def tracing():
             ["compare", "--dim", "4", "--samples", "4096"],
             ["parallel.map", "states.sample", "bounds.batch_bounds", "bounds.violation_masks"],
         ),
+        (
+            ["verify-conjecture", "--dim", "3", "--trials", "2", "--restarts", "1",
+             "--max-iters", "5"],
+            ["optimizer.maximize_ratio", "optimizer.half_step", "optimizer.eigh",
+             "optimizer.ratio", "linalg.weighted_norm_sq"],
+        ),
     ],
-    ids=["mc-mub", "compare"],
+    ids=["mc-mub", "compare", "verify-conjecture"],
 )
 def test_traced_run_sees_every_layer(tracing, argv, layer_names, tmp_path):
     from commutator_bounds import cli

@@ -12,6 +12,7 @@ from commutator_bounds import (
     PAULI_Z,
     sample_density,
     sample_density_batch,
+    sample_hermitian,
     sample_hermitian_batch,
     sample_observable_unit,
     sample_unit_vectors,
@@ -141,6 +142,24 @@ class TestSpectralSummary:
             assert lam_sm == pytest.approx((1.0 + root) / 2.0, abs=1e-12)
             assert lam_max == pytest.approx((1.0 + root) / 2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["sorted", "permuted", "repeated"])
+    @pytest.mark.parametrize("d", range(2, 16))
+    def test_diagonal_state_eigenvectors_are_a_permutation(self, d, kind):
+        # LAPACK's eigenvectors of a diagonal state are used as they come, and the
+        # witnesses verify-conjecture writes are built from them: they must be exact
+        rng = np.random.default_rng(SEED + d)
+        lam = {
+            "sorted": np.arange(1.0, d + 1),
+            "permuted": rng.permutation(np.arange(1.0, d + 1)),
+            "repeated": rng.permutation(np.arange(d) // 2 + 1.0),
+        }[kind]
+        rho = DensityMatrix.from_spectrum(lam / lam.sum())
+        vec = rho.eigenvectors
+        assert np.isin(vec, [0.0, 1.0]).all()
+        assert not np.signbit(vec.real).any() and not np.signbit(vec.imag).any()
+        np.testing.assert_array_equal(vec.T @ vec, np.eye(d))
+        np.testing.assert_array_equal(vec.real.T @ np.diagonal(rho.matrix).real, rho.spectrum)
+
 
 class TestSampling:
     def test_fixed_spectrum_half_half(self):
@@ -217,6 +236,21 @@ class TestSampling:
         # every batch state passes full validation
         for i in range(0, 200, 40):
             DensityMatrix(rhos[i])
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_hermitian_draw_is_a_batch_row(self, d):
+        rng, batch_rng = np.random.default_rng(SEED + d), np.random.default_rng(SEED + d)
+        obs = sample_hermitian(d, rng)
+        np.testing.assert_array_equal(obs.matrix, sample_hermitian_batch(d, 1, batch_rng)[0])
+        assert rng.bit_generator.state == batch_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    def test_hilbert_schmidt_draw_is_a_batch_row(self, d):
+        rng, batch_rng = np.random.default_rng(SEED + d), np.random.default_rng(SEED + d)
+        rho = sample_density(d, "hilbert-schmidt", rng)
+        row = DensityMatrix(sample_density_batch(d, 1, batch_rng)[0])
+        np.testing.assert_allclose(rho.matrix, row.matrix, rtol=0.0, atol=1e-14)
+        assert rng.bit_generator.state == batch_rng.bit_generator.state
 
 
 class TestObservable:
