@@ -52,7 +52,7 @@ from .mub import (
 )
 from .optimizer import matrix_to_pairs, maximize_ratio, result_record
 from .states import (
-    DensityMatrix,
+    checked_spectrum,
     sample_density,
     sample_density_batch,
     sample_hermitian_batch,
@@ -245,18 +245,17 @@ def _estimate_rows(names, targets, moments) -> list[dict]:
 
 
 def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
-    """The ``--spectrum`` values (uniform when absent); ValueError naming the flag unless
-    they make a state."""
+    """The ``--spectrum`` values (uniform when absent) as :func:`checked_spectrum` returns
+    them; ValueError naming the flag unless they make a state."""
     if text is None:
         return np.full(dim, 1.0 / dim)
     try:
         values = np.array([float(tok) for tok in text.split(",")])
         if values.shape != (dim,):
             raise ValueError(f"needs exactly {dim} comma-separated values")
-        DensityMatrix.from_spectrum(values)
+        return checked_spectrum(values)
     except ValueError as err:
         raise ValueError(f"--spectrum: {err}") from err
-    return values
 
 
 def _cmd_mc_average(args) -> int:

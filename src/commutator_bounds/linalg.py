@@ -8,16 +8,9 @@ upward imports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EigensolverError,
-    NotHermitianError,
-    NumericalConsistencyError,
-)
+from .errors import DimensionMismatchError, NotHermitianError, NumericalConsistencyError
 
 #: Absolute Frobenius tolerance for accepting a matrix as Hermitian.
 HERMITICITY_TOL = 1e-10
@@ -55,14 +48,6 @@ def commutator(a, b) -> np.ndarray:
     bm = as_matrix(b, "B")
     require_same_dim(am, bm)
     return am @ bm - bm @ am
-
-
-def anticommutator(a, b) -> np.ndarray:
-    """{A, B} = AB + BA."""
-    am = as_matrix(a, "A")
-    bm = as_matrix(b, "B")
-    require_same_dim(am, bm)
-    return am @ bm + bm @ am
 
 
 def frobenius_norm_sq(a) -> float:
@@ -119,30 +104,3 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
         )
     return (am + am.conj().T) / 2.0
 
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending eigenvalues with matching orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the matrix as sum_i values[i] |v_i><v_i|."""
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
-def hermitian_eigensystem(h) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, as write-protected arrays.
-
-    The input is symmetrized after a Hermiticity check and decomposed with
-    LAPACK; the eigenvector gauge is LAPACK's and so arbitrary.
-    """
-    hm = require_hermitian(h, name="H")
-    try:
-        values, vectors = np.linalg.eigh(hm)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigensolver did not converge for a {hm.shape[0]}x{hm.shape[0]} matrix: {exc}"
-        ) from exc
-    return EigenSystem(values=frozen(values), vectors=frozen(vectors))

@@ -18,7 +18,7 @@ import numpy as np
 from .averages import MCEstimate, checked_purity, sequential_moments
 from .bounds import bound_robertson, bound_schrodinger
 from .linalg import frozen
-from .states import DensityMatrix, Observable, sample_unit_vectors
+from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
 FIG2_HEADER = "purity,luo_park_mub_avg,bound2_mub_avg"
 
@@ -59,12 +59,12 @@ class MUBPair:
         return Observable((u * self.spectrum_b) @ u.conj().T)
 
 
-def mub_pair(dim, phases, spectrum_a, spectrum_b, require_unit: bool = True) -> MUBPair:
+def mub_pair(dim, phases, spectrum_a, spectrum_b) -> MUBPair:
     """Validate and build a :class:`MUBPair`.
 
     The phase table must induce an orthonormal basis (unitary overlap
-    matrix); with ``require_unit`` the spectra must be unit vectors, the
-    normalization used throughout the sphere-averaging formulas.
+    matrix), and both spectra must be unit vectors, the normalization used
+    throughout the sphere-averaging formulas.
     """
     d = int(dim)
     if d < 2:
@@ -76,10 +76,9 @@ def mub_pair(dim, phases, spectrum_a, spectrum_b, require_unit: bool = True) -> 
     sb = np.asarray(spectrum_b, dtype=float)
     if sa.shape != (d,) or sb.shape != (d,):
         raise ValueError("spectra must have one eigenvalue per dimension")
-    if require_unit:
-        for name, s in (("spectrum_a", sa), ("spectrum_b", sb)):
-            if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
-                raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(s)!r}")
+    for name, s in (("spectrum_a", sa), ("spectrum_b", sb)):
+        if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
+            raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(s)!r}")
     u = _overlaps(ph)
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
     if defect > BASIS_TOL:
@@ -93,9 +92,9 @@ def fourier_phases(dim: int) -> np.ndarray:
     return 2.0 * np.pi * np.outer(j, j) / dim
 
 
-def fourier_mub_pair(dim, spectrum_a, spectrum_b, require_unit: bool = True) -> MUBPair:
+def fourier_mub_pair(dim, spectrum_a, spectrum_b) -> MUBPair:
     """Mutually unbiased pair on the computational / Fourier bases."""
-    return mub_pair(dim, fourier_phases(dim), spectrum_a, spectrum_b, require_unit=require_unit)
+    return mub_pair(dim, fourier_phases(dim), spectrum_a, spectrum_b)
 
 
 def mub_sample_columns(
@@ -172,14 +171,14 @@ def mub_lp_average(lams) -> float:
 
     (1 - sum lam^2) ((sum sqrt(lam))^2 - 1) / d^3.
     """
-    lam = np.asarray(lams, dtype=float)
+    lam = checked_spectrum(lams)
     d = lam.shape[0]
     return float((1.0 - lam @ lam) * (np.sqrt(lam).sum() ** 2 - 1.0) / d**3)
 
 
 def mub_b2_average(lams) -> float:
     """Pair-averaged conjectured bound: lam1 lam2 / (lam1 + lam2) * 2 (d-1) / d^3."""
-    lam = np.sort(np.asarray(lams, dtype=float))
+    lam = np.sort(checked_spectrum(lams))
     d = lam.shape[0]
     denom = float(lam[0] + lam[1])
     if denom <= 0.0:
@@ -219,7 +218,7 @@ def mc_mub_average(
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
-    lam = np.asarray(lams, dtype=float)
+    lam = checked_spectrum(lams)
     if lam.shape != (dim,):
         raise ValueError(f"spectrum must have {dim} entries, got shape {lam.shape}")
     ph = fourier_phases(dim) if phases is None else np.asarray(phases, dtype=float)

@@ -55,6 +55,8 @@ def _spectrum_of(rho) -> np.ndarray:
     lam = np.sort(np.asarray(rho, dtype=float).ravel())
     if lam.size < 2:
         raise InvalidStateError("spectrum needs at least two eigenvalues")
+    if not np.isfinite(lam).all():
+        raise InvalidStateError("spectrum has a non-finite entry")
     if float(lam[0]) < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"spectrum has negative entry {float(lam[0]):.3e}")
     return np.clip(lam, 0.0, None)

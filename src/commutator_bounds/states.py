@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStateError, NotHermitianError
-from .linalg import as_matrix, frozen, hermitian_eigensystem, require_hermitian
+from .errors import DimensionMismatchError, EigensolverError, InvalidStateError, NotHermitianError
+from .linalg import as_matrix, frozen, require_hermitian
 
 #: Eigenvalues below this are rejected; the band [floor, 0) is clipped to 0.
 EIGENVALUE_FLOOR = -1e-12
@@ -28,29 +28,49 @@ PAULI_Z = frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 PAULIS = frozen(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 
 
+def checked_spectrum(spectrum) -> np.ndarray:
+    """``spectrum`` as floats in its order, round-off negatives set to 0; InvalidStateError
+    unless it is 1-d, finite, has no entry below ``EIGENVALUE_FLOOR`` and sums to 1
+    within ``TRACE_TOL``."""
+    lam = np.asarray(spectrum, dtype=float)
+    if lam.ndim != 1 or lam.shape[0] < 1:
+        raise InvalidStateError(f"spectrum must be a 1-d sequence, got shape {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise InvalidStateError("spectrum has a non-finite entry")
+    if float(lam.min()) < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"spectrum has negative entry {float(lam.min()):.3e}")
+    total = float(lam.sum())
+    if abs(total - 1.0) > TRACE_TOL:
+        raise InvalidStateError(f"spectrum sums to {total!r}, expected 1")
+    return np.clip(lam, 0.0, None)
+
+
 class DensityMatrix:
     """A validated quantum state with cached spectral data.
 
-    Construction symmetrizes the input, rejects it unless every entry is
-    finite, it is Hermitian within 1e-10, every eigenvalue is above
-    ``EIGENVALUE_FLOOR``, and the trace is 1 within ``TRACE_TOL``.
-    Round-off-negative eigenvalues are clipped to zero and the spectrum
-    renormalized (keeping the square root real).  The ascending spectrum, eigenvectors and purity are cached, and
-    the matrix square root is built on first access; all arrays are
-    write-protected, so instances are safe to share between concurrent tasks.
+    Construction rejects the input unless every entry is finite, it is
+    Hermitian within 1e-10, every eigenvalue is above ``EIGENVALUE_FLOOR``,
+    and the trace is 1 within ``TRACE_TOL``.  The input is symmetrized and
+    decomposed with LAPACK; round-off-negative eigenvalues are clipped to
+    zero, the spectrum renormalized, and the matrix rebuilt from both.  The
+    ascending spectrum, eigenvectors and purity are cached as write-protected
+    arrays, so instances are safe to share between concurrent tasks.
     """
 
-    __slots__ = ("_matrix", "_spectrum", "_vectors", "_sqrt_matrix", "_purity")
+    __slots__ = ("_matrix", "_spectrum", "_vectors", "_purity")
 
     def __init__(self, matrix) -> None:
         mat = as_matrix(matrix, "density matrix")
         if not np.isfinite(mat).all():
             raise InvalidStateError("density matrix has a non-finite entry")
         try:
-            eig = hermitian_eigensystem(mat)
+            mat = require_hermitian(mat, name="density matrix")
         except NotHermitianError as exc:
-            raise InvalidStateError(f"density matrix: {exc}") from exc
-        lam = np.array(eig.values)
+            raise InvalidStateError(str(exc)) from exc
+        try:
+            lam, vec = np.linalg.eigh(mat)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"density matrix eigensolver did not converge: {exc}") from exc
         if float(lam.min()) < EIGENVALUE_FLOOR:
             raise InvalidStateError(
                 f"density matrix has negative eigenvalue {float(lam.min()):.3e}"
@@ -60,12 +80,10 @@ class DensityMatrix:
         if abs(total - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"density matrix trace is {total!r}, expected 1")
         lam /= total
-        vec = eig.vectors
         mat = (vec * lam) @ vec.conj().T
         self._matrix = frozen((mat + mat.conj().T) / 2.0)
-        self._sqrt_matrix = None
         self._spectrum = frozen(lam)
-        self._vectors = vec
+        self._vectors = frozen(vec)
         self._purity = float(lam @ lam)
 
     @classmethod
@@ -82,15 +100,8 @@ class DensityMatrix:
     @classmethod
     def from_spectrum(cls, spectrum) -> "DensityMatrix":
         """Diagonal state with the given eigenvalues (order preserved in the matrix)."""
-        lam = np.asarray(spectrum, dtype=float)
-        if lam.ndim != 1 or lam.shape[0] < 1:
-            raise InvalidStateError(f"spectrum must be a 1-d sequence, got shape {lam.shape}")
-        if float(lam.min()) < EIGENVALUE_FLOOR:
-            raise InvalidStateError(f"spectrum has negative entry {float(lam.min()):.3e}")
-        total = float(lam.sum())
-        if abs(total - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"spectrum sums to {total!r}, expected 1")
-        return cls(np.diag(np.clip(lam, 0.0, None) / total).astype(complex))
+        lam = checked_spectrum(spectrum)
+        return cls(np.diag(lam / lam.sum()).astype(complex))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -115,30 +126,8 @@ class DensityMatrix:
         return self._vectors
 
     @property
-    def sqrt_matrix(self) -> np.ndarray:
-        if self._sqrt_matrix is None:
-            vec = self._vectors
-            root = (vec * np.sqrt(self._spectrum)) @ vec.conj().T
-            self._sqrt_matrix = frozen((root + root.conj().T) / 2.0)
-        return self._sqrt_matrix
-
-    @property
     def purity(self) -> float:
         return self._purity
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self._spectrum[0])
-
-    @property
-    def lambda_second_min(self) -> float:
-        if self.dim < 2:
-            raise DimensionMismatchError("second smallest eigenvalue needs dim >= 2")
-        return float(self._spectrum[1])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self._spectrum[-1])
 
     def bloch_vector(self) -> np.ndarray:
         """Bloch components Tr(rho sigma_k); qubits only."""
@@ -148,11 +137,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, purity={self._purity:.6f})"
-
-
-def spectral_summary(rho: DensityMatrix) -> tuple[float, float, float, float]:
-    """(smallest, second smallest, largest eigenvalue, purity) of a state."""
-    return (rho.lambda_min, rho.lambda_second_min, rho.lambda_max, rho.purity)
 
 
 class Observable:
@@ -224,54 +208,28 @@ def sample_unit_vectors(dim: int, count: int, rng: np.random.Generator) -> np.nd
     return g / norms
 
 
-def sample_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return sample_unit_vectors(dim, 1, rng)[0]
-
-
-def sample_density(dim: int, spec, rng: np.random.Generator) -> DensityMatrix:
-    """Draw a random state.
-
-    ``spec`` selects the ensemble:
+def sample_density(dim: int, spec: str, rng: np.random.Generator) -> DensityMatrix:
+    """Draw a random state from the ensemble named by ``spec``:
 
     - ``"hilbert-schmidt"``: G G^dag / Tr(G G^dag) with complex Gaussian G
       (generic full states, the default ensemble for comparisons);
     - ``"flat-simplex"``: diagonal state with Dirichlet(1, ..., 1) spectrum,
-      sorted ascending (spectra uniform on the simplex);
-    - a sequence of floats: diagonal state with exactly that spectrum.
+      sorted ascending (spectra uniform on the simplex).
+
+    Any other ``spec`` raises :class:`InvalidStateError`.
     """
     if dim < 2:
         raise DimensionMismatchError(f"state dimension must be >= 2, got {dim}")
-    if isinstance(spec, str):
-        key = spec.lower().replace("_", "-")
-        if key == "hilbert-schmidt":
-            return DensityMatrix(sample_density_batch(dim, 1, rng)[0])
-        if key == "flat-simplex":
-            lam = np.sort(rng.dirichlet(np.ones(dim)))
-            return DensityMatrix.from_spectrum(lam)
+    if not isinstance(spec, str) or spec not in ("hilbert-schmidt", "flat-simplex"):
         raise InvalidStateError(f"unknown sampling spec {spec!r}")
-    return DensityMatrix.from_spectrum(spec)
+    if spec == "hilbert-schmidt":
+        return DensityMatrix(sample_density_batch(dim, 1, rng)[0])
+    return DensityMatrix.from_spectrum(np.sort(rng.dirichlet(np.ones(dim))))
 
 
 def sample_hermitian(dim: int, rng: np.random.Generator) -> Observable:
     """Random Hermitian observable (G + G^dag)/2 with complex Gaussian G."""
     return Observable(sample_hermitian_batch(dim, 1, rng)[0])
-
-
-def sample_observable_unit(dim: int, rng: np.random.Generator) -> Observable:
-    """Observable with a unit eigenvalue/axis vector drawn uniformly on the sphere.
-
-    For qubits this is a . sigma with a uniform on S^2 (traceless, squared
-    Frobenius norm 2).  For dim >= 3 it is the diagonal matrix whose
-    eigenvalue vector is uniform on S^(dim-1), the convention used for
-    unbiased-pair averaging.
-    """
-    if dim < 2:
-        raise DimensionMismatchError(f"observable dimension must be >= 2, got {dim}")
-    if dim == 2:
-        a = sample_unit_vector(3, rng)
-        return Observable.from_bloch(a)
-    eigs = sample_unit_vector(dim, rng)
-    return Observable(np.diag(eigs).astype(complex))
 
 
 def sample_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

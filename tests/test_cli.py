@@ -273,6 +273,19 @@ class TestMCAverage:
             2,
         )
 
+    def test_roundoff_negative_spectrum_entry_reads_as_zero(self, tmp_path):
+        # -1e-13 is inside the eigenvalue floor, so the spectrum is accepted; it must not
+        # reach a square root as a negative number
+        out = tmp_path / "out"
+        argv = ["mc-average", "--mub", "--dim", "2", "--spectrum=-1e-13,1.0000000000001",
+                "--samples", "10000", "--workers", "1", "--out", str(out)]
+        assert main(argv) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [row["name"] for row in rows] == [
+            "comm_norm", "lp_term", "lp_factor_a", "lp_factor_b"
+        ]
+        assert all(np.isfinite([row["mean"], row["target"]]).all() for row in rows)
+
     def test_mub_mode_targets(self, tmp_path):
         proc = run_cli(
             "mc-average", "--mub", "--dim", "3", "--samples", "20000", "--seed", "9", cwd=tmp_path

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,15 @@ def test_every_export_resolves_once():
     names = commutator_bounds.__all__
     assert sorted({n for n in names if names.count(n) > 1}) == []
     assert [n for n in names if not hasattr(commutator_bounds, n)] == []
+
+
+def test_exports_are_the_public_namespace():
+    # a name deleted from only one of the import list and __all__ shows up here
+    import commutator_bounds
+
+    public = {
+        name
+        for name, value in vars(commutator_bounds).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(commutator_bounds.__all__) == sorted(public)

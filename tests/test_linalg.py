@@ -1,4 +1,4 @@
-"""Matrix-core: commutators, weighted semi-norms, Hermitian eigensystems."""
+"""Matrix-core: commutators, weighted semi-norms, Hermiticity, and the eigensystem of a state."""
 
 import numpy as np
 import pytest
@@ -6,22 +6,21 @@ import pytest
 from commutator_bounds import (
     DensityMatrix,
     DimensionMismatchError,
-    EigenSystem,
     NotHermitianError,
     NumericalConsistencyError,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    anticommutator,
     commutator,
     frobenius_norm_sq,
-    hermitian_eigensystem,
     sample_density,
+    sample_density_batch,
     sample_hermitian,
     sample_unitary,
     weighted_inner_product,
     weighted_norm_sq,
 )
+from commutator_bounds.linalg import require_hermitian
 
 SEED = 20240901
 
@@ -56,15 +55,6 @@ class TestCommutator:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             commutator(np.eye(2), np.eye(3))
-
-    def test_anticommutator(self):
-        # {sigma_x, sigma_y} = 0 and {A, A} = 2 A^2
-        np.testing.assert_allclose(
-            anticommutator(PAULI_X, PAULI_Y), np.zeros((2, 2)), atol=1e-15
-        )
-        rng = np.random.default_rng(SEED + 40)
-        a = rand_complex(rng, 3)
-        np.testing.assert_allclose(anticommutator(a, a), 2 * a @ a, atol=1e-12)
 
 
 class TestWeightedInnerProduct:
@@ -158,52 +148,50 @@ class TestFrobeniusNormSq:
 
 
 class TestHermitianEigensystem:
+    """The ascending spectrum and eigenvector columns a DensityMatrix computes."""
+
     def test_sorted_diagonal(self):
-        eig = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(eig.values, [1.0, 2.0, 3.0], atol=1e-14)
+        rho = DensityMatrix(np.diag([3.0, 1.0, 2.0]).astype(complex) / 6.0)
+        np.testing.assert_allclose(rho.spectrum, [1 / 6, 2 / 6, 3 / 6], atol=1e-14)
 
     def test_pauli_x_eigensystem(self):
-        eig = hermitian_eigensystem(PAULI_X)
-        np.testing.assert_allclose(eig.values, [-1.0, 1.0], atol=1e-14)
+        rho = DensityMatrix((np.eye(2) + PAULI_X) / 2.0)
+        np.testing.assert_allclose(rho.spectrum, [0.0, 1.0], atol=1e-14)
         # eigenvectors are (|0> -+ |1>)/sqrt(2) up to phase
         for k, sign in ((0, -1.0), (1, 1.0)):
-            v = eig.vectors[:, k]
+            v = rho.eigenvectors[:, k]
             expected = np.array([1.0, sign]) / np.sqrt(2.0)
             phase = v[np.argmax(np.abs(v))] / expected[np.argmax(np.abs(v))]
             np.testing.assert_allclose(v, phase * expected, atol=1e-12)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(SEED + 7)
-        for _ in range(20):
-            h = sample_hermitian(8, rng).matrix
-            eig = hermitian_eigensystem(h)
-            assert np.linalg.norm(eig.reconstruct() - h) < 1e-10
-            gram = eig.vectors.conj().T @ eig.vectors
-            assert np.linalg.norm(gram - np.eye(8)) < 1e-10
-            assert np.all(np.diff(eig.values) >= 0)
+        for d in np.repeat(np.arange(2, 9), 20):
+            rho = sample_density(int(d), "hilbert-schmidt", rng)
+            vec, lam = rho.eigenvectors, rho.spectrum
+            assert np.all(np.diff(lam) >= 0)
+            assert np.linalg.norm(vec.conj().T @ vec - np.eye(d)) < 1e-10
+            assert np.linalg.norm((vec * lam) @ vec.conj().T - rho.matrix) < 1e-12
 
     def test_deterministic_for_equal_inputs(self):
-        rng = np.random.default_rng(SEED + 8)
-        h = sample_hermitian(6, rng).matrix
-        first = hermitian_eigensystem(h)
-        second = hermitian_eigensystem(np.array(h))
-        np.testing.assert_array_equal(first.values, second.values)
-        np.testing.assert_array_equal(first.vectors, second.vectors)
+        mat = sample_density_batch(6, 1, np.random.default_rng(SEED + 8))[0]
+        first, second = DensityMatrix(mat), DensityMatrix(np.array(mat))
+        np.testing.assert_array_equal(first.spectrum, second.spectrum)
+        np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+        np.testing.assert_array_equal(first.matrix, second.matrix)
 
     def test_degenerate_gauge_is_valid(self):
-        # A projector has a 2-fold and a 1-fold eigenspace.
-        h = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        eig = hermitian_eigensystem(h)
-        assert np.linalg.norm(eig.reconstruct() - h) < 1e-12
-        gram = eig.vectors.conj().T @ eig.vectors
-        assert np.linalg.norm(gram - np.eye(3)) < 1e-12
+        # a state with a 2-fold and a 1-fold eigenspace
+        rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]).astype(complex))
+        vec = rho.eigenvectors
+        assert np.linalg.norm((vec * rho.spectrum) @ vec.conj().T - rho.matrix) < 1e-12
+        assert np.linalg.norm(vec.conj().T @ vec - np.eye(3)) < 1e-12
+        with pytest.raises(ValueError):
+            vec[0, 0] = 1.0
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
-            hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-    def test_returns_eigensystem_type(self):
-        assert isinstance(hermitian_eigensystem(PAULI_Z), EigenSystem)
+            require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 class TestBottcherWenzel:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from commutator_bounds import (
     DensityMatrix,
+    InvalidStateError,
     classical_uncertainty,
     commutator,
     fig2_rows,
@@ -22,7 +23,6 @@ from commutator_bounds import (
     mub_vanishing_check,
     qubit_mub_theta_lp,
     qubit_spectrum_from_purity,
-    sample_unit_vector,
     sample_unit_vectors,
     variance,
     weighted_norm_sq,
@@ -32,7 +32,7 @@ SEED = 20240905
 
 
 def unit_spectrum(rng, d):
-    return sample_unit_vector(d, rng)
+    return sample_unit_vectors(d, 1, rng)[0]
 
 
 class TestConstruction:
@@ -57,11 +57,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             mub_pair(3, phases, unit_spectrum(rng, 3), unit_spectrum(rng, 3))
 
-    def test_non_unit_spectrum_rejected_when_flagged(self):
-        with pytest.raises(ValueError):
+    def test_non_unit_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="unit vector"):
             fourier_mub_pair(2, [1.0, 1.0], [1.0, 0.0])
-        pair = fourier_mub_pair(2, [1.0, 1.0], [1.0, 0.0], require_unit=False)
-        assert pair.dim == 2
 
 
 class TestVanishingBounds:
@@ -106,6 +104,21 @@ class TestClosedFormAverages:
             purity = (1 + r * r) / 2
             assert mub_b2_average(lam) == pytest.approx((1 - purity) / 8, abs=1e-14)
             assert mub_b2_average(lam) >= mub_lp_average(lam) - 1e-15
+
+    @pytest.mark.parametrize(
+        "lams",
+        [[-0.5, 1.5], [0.7, 0.7], [np.nan, 1.0], [0.5, np.inf], [[0.5, 0.5]]],
+        ids=["negative", "trace", "nan", "inf", "2-d"],
+    )
+    def test_spectrum_that_is_no_state_rejected(self, lams):
+        for average in (mub_lp_average, mub_b2_average):
+            with pytest.raises(InvalidStateError):
+                average(lams)
+
+    def test_roundoff_negative_reads_as_zero(self):
+        lam = [-1e-13, 1.0 + 1e-13]
+        assert mub_lp_average(lam) == pytest.approx(0.0, abs=1e-12)
+        assert mub_b2_average(lam) == pytest.approx(0.0, abs=1e-12)
 
     def test_comm_norm_average_table(self):
         assert mub_commutator_norm_average(2) == pytest.approx(1 / 4)
@@ -288,6 +301,13 @@ class TestMonteCarlo:
             (0.17479796079806698, 0.00019351719071986572, 150_003),
             (0.17358449846988733, 0.00014956498635091626, 150_003),
         ]
+
+    @pytest.mark.parametrize(
+        "lams", [[-0.5, 1.5], [0.7, 0.7], [np.nan, 1.0]], ids=["negative", "trace", "nan"]
+    )
+    def test_spectrum_that_is_no_state_rejected(self, lams):
+        with pytest.raises(InvalidStateError):
+            mc_mub_average(2, lams, 10_000, np.random.default_rng(0))
 
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):

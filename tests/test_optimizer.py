@@ -99,6 +99,15 @@ class TestConstants:
         assert loose_constant(np.ones(5)) == pytest.approx(2.0)
         assert conjectured_constant(np.ones(5)) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "lam", [[np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [0.5, np.inf, 0.5]],
+        ids=["nan-first", "nan-last", "inf"],
+    )
+    def test_non_finite_spectrum_rejected(self, lam):
+        for constant in (conjectured_constant, loose_constant):
+            with pytest.raises(InvalidStateError, match="non-finite"):
+                constant(lam)
+
     def test_loose_never_below_conjectured(self):
         rng = np.random.default_rng(SEED)
         for _ in range(200):
@@ -206,7 +215,7 @@ class TestMaximizeRatio:
         rng = np.random.default_rng(SEED + 5)
         for trial in range(5):
             rho = sample_density(2, "hilbert-schmidt", rng)
-            if rho.lambda_min < 1e-6:
+            if rho.spectrum[0] < 1e-6:
                 continue
             result = maximize_ratio(rho, restarts=2, rng=rng)
             assert result.relative_deviation < 1e-6

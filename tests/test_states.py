@@ -6,6 +6,7 @@ import pytest
 from commutator_bounds import (
     DensityMatrix,
     DimensionMismatchError,
+    EigensolverError,
     InvalidStateError,
     Observable,
     PAULI_X,
@@ -14,9 +15,7 @@ from commutator_bounds import (
     sample_density_batch,
     sample_hermitian,
     sample_hermitian_batch,
-    sample_observable_unit,
     sample_unit_vectors,
-    spectral_summary,
 )
 
 SEED = 20240902
@@ -95,52 +94,37 @@ class TestDensityValidation:
         with pytest.raises(InvalidStateError):
             DensityMatrix.from_spectrum(spectrum)
 
-    def test_sqrt_cache(self):
-        rng = np.random.default_rng(SEED + 1)
-        for _ in range(50):
-            d = int(rng.integers(2, 7))
-            rho = sample_density(d, "hilbert-schmidt", rng)
-            np.testing.assert_allclose(
-                rho.sqrt_matrix @ rho.sqrt_matrix, rho.matrix, atol=1e-9
-            )
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def test_sqrt_built_on_first_access(self):
-        rng = np.random.default_rng(SEED + 2)
-        rho = sample_density(4, "hilbert-schmidt", rng)
-        vec = rho.eigenvectors
-        expected = (vec * np.sqrt(rho.spectrum)) @ vec.conj().T
-        first = rho.sqrt_matrix
-        np.testing.assert_allclose(first, expected, atol=1e-15)
-        assert rho.sqrt_matrix is first
-        with pytest.raises(ValueError):
-            first[0, 0] = 1.0
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            DensityMatrix.maximally_mixed(2)
 
 
 class TestSpectralSummary:
     def test_maximally_mixed(self):
-        assert spectral_summary(DensityMatrix.maximally_mixed(2)) == pytest.approx(
-            (0.5, 0.5, 0.5, 0.5)
-        )
+        rho = DensityMatrix.maximally_mixed(2)
+        assert (*rho.spectrum, rho.purity) == pytest.approx((0.5, 0.5, 0.5))
 
     def test_half_z_state(self):
-        lam_m, lam_sm, lam_max, purity = spectral_summary(DensityMatrix.from_bloch([0, 0, 0.5]))
-        assert (lam_m, lam_max, purity) == pytest.approx((0.25, 0.75, 0.625))
-        assert lam_sm == pytest.approx(0.75)
+        rho = DensityMatrix.from_bloch([0, 0, 0.5])
+        assert (*rho.spectrum, rho.purity) == pytest.approx((0.25, 0.75, 0.625))
 
     def test_three_level(self):
-        summary = spectral_summary(DensityMatrix.from_spectrum([1 / 6, 2 / 6, 3 / 6]))
-        assert summary == pytest.approx((1 / 6, 1 / 3, 1 / 2, 14 / 36))
+        rho = DensityMatrix.from_spectrum([1 / 6, 2 / 6, 3 / 6])
+        assert (*rho.spectrum, rho.purity) == pytest.approx((1 / 6, 1 / 3, 1 / 2, 14 / 36))
 
     def test_qubit_purity_relation(self):
         # lam_min = (1 - sqrt(2P-1))/2, lam_max = (1 + sqrt(2P-1))/2 for qubits.
         rng = np.random.default_rng(SEED + 2)
         for _ in range(200):
             rho = sample_density(2, "hilbert-schmidt", rng)
-            lam_m, lam_sm, lam_max, purity = spectral_summary(rho)
-            root = np.sqrt(2.0 * purity - 1.0)
-            assert lam_m == pytest.approx((1.0 - root) / 2.0, abs=1e-12)
-            assert lam_sm == pytest.approx((1.0 + root) / 2.0, abs=1e-12)
-            assert lam_max == pytest.approx((1.0 + root) / 2.0, abs=1e-12)
+            root = np.sqrt(2.0 * rho.purity - 1.0)
+            np.testing.assert_allclose(
+                rho.spectrum, [(1.0 - root) / 2.0, (1.0 + root) / 2.0], rtol=0, atol=1e-12
+            )
 
     @pytest.mark.parametrize("kind", ["sorted", "permuted", "repeated"])
     @pytest.mark.parametrize("d", range(2, 16))
@@ -162,11 +146,6 @@ class TestSpectralSummary:
 
 
 class TestSampling:
-    def test_fixed_spectrum_half_half(self):
-        rng = np.random.default_rng(SEED + 3)
-        rho = sample_density(2, [0.5, 0.5], rng)
-        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2.0, atol=1e-15)
-
     def test_hilbert_schmidt_statistics(self):
         rng = np.random.default_rng(SEED + 4)
         purities = []
@@ -190,30 +169,19 @@ class TestSampling:
         with pytest.raises(InvalidStateError):
             sample_density(3, "bures", np.random.default_rng(0))
 
-    def test_unit_observable_qubit(self):
-        rng = np.random.default_rng(SEED + 6)
-        for _ in range(100):
-            a = sample_observable_unit(2, rng)
-            assert abs(np.trace(a.matrix)) < 1e-12
-            assert np.sum(np.abs(a.matrix) ** 2) == pytest.approx(2.0, abs=1e-12)
-
-    def test_unit_observable_higher_dim(self):
-        rng = np.random.default_rng(SEED + 7)
-        a = sample_observable_unit(4, rng)
-        eigs = np.diagonal(a.matrix).real
-        assert np.linalg.norm(a.matrix - np.diag(eigs)) < 1e-14
-        assert np.linalg.norm(eigs) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "spec",
+        ["hilbert_schmidt", "Flat-Simplex", [0.5, 0.5], np.array([0.5, 0.5])],
+        ids=["underscore", "capitals", "list", "array"],
+    )
+    def test_only_the_two_ensemble_names_are_specs(self, spec):
+        with pytest.raises(InvalidStateError, match="unknown sampling spec"):
+            sample_density(2, spec, np.random.default_rng(0))
 
     def test_sphere_second_moments(self):
-        # <a_j a_k> = delta_jk / 3 at one million draws, within 3 standard errors,
-        # on the same stream that feeds the qubit observable sampler.
+        # <a_j a_k> = delta_jk / 3 at one million draws, within 3 standard errors.
         n = 1_000_000
-        vec_rng = np.random.default_rng(SEED + 8)
-        a = sample_unit_vectors(3, n, vec_rng)
-        obs_rng = np.random.default_rng(SEED + 8)
-        for i in range(5):
-            obs = sample_observable_unit(2, obs_rng)
-            np.testing.assert_allclose(obs.bloch().vec, a[i], atol=1e-12)
+        a = sample_unit_vectors(3, n, np.random.default_rng(SEED + 8))
         prods = np.einsum("ni,nj->nij", a, a)
         mean = prods.mean(axis=0)
         se = prods.std(axis=0, ddof=1) / np.sqrt(n)
