@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidStateError, NumericalConsistencyError
 from .linalg import as_matrix, require_same_dim
-from .states import DensityMatrix, BlochVector
+from .states import DensityMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -59,11 +59,8 @@ def expectation(x, rho) -> float:
 def _single(a, b, rho) -> dict[str, float]:
     """Every kernel column for one triple, after the scalar path's input checks.
 
-    A raw-array ``rho`` is validated as a :class:`DensityMatrix`.  The triple
-    reaches the kernel in the state's cached eigenbasis, where the kernel's
-    eigendecomposition of diag(spectrum) is exact; decomposing
-    ``state.matrix`` again would move zero eigenvalues by round-off, which
-    sqrt(lam) in C(X) magnifies to about 1e-8.
+    A raw-array ``rho`` is validated as a :class:`DensityMatrix`, whose
+    cached spectrum and eigenvectors give the kernel its eigenbasis.
     """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
@@ -72,9 +69,7 @@ def _single(a, b, rho) -> dict[str, float]:
     require_same_dim(am, state.matrix)
     vecs = state.eigenvectors
     vh = vecs.conj().T
-    cols = _eigenbasis_columns(
-        (vh @ am @ vecs)[None], (vh @ bm @ vecs)[None], np.diag(state.spectrum)[None]
-    )
+    cols = _eigenbasis_columns((vh @ am @ vecs)[None], (vh @ bm @ vecs)[None], state.spectrum[None])
     return {name: float(col[0]) for name, col in cols.items()}
 
 
@@ -152,29 +147,32 @@ def _check_ordering(lo: float, hi: float, label: str) -> None:
         raise NumericalConsistencyError(f"bound ordering violated: {label} ({lo!r} > {hi!r})")
 
 
+def _report(dim: int, row: dict[str, float]) -> BoundReport:
+    """The :class:`BoundReport` of one row of float columns."""
+    return BoundReport(
+        dim=dim,
+        purity=row["purity"],
+        product=row["product"],
+        robertson=row["robertson"],
+        schrodinger=row["schrodinger"],
+        luo_park=row["luo_park"],
+        bound1=row["bound1"],
+        bound2=row["bound2"],
+        conjecture_ok=not violation_masks(row)["bound2"],
+    )
+
+
 def bound_report(a, b, rho) -> BoundReport:
     """Evaluate every bound for one triple and validate the internal orderings."""
     cols = _single(a, b, rho)
-    robertson = cols["robertson"]
-    product = cols["product"]
-    b2 = cols["bound2"]
+    robertson, b2 = cols["robertson"], cols["bound2"]
     _check_ordering(robertson, cols["schrodinger"], "robertson <= schrodinger")
     _check_ordering(robertson, cols["luo_park"], "robertson <= luo_park")
     _check_ordering(cols["bound1"], b2, "bound1 <= bound2")
-    conjecture_ok = not violation_masks(cols)["bound2"]
-    if not conjecture_ok:
-        logger.warning("conjectured inequality violated: bound2=%r product=%r", b2, product)
-    return BoundReport(
-        dim=as_matrix(a, "A").shape[0],
-        purity=cols["purity"],
-        product=product,
-        robertson=robertson,
-        schrodinger=cols["schrodinger"],
-        luo_park=cols["luo_park"],
-        bound1=cols["bound1"],
-        bound2=b2,
-        conjecture_ok=conjecture_ok,
-    )
+    report = _report(as_matrix(a, "A").shape[0], cols)
+    if not report.conjecture_ok:
+        logger.warning("conjectured inequality violated: bound2=%r product=%r", b2, report.product)
+    return report
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -208,14 +206,15 @@ def _spread(xt: np.ndarray, lam: np.ndarray, root: np.ndarray) -> tuple[np.ndarr
     return np.einsum("nj,njk->n", lam, weights), np.einsum("nj,njk,nk->n", root, weights, root)
 
 
-def _eigenbasis_columns(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
+def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
     """The :func:`batch_bounds` columns plus the variances ``var_a``, ``var_b``
     and classical uncertainties ``cu_a``, ``cu_b`` of stacked triples.
 
-    Each triple is evaluated in the eigenbasis rho = V diag(lam) V^dag, with
-    A~ = V^dag A V and B~ = V^dag B V.  Centering shifts the diagonal of A~
-    by <A> = sum_j lam_j A~_jj, and every column is a weighted sum over
-    entries of the centered A~', B~':
+    Each triple comes in the eigenbasis of its state rho = V diag(lam) V^dag:
+    ``lam`` holds the (n, d) ascending spectra clipped at 0, and ``at``, ``bt``
+    the rotated A~ = V^dag A V and B~ = V^dag B V, which are centered in place.
+    Centering shifts the diagonal of A~ by <A> = sum_j lam_j A~_jj, and every
+    column is a weighted sum over entries of the centered A~', B~':
 
     * V(A) = sum_jk lam_j |A~'_jk|^2;
     * Tr(A' B' rho) = sum_jk lam_j A~'_jk B~'_kj, whose imaginary and real
@@ -224,27 +223,15 @@ def _eigenbasis_columns(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[s
     * |[A,B]|_rho^2 = sum_jk lam_k |C_jk|^2 with C = A~B~ - (A~B~)^dag,
       taken before centering since the commutator ignores identity shifts.
 
-    With the clipped spectrum lam >= 0, the variances and classical
-    uncertainties are nonnegative and robertson <= schrodinger,
-    robertson <= luo_park and bound1 <= bound2 hold by construction, up to
-    rounding in the last digit, so of the sign tests only ``FACTOR_FLOOR``
-    on the classical uncertainties is kept.  Two more cases raise
-    :class:`NumericalConsistencyError`: an imaginary part of <A> or <B>
-    beyond ``EXPECTATION_IMAG_TOL`` relative to the root mean square of the
-    entries of A or B (a non-Hermitian input), and any column that is not
-    finite.
+    With lam >= 0, the variances and classical uncertainties are nonnegative
+    and robertson <= schrodinger, robertson <= luo_park and bound1 <= bound2
+    hold by construction, up to rounding in the last digit, so of the sign
+    tests only ``FACTOR_FLOOR`` on the classical uncertainties is kept.  Two
+    more cases raise :class:`NumericalConsistencyError`: an imaginary part of
+    <A> or <B> beyond ``EXPECTATION_IMAG_TOL`` relative to the root mean
+    square of the entries of A or B (a non-Hermitian input), and any column
+    that is not finite.
     """
-    lam, vecs = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
-    # Peak memory is set here, at four (n, d, d) arrays besides the inputs:
-    # the eigenvectors are conjugated in place and dropped once A, B rotated.
-    at = a @ vecs
-    bt = b @ vecs
-    vh = np.conj(vecs, out=vecs).swapaxes(1, 2)
-    at = vh @ at
-    bt = vh @ bt
-    del vecs, vh
-
     comm = at @ bt
     comm -= comm.conj().swapaxes(1, 2)
     comm_norm = np.einsum("njk,nk->n", _abs2(comm), lam)
@@ -307,12 +294,22 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
     The inputs are never written to, and read-only or broadcast arrays are
     accepted.
 
-    The scalar functions read single rows of the same kernel,
-    :func:`_eigenbasis_columns`, whose formulas and checks are documented
-    there.  Its variance and classical-uncertainty columns are dropped, so a
-    caller keeps (and a worker pickles back) only these seven.
+    Each state is decomposed here, and the rotated triples go to the kernel
+    :func:`_eigenbasis_columns`, shared with the scalar functions and
+    documented there.  Its variance and classical-uncertainty columns are
+    dropped, so a caller keeps (and a worker pickles back) only these seven.
     """
-    cols = _eigenbasis_columns(a, b, rho)
+    lam, vecs = np.linalg.eigh(rho)
+    lam = np.clip(lam, 0.0, None)
+    # Peak memory is set here, at four (n, d, d) arrays besides the inputs:
+    # the eigenvectors are conjugated in place and dropped once A, B rotated.
+    at = a @ vecs
+    bt = b @ vecs
+    vh = np.conj(vecs, out=vecs).swapaxes(1, 2)
+    at = vh @ at
+    bt = vh @ bt
+    del vecs, vh
+    cols = _eigenbasis_columns(at, bt, lam)
     return {name: cols[name] for name in _BATCH_COLUMNS}
 
 
@@ -332,12 +329,7 @@ def violation_masks(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def _bloch3(v, name: str, require_unit: bool) -> np.ndarray:
-    if isinstance(v, BlochVector):
-        if abs(v.a0) > 1e-12:
-            raise ValueError(f"{name} must be traceless (a0 = 0), got a0 = {v.a0!r}")
-        arr = np.asarray(v.vec, dtype=float)
-    else:
-        arr = np.asarray(v, dtype=float)
+    arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"{name} must have 3 components, got shape {arr.shape}")
     if require_unit and abs(float(np.linalg.norm(arr)) - 1.0) > 1e-10:
@@ -406,17 +398,7 @@ def qubit_bounds_closed_form(a, b, c) -> BoundReport:
     if float(cv @ cv) > 1.0 + 2e-12:
         raise InvalidStateError(f"state Bloch vector has length {np.linalg.norm(cv)!r} > 1")
     cols = qubit_closed_form_batch(av[None, :], bv[None, :], cv)
-    return BoundReport(
-        dim=2,
-        purity=float(cols["purity"][0]),
-        product=float(cols["product"][0]),
-        robertson=float(cols["robertson"][0]),
-        schrodinger=float(cols["schrodinger"][0]),
-        luo_park=float(cols["luo_park"][0]),
-        bound1=float(cols["bound1"][0]),
-        bound2=float(cols["bound2"][0]),
-        conjecture_ok=not violation_masks(cols)["bound2"][0],
-    )
+    return _report(2, {name: float(col[0]) for name, col in cols.items()})
 
 
 def qubit_commutator_norm_identity(a, b) -> float:

@@ -155,12 +155,11 @@ def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
     masks = violation_masks(cols)
     counterexamples = []
     for i in np.nonzero(masks["bound2"])[0]:
-        lam = np.sort(np.linalg.eigvalsh(rho[i]))
         counterexamples.append(
             {
                 "index": int(start + i),
                 "dim": int(dim),
-                "spectrum": [float(x) for x in lam],
+                "spectrum": np.linalg.eigvalsh(rho[i]).tolist(),
                 "a": matrix_to_pairs(a[i]),
                 "b": matrix_to_pairs(b[i]),
                 "rho": matrix_to_pairs(rho[i]),
@@ -245,17 +244,18 @@ def _estimate_rows(names, targets, moments) -> list[dict]:
 
 
 def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
-    """The ``--spectrum`` values (uniform when absent) as :func:`checked_spectrum` returns
-    them; ValueError naming the flag unless they make a state."""
+    """The ``--spectrum`` values (uniform when absent), checked and divided by their sum
+    as ``DensityMatrix.from_spectrum`` does; ValueError naming the flag unless a state."""
     if text is None:
         return np.full(dim, 1.0 / dim)
     try:
         values = np.array([float(tok) for tok in text.split(",")])
         if values.shape != (dim,):
             raise ValueError(f"needs exactly {dim} comma-separated values")
-        return checked_spectrum(values)
+        lam = checked_spectrum(values)
     except ValueError as err:
         raise ValueError(f"--spectrum: {err}") from err
+    return lam / lam.sum()
 
 
 def _cmd_mc_average(args) -> int:

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .averages import MCEstimate, checked_purity, sequential_moments
-from .bounds import bound_robertson, bound_schrodinger
+from .bounds import bound_report
 from .linalg import frozen
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
@@ -31,6 +31,18 @@ BASIS_TOL = 1e-10
 def _overlaps(phases: np.ndarray) -> np.ndarray:
     """The overlap matrix e^(i theta[j,k]) / sqrt(d) of a d x d phase table."""
     return np.exp(1j * phases) / math.sqrt(phases.shape[0])
+
+
+def _checked_phases(d: int, phases) -> np.ndarray:
+    """``phases`` as floats; ValueError unless a d x d table with unitary overlaps."""
+    ph = np.asarray(phases, dtype=float)
+    if ph.shape != (d, d):
+        raise ValueError(f"phase table must have shape ({d}, {d}), got {ph.shape}")
+    u = _overlaps(ph)
+    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
+    if defect > BASIS_TOL:
+        raise ValueError(f"phases do not induce an orthonormal eigenbasis (defect {defect:.3e})")
+    return ph
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +81,7 @@ def mub_pair(dim, phases, spectrum_a, spectrum_b) -> MUBPair:
     d = int(dim)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    ph = np.asarray(phases, dtype=float)
-    if ph.shape != (d, d):
-        raise ValueError(f"phase table must have shape ({d}, {d}), got {ph.shape}")
+    ph = _checked_phases(d, phases)
     sa = np.asarray(spectrum_a, dtype=float)
     sb = np.asarray(spectrum_b, dtype=float)
     if sa.shape != (d,) or sb.shape != (d,):
@@ -79,10 +89,6 @@ def mub_pair(dim, phases, spectrum_a, spectrum_b) -> MUBPair:
     for name, s in (("spectrum_a", sa), ("spectrum_b", sb)):
         if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
             raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(s)!r}")
-    u = _overlaps(ph)
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
-    if defect > BASIS_TOL:
-        raise ValueError(f"phases do not induce an orthonormal eigenbasis (defect {defect:.3e})")
     return MUBPair(dim=d, phases=frozen(ph), spectrum_a=frozen(sa), spectrum_b=frozen(sb))
 
 
@@ -161,9 +167,8 @@ def mub_vanishing_check(pair: MUBPair, rho_spectrum) -> tuple[float, float]:
     complementarity is invisible to them.
     """
     rho = DensityMatrix.from_spectrum(rho_spectrum)
-    a = pair.observable_a()
-    b = pair.observable_b()
-    return (bound_robertson(a, b, rho), bound_schrodinger(a, b, rho))
+    report = bound_report(pair.observable_a(), pair.observable_b(), rho)
+    return report.robertson, report.schrodinger
 
 
 def mub_lp_average(lams) -> float:
@@ -214,14 +219,15 @@ def mc_mub_average(
 
     The commutator-norm mean matches :func:`mub_commutator_norm_average`, the
     Luo-Park term matches :func:`mub_lp_average`, and the factors match
-    (1 - sum lam^2)/d and ((sum sqrt(lam))^2 - 1)/d^2.
+    (1 - sum lam^2)/d and ((sum sqrt(lam))^2 - 1)/d^2.  ``phases`` is checked
+    as in :func:`mub_pair`.
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
     lam = checked_spectrum(lams)
     if lam.shape != (dim,):
         raise ValueError(f"spectrum must have {dim} entries, got shape {lam.shape}")
-    ph = fourier_phases(dim) if phases is None else np.asarray(phases, dtype=float)
+    ph = fourier_phases(dim) if phases is None else _checked_phases(dim, phases)
     ests = sequential_moments(partial(mub_samples, ph, lam), samples, _CHUNK, rng).estimates()
     return MubAverages(comm_norm=ests[0], lp_term=ests[1], lp_factor_a=ests[2], lp_factor_b=ests[3])
 

@@ -300,7 +300,6 @@ def _ascend(
     if a0 is not None:
         a = a0 / math.sqrt(weighted_norm_sq(a0, rho))
         trace.append(ratio(a, b, rho))
-        a = problem.to_eigenbasis(a)
     b = problem.to_eigenbasis(b)
 
     def record(value: float) -> None:

@@ -6,8 +6,6 @@ the stream; nothing here touches global RNG state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionMismatchError, EigensolverError, InvalidStateError, NotHermitianError
@@ -148,13 +146,12 @@ class Observable:
         self._matrix = frozen(require_hermitian(matrix, name="observable"))
 
     @classmethod
-    def from_bloch(cls, vec, a0: float = 0.0) -> "Observable":
-        """Qubit observable a0*I + a . sigma."""
+    def from_bloch(cls, vec) -> "Observable":
+        """Traceless qubit observable a . sigma."""
         av = np.asarray(vec, dtype=float)
         if av.shape != (3,):
             raise DimensionMismatchError(f"axis must have 3 components, got shape {av.shape}")
-        mat = a0 * np.eye(2, dtype=complex) + np.einsum("k,kij->ij", av, PAULIS)
-        return cls(mat)
+        return cls(np.einsum("k,kij->ij", av, PAULIS))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -164,31 +161,8 @@ class Observable:
     def dim(self) -> int:
         return int(self._matrix.shape[0])
 
-    def bloch(self) -> "BlochVector":
-        """Decompose a qubit observable as a0*I + a . sigma."""
-        if self.dim != 2:
-            raise DimensionMismatchError(f"Bloch decomposition defined for dim 2, not {self.dim}")
-        a0 = float(np.trace(self._matrix).real) / 2.0
-        vec = np.einsum("kij,ji->k", PAULIS, self._matrix).real / 2.0
-        return BlochVector(a0=a0, vec=frozen(vec))
-
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"
-
-
-@dataclass(frozen=True, eq=False)
-class BlochVector:
-    """Pauli expansion coefficients of a qubit observable: a0*I + vec . sigma."""
-
-    a0: float
-    vec: np.ndarray = field(repr=False)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def to_observable(self) -> Observable:
-        return Observable.from_bloch(self.vec, a0=self.a0)
 
 
 def sample_unit_vectors(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

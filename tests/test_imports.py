@@ -1,6 +1,7 @@
-"""Import hygiene: the export list resolves, and scipy stays off the import path of
-everything but the optimizer."""
+"""Import hygiene: the export list resolves, every import in the package and its tests
+is used, and scipy stays off the import path of everything but the optimizer."""
 
+import ast
 import json
 import os
 import subprocess
@@ -86,3 +87,57 @@ def test_exports_are_the_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(commutator_bounds.__all__) == sorted(public)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that import statements in ``source`` bind and nothing reads.
+
+    A read is a ``Name`` node, a name in a string annotation, or an ``__all__`` entry;
+    ``from __future__`` imports are exempt.
+    """
+    tree = ast.parse(source)
+    bound = set()
+    read = set()
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    for note in notes:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            read.update(n.id for n in ast.walk(ast.parse(note.value)) if isinstance(n, ast.Name))
+    return sorted(bound - read)
+
+
+ROOT = SRC.parent
+CHECKED = sorted(
+    str(p.relative_to(ROOT))
+    for folder in (SRC / "commutator_bounds", ROOT / "tests")
+    for p in folder.glob("*.py")
+)
+
+
+@pytest.mark.parametrize("path", CHECKED)
+def test_every_import_is_used(path):
+    assert unused_imports((ROOT / path).read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_each_kind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nfrom a import b, c as d\nfrom e import f, g, h\n"
+        "__all__ = ['f']\n"
+        "def k(x: 'g') -> 'list[h]':\n    return x\n"
+    )
+    assert unused_imports(source) == ["b", "d", "js", "os"]

@@ -313,6 +313,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_mub_average(2, [0.5, 0.5], 5000, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "dim, phases, message",
+        [
+            (2, np.zeros((2, 2)), "orthonormal eigenbasis"),
+            (3, fourier_phases(2), r"phase table must have shape \(3, 3\)"),
+        ],
+        ids=["not-a-basis", "wrong-shape"],
+    )
+    def test_phase_table_checked_as_in_mub_pair(self, dim, phases, message):
+        rng = np.random.default_rng(SEED)
+        with pytest.raises(ValueError, match=message):
+            mc_mub_average(dim, np.full(dim, 1.0 / dim), 10_000, rng, phases=phases)
+        with pytest.raises(ValueError, match=message):
+            mub_pair(dim, phases, unit_spectrum(rng, dim), unit_spectrum(rng, dim))
+
 
 class TestThetaParameterizedLP:
     def test_axis_aligned_value(self):

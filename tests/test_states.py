@@ -5,7 +5,6 @@ import pytest
 
 from commutator_bounds import (
     DensityMatrix,
-    DimensionMismatchError,
     EigensolverError,
     InvalidStateError,
     Observable,
@@ -227,17 +226,6 @@ class TestObservable:
 
         with pytest.raises(NotHermitianError):
             Observable(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
-
-    def test_bloch_round_trip(self):
-        obs = Observable.from_bloch([0.6, -0.8, 0.0], a0=0.25)
-        decomposed = obs.bloch()
-        assert decomposed.a0 == pytest.approx(0.25)
-        np.testing.assert_allclose(decomposed.vec, [0.6, -0.8, 0.0], atol=1e-14)
-        np.testing.assert_allclose(decomposed.to_observable().matrix, obs.matrix, atol=1e-14)
-
-    def test_bloch_needs_dim_two(self):
-        with pytest.raises(DimensionMismatchError):
-            Observable(np.eye(3)).bloch()
 
     def test_pauli_x_from_bloch(self):
         np.testing.assert_allclose(Observable.from_bloch([1, 0, 0]).matrix, PAULI_X, atol=0)
