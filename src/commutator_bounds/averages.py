@@ -19,13 +19,10 @@ from functools import partial
 import numpy as np
 
 from ._parallel import pairwise_reduce
-from .bounds import qubit_closed_form_batch
+from .bounds import BOUND_NAMES, qubit_closed_form_batch
 from .states import sample_unit_vectors
 
-FIG1_HEADER = "purity,robertson,schrodinger,luo_park,bound1,bound2"
-
-#: Column order of per-sample bound arrays.
-BOUND_NAMES = ("robertson", "schrodinger", "luo_park", "bound1", "bound2")
+FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
 
 _CHUNK = 1 << 17
 
@@ -105,11 +102,11 @@ def sequential_moments(sample, total: int, size: int, rng: np.random.Generator) 
 
 
 def checked_purity(purity: float) -> float:
-    """``purity`` as a float; ValueError unless it lies in [1/2, 1] up to round-off."""
+    """``purity`` clamped to [1/2, 1]; ValueError unless it lies there up to round-off."""
     p = float(purity)
     if not (0.5 - 1e-12 <= p <= 1.0 + 1e-12):
         raise ValueError(f"purity must lie in [1/2, 1], got {p!r}")
-    return p
+    return min(max(p, 0.5), 1.0)
 
 
 @dataclass(frozen=True)
@@ -124,14 +121,13 @@ class AveragedBounds:
     bound2: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.robertson, self.schrodinger, self.luo_park, self.bound1, self.bound2]
-        )
+        """The five bounds in ``BOUND_NAMES`` order."""
+        return np.array([getattr(self, name) for name in BOUND_NAMES])
 
 
 def averaged_bounds_qubit(purity: float) -> AveragedBounds:
     """Closed-form pair-averaged qubit bounds as functions of purity in [1/2, 1]."""
-    p = min(max(checked_purity(purity), 0.5), 1.0)
+    p = checked_purity(purity)
     root = math.sqrt(2.0 * p - 1.0)
     robertson = 2.0 * (2.0 * p - 1.0) / 9.0
     schrodinger = robertson + 2.0 * (2.0 * p * p - 4.0 * p + 3.0) / 9.0
@@ -155,7 +151,7 @@ def qubit_bound_samples(purity: float, count: int, rng: np.random.Generator) -> 
     Bloch vector along z.
     """
     p = checked_purity(purity)
-    c = np.array([0.0, 0.0, math.sqrt(max(2.0 * p - 1.0, 0.0))])
+    c = np.array([0.0, 0.0, math.sqrt(2.0 * p - 1.0)])
     a = sample_unit_vectors(3, count, rng)
     b = sample_unit_vectors(3, count, rng)
     cols = qubit_closed_form_batch(a, b, c)
@@ -230,5 +226,5 @@ def fig1_rows(points: int) -> np.ndarray:
     rows = np.empty((points, 6))
     for i, p in enumerate(grid):
         av = averaged_bounds_qubit(float(p))
-        rows[i] = (av.purity, av.robertson, av.schrodinger, av.luo_park, av.bound1, av.bound2)
+        rows[i] = (av.purity, *av.as_array())
     return rows

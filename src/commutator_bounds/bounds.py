@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericalConsistencyError
-from .linalg import as_matrix, require_same_dim
-from .states import DensityMatrix
+from .errors import NumericalConsistencyError
+from .linalg import as_matrix, checked_unit, nonnegative, require_hermitian, require_same_dim
+from .states import DensityMatrix, checked_bloch
 
 logger = logging.getLogger(__name__)
 
-#: Classical-uncertainty factors this far below zero are treated as round-off.
-FACTOR_FLOOR = -1e-12
+#: The five lower bounds: the four proven ones, then the conjectured ``bound2``.
+HARD_BOUND_NAMES = ("robertson", "schrodinger", "luo_park", "bound1")
+BOUND_NAMES = (*HARD_BOUND_NAMES, "bound2")
 
 #: Slack for flagging violations of the conjectured inequality.
 CONJECTURE_SLACK = 1e-9
@@ -59,11 +60,11 @@ def expectation(x, rho) -> float:
 def _single(a, b, rho) -> dict[str, float]:
     """Every kernel column for one triple, after the scalar path's input checks.
 
-    A raw-array ``rho`` is validated as a :class:`DensityMatrix`, whose
-    cached spectrum and eigenvectors give the kernel its eigenbasis.
+    A and B must pass ``require_hermitian``, and a raw-array ``rho`` is validated
+    as a :class:`DensityMatrix`, whose spectrum and eigenvectors are the eigenbasis.
     """
-    am = as_matrix(a, "A")
-    bm = as_matrix(b, "B")
+    am = require_hermitian(a, "A")
+    bm = require_hermitian(b, "B")
     state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     require_same_dim(am, bm)
     require_same_dim(am, state.matrix)
@@ -81,12 +82,7 @@ def variance(x, rho) -> float:
 def skew_information(x, rho) -> float:
     """V(X) - C(X) = Tr(X^2 rho) - Tr(sqrt(rho) X sqrt(rho) X): the quantum part of V(X)."""
     cols = _single(x, x, rho)
-    value = cols["var_a"] - cols["cu_a"]
-    if value < 0.0:
-        if value < FACTOR_FLOOR:
-            raise NumericalConsistencyError(f"skew information is negative: {value:.3e}")
-        value = 0.0
-    return value
+    return float(nonnegative(cols["var_a"] - cols["cu_a"], "skew information"))
 
 
 def classical_uncertainty(x, rho) -> float:
@@ -153,11 +149,7 @@ def _report(dim: int, row: dict[str, float]) -> BoundReport:
         dim=dim,
         purity=row["purity"],
         product=row["product"],
-        robertson=row["robertson"],
-        schrodinger=row["schrodinger"],
-        luo_park=row["luo_park"],
-        bound1=row["bound1"],
-        bound2=row["bound2"],
+        **{name: row[name] for name in BOUND_NAMES},
         conjecture_ok=not violation_masks(row)["bound2"],
     )
 
@@ -226,7 +218,7 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     With lam >= 0, the variances and classical uncertainties are nonnegative
     and robertson <= schrodinger, robertson <= luo_park and bound1 <= bound2
     hold by construction, up to rounding in the last digit, so of the sign
-    tests only ``FACTOR_FLOOR`` on the classical uncertainties is kept.  Two
+    tests only ``linalg.nonnegative`` on the classical uncertainties is kept.  Two
     more cases raise :class:`NumericalConsistencyError`: an imaginary part of
     <A> or <B> beyond ``EXPECTATION_IMAG_TOL`` relative to the root mean
     square of the entries of A or B (a non-Hermitian input), and any column
@@ -250,11 +242,8 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     var_a, cu_a = _spread(at, lam, root)
     var_b, cu_b = _spread(bt, lam, root)
 
-    lowest = min(float(cu_a.min()), float(cu_b.min()))
-    if lowest < FACTOR_FLOOR:
-        raise NumericalConsistencyError(f"classical uncertainty is negative: {lowest:.3e}")
-    np.clip(cu_a, 0.0, None, out=cu_a)
-    np.clip(cu_b, 0.0, None, out=cu_b)
+    cu_a = nonnegative(cu_a, "classical uncertainty")
+    cu_b = nonnegative(cu_b, "classical uncertainty")
 
     lam_m = lam[:, 0]
     lam_sm = lam[:, 1]
@@ -282,7 +271,7 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     return cols
 
 
-_BATCH_COLUMNS = ("product", "robertson", "schrodinger", "luo_park", "bound1", "bound2", "purity")
+_BATCH_COLUMNS = ("product", *BOUND_NAMES, "purity")
 
 
 def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
@@ -322,19 +311,10 @@ def violation_masks(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     product = cols["product"]
     masks = {
         name: cols[name] - product > HARD_SLACK * np.maximum(1.0, cols[name])
-        for name in ("robertson", "schrodinger", "luo_park", "bound1")
+        for name in HARD_BOUND_NAMES
     }
     masks["bound2"] = cols["bound2"] - product > CONJECTURE_SLACK * np.maximum(1.0, product)
     return masks
-
-
-def _bloch3(v, name: str, require_unit: bool) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have 3 components, got shape {arr.shape}")
-    if require_unit and abs(float(np.linalg.norm(arr)) - 1.0) > 1e-10:
-        raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(arr)!r}")
-    return arr
 
 
 def qubit_closed_form_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:
@@ -390,14 +370,9 @@ def qubit_bounds_closed_form(a, b, c) -> BoundReport:
     Agrees with the generic matrix path within 1e-10 for every state in the
     Bloch ball.
     """
-    av = _bloch3(a, "a", require_unit=True)
-    bv = _bloch3(b, "b", require_unit=True)
-    cv = np.asarray(c, dtype=float)
-    if cv.shape != (3,):
-        raise InvalidStateError(f"state Bloch vector must have 3 components, got {cv.shape}")
-    if float(cv @ cv) > 1.0 + 2e-12:
-        raise InvalidStateError(f"state Bloch vector has length {np.linalg.norm(cv)!r} > 1")
-    cols = qubit_closed_form_batch(av[None, :], bv[None, :], cv)
+    av = checked_unit(a, "a", 3)
+    bv = checked_unit(b, "b", 3)
+    cols = qubit_closed_form_batch(av[None, :], bv[None, :], checked_bloch(c))
     return _report(2, {name: float(col[0]) for name, col in cols.items()})
 
 
@@ -408,7 +383,9 @@ def qubit_commutator_norm_identity(a, b) -> float:
     squared Frobenius norm.  This is special to qubits and does not extend
     to higher dimensions.
     """
-    av = _bloch3(a, "a", require_unit=False)
-    bv = _bloch3(b, "b", require_unit=False)
+    av = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
+    if av.shape != (3,) or bv.shape != (3,):
+        raise ValueError(f"axes must have 3 components, got shapes {av.shape} and {bv.shape}")
     cross = np.cross(av, bv)
     return 4.0 * float(cross @ cross)

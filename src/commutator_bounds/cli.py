@@ -28,7 +28,6 @@ import numpy as np
 
 from ._parallel import map_ordered, task_rng
 from .averages import (
-    BOUND_NAMES,
     FIG1_HEADER,
     Moments,
     averaged_bounds_qubit,
@@ -38,7 +37,7 @@ from .averages import (
     merge_moments,
     qubit_bound_samples,
 )
-from .bounds import batch_bounds, violation_masks
+from .bounds import BOUND_NAMES, HARD_BOUND_NAMES, batch_bounds, violation_masks
 from .mub import (
     FIG2_HEADER,
     fig2_rows,
@@ -76,9 +75,6 @@ _D_CONJECTURE = 4
 
 _BATCH = 4096
 _MC_BATCH = 1 << 16
-
-_HARD_NAMES = ("robertson", "schrodinger", "luo_park", "bound1")
-_BOUNDS = (*_HARD_NAMES, "bound2")
 
 
 def _output(path: str):
@@ -130,8 +126,8 @@ def _compare_lines(dim: int, start: int, cols: dict, masks: dict) -> list[str]:
     pieces = []
     for lo in range(0, len(cols["product"]), _PIECE):
         part = slice(lo, lo + _PIECE)
-        v = {name: cols[name][part].tolist() for name in ("purity", "product", *_BOUNDS)}
-        p = {name: map(_PASS.__getitem__, masks[name][part].tolist()) for name in _BOUNDS}
+        v = {name: cols[name][part].tolist() for name in ("purity", "product", *BOUND_NAMES)}
+        p = {name: map(_PASS.__getitem__, masks[name][part].tolist()) for name in BOUND_NAMES}
         index = range(start + lo, start + lo + len(v["product"]))
         rows = zip(
             v["bound1"], v["bound2"], repeat(dim), index, v["luo_park"],
@@ -167,7 +163,7 @@ def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
                 "bound2": float(cols["bound2"][i]),
             }
         )
-    hard = int(sum(masks[name].sum() for name in _HARD_NAMES))
+    hard = int(sum(masks[name].sum() for name in HARD_BOUND_NAMES))
     return _compare_lines(dim, start, cols, masks), hard, counterexamples
 
 
@@ -410,6 +406,12 @@ def _count(low: int, high: float = math.inf):
     return _checked(int, lambda n: low <= n <= high, rule)
 
 
+_SPECTRUM_HELP = (
+    "--dim comma-separated values forming a state spectrum, divided by their sum"
+    " (default uniform)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument("--mub", action="store_true", help="average a mutually unbiased pair instead")
     p.add_argument("--dim", type=_count(2), default=2, help="integer >= 2 (default 2)")
-    p.add_argument("--spectrum", default=None, help="comma-separated state spectrum")
+    p.add_argument("--spectrum", default=None, help=_SPECTRUM_HELP)
     p.add_argument(
         "--samples", type=_count(1000), required=True, help="integer >= 1000 (10000 with --mub)"
     )
@@ -477,7 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=1e-10,
         help="finite float >= 0 (default 1e-10)",
     )
-    p.add_argument("--mode", choices=("hermitian", "complex"), default="hermitian")
+    p.add_argument(
+        "--mode",
+        choices=("hermitian", "complex"),
+        default="hermitian",
+        help="search Hermitian pairs or all complex pairs (default hermitian)",
+    )
     p.add_argument(
         "--no-witness-seed",
         action="store_true",
@@ -489,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mub-average", parents=[common, report], help="mutually unbiased closed-form averages"
     )
     p.add_argument("--dim", type=_count(2), required=True, help="integer >= 2")
-    p.add_argument("--spectrum", default=None, help="comma-separated state spectrum")
+    p.add_argument("--spectrum", default=None, help=_SPECTRUM_HELP)
     p.add_argument("--samples", type=_count(10_000), default=None, help="integer >= 10000")
     p.set_defaults(func=_cmd_mub_average)
 

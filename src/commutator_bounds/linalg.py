@@ -18,8 +18,28 @@ HERMITICITY_TOL = 1e-10
 #: Largest imaginary residue tolerated on analytically-real traces.
 IMAG_RESIDUE_TOL = 1e-9
 
-#: Real parts of nonnegative quantities below this are treated as round-off.
+#: The one round-off floor: nonnegative quantities below it are errors, above it read as 0.
 ROUNDOFF_FLOOR = -1e-12
+
+
+def nonnegative(x, what: str, error=NumericalConsistencyError):
+    """``x`` clipped at 0; ``error`` naming ``what`` if its minimum is below ``ROUNDOFF_FLOOR``.
+    A NaN is not below it and passes through, for the caller's finiteness check."""
+    x = np.asarray(x)
+    if x.min() < ROUNDOFF_FLOOR:
+        raise error(f"{what} is negative: {x.min():.3e}")
+    return np.maximum(x, 0.0)
+
+
+def checked_unit(v, name: str, size: int) -> np.ndarray:
+    """``v`` as floats; ValueError unless ``size`` components of unit length within 1e-10."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must have {size} components, got shape {arr.shape}")
+    length = float(np.linalg.norm(arr))
+    if not abs(length - 1.0) <= 1e-10:
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {length!r}")
+    return arr
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -75,30 +95,28 @@ def weighted_norm_sq(a, weight) -> float:
     """Squared weighted Frobenius semi-norm Tr(A^dag A W).
 
     The imaginary residue is checked against ``IMAG_RESIDUE_TOL`` and then
-    discarded; real parts inside the round-off floor are clipped to zero.
+    discarded; the real part goes through :func:`nonnegative`.
     """
     value = weighted_inner_product(a, a, weight)
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
+    if not abs(value.imag) <= IMAG_RESIDUE_TOL:
         raise NumericalConsistencyError(
             f"weighted norm has imaginary residue {value.imag:.3e} (tol {IMAG_RESIDUE_TOL:.1e})"
         )
-    real = value.real
-    if real < 0.0:
-        if real < ROUNDOFF_FLOOR:
-            raise NumericalConsistencyError(f"weighted norm is negative: {real:.3e}")
-        real = 0.0
-    return real
+    return float(nonnegative(value.real, "weighted norm"))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``HERMITICITY_TOL`` (absolute, Frobenius) and symmetrize.
+    """Validate finiteness and Hermiticity within ``HERMITICITY_TOL`` (absolute,
+    Frobenius) and symmetrize.
 
     Inputs inside tolerance are returned as (A + A^dag)/2 so that round-off
     from upstream arithmetic never leaks into spectral routines.
     """
     am = as_matrix(a, name)
+    if not np.isfinite(am).all():
+        raise NotHermitianError(f"{name} has a non-finite entry")
     defect = float(np.linalg.norm(am - am.conj().T))
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise NotHermitianError(
             f"{name} deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})"
         )

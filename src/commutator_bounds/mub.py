@@ -17,7 +17,7 @@ import numpy as np
 
 from .averages import MCEstimate, checked_purity, sequential_moments
 from .bounds import bound_report
-from .linalg import frozen
+from .linalg import checked_unit, frozen
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
 FIG2_HEADER = "purity,luo_park_mub_avg,bound2_mub_avg"
@@ -40,9 +40,25 @@ def _checked_phases(d: int, phases) -> np.ndarray:
         raise ValueError(f"phase table must have shape ({d}, {d}), got {ph.shape}")
     u = _overlaps(ph)
     defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
-    if defect > BASIS_TOL:
+    if not defect <= BASIS_TOL:
         raise ValueError(f"phases do not induce an orthonormal eigenbasis (defect {defect:.3e})")
     return ph
+
+
+def _checked_dim(dim) -> int:
+    """``dim`` as an int; ValueError unless it is at least 2."""
+    d = int(dim)
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return d
+
+
+def _state_spectrum(lams, dim: int) -> np.ndarray:
+    """``lams`` through :func:`checked_spectrum`; ValueError unless it has ``dim`` entries."""
+    lam = checked_spectrum(lams)
+    if lam.shape != (dim,):
+        raise ValueError(f"spectrum must have {dim} entries, got shape {lam.shape}")
+    return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +94,10 @@ def mub_pair(dim, phases, spectrum_a, spectrum_b) -> MUBPair:
     matrix), and both spectra must be unit vectors, the normalization used
     throughout the sphere-averaging formulas.
     """
-    d = int(dim)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _checked_dim(dim)
     ph = _checked_phases(d, phases)
-    sa = np.asarray(spectrum_a, dtype=float)
-    sb = np.asarray(spectrum_b, dtype=float)
-    if sa.shape != (d,) or sb.shape != (d,):
-        raise ValueError("spectra must have one eigenvalue per dimension")
-    for name, s in (("spectrum_a", sa), ("spectrum_b", sb)):
-        if abs(float(np.linalg.norm(s)) - 1.0) > 1e-10:
-            raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(s)!r}")
+    sa = checked_unit(spectrum_a, "spectrum_a", d)
+    sb = checked_unit(spectrum_b, "spectrum_b", d)
     return MUBPair(dim=d, phases=frozen(ph), spectrum_a=frozen(sa), spectrum_b=frozen(sb))
 
 
@@ -151,9 +160,9 @@ def mub_commutator_norm(pair: MUBPair, lams) -> float:
     """State-weighted squared commutator norm via the double phase sum.
 
     Agrees with the matrix path (building both observables and the diagonal
-    state explicitly) within 1e-9.
+    state explicitly) within 1e-9; ``lams`` is a state spectrum of the pair's dimension.
     """
-    lam = np.asarray(lams, dtype=float)
+    lam = _state_spectrum(lams, pair.dim)
     cols = mub_sample_columns(
         np.asarray(pair.phases), lam, pair.spectrum_a[None, :], pair.spectrum_b[None, :]
     )
@@ -177,14 +186,14 @@ def mub_lp_average(lams) -> float:
     (1 - sum lam^2) ((sum sqrt(lam))^2 - 1) / d^3.
     """
     lam = checked_spectrum(lams)
-    d = lam.shape[0]
+    d = _checked_dim(lam.shape[0])
     return float((1.0 - lam @ lam) * (np.sqrt(lam).sum() ** 2 - 1.0) / d**3)
 
 
 def mub_b2_average(lams) -> float:
     """Pair-averaged conjectured bound: lam1 lam2 / (lam1 + lam2) * 2 (d-1) / d^3."""
     lam = np.sort(checked_spectrum(lams))
-    d = lam.shape[0]
+    d = _checked_dim(lam.shape[0])
     denom = float(lam[0] + lam[1])
     if denom <= 0.0:
         return 0.0
@@ -196,9 +205,7 @@ def mub_commutator_norm_average(dim: int) -> float:
 
     2 (d - 1) / d^3, independent of the state spectrum and the phase table.
     """
-    d = int(dim)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _checked_dim(dim)
     return 2.0 * (d - 1) / d**3
 
 
@@ -224,9 +231,7 @@ def mc_mub_average(
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
-    lam = checked_spectrum(lams)
-    if lam.shape != (dim,):
-        raise ValueError(f"spectrum must have {dim} entries, got shape {lam.shape}")
+    lam = _state_spectrum(lams, _checked_dim(dim))
     ph = fourier_phases(dim) if phases is None else _checked_phases(dim, phases)
     ests = sequential_moments(partial(mub_samples, ph, lam), samples, _CHUNK, rng).estimates()
     return MubAverages(comm_norm=ests[0], lp_term=ests[1], lp_factor_a=ests[2], lp_factor_b=ests[3])
@@ -242,7 +247,7 @@ def qubit_mub_theta_lp(purity: float, theta: float) -> float:
     2 (1 - P).
     """
     p = checked_purity(purity)
-    q = math.sqrt(max(2.0 * (1.0 - p), 0.0))
+    q = math.sqrt(2.0 * (1.0 - p))
     return q**2 * (1.0 + (q - 1.0) * math.cos(theta) ** 2) * (
         1.0 + (q - 1.0) * math.sin(theta) ** 2
     )
@@ -250,7 +255,7 @@ def qubit_mub_theta_lp(purity: float, theta: float) -> float:
 
 def qubit_spectrum_from_purity(purity: float) -> np.ndarray:
     """Ascending qubit spectrum ((1 - r)/2, (1 + r)/2) with r = sqrt(2P - 1)."""
-    r = math.sqrt(max(2.0 * checked_purity(purity) - 1.0, 0.0))
+    r = math.sqrt(2.0 * checked_purity(purity) - 1.0)
     return np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
 
 

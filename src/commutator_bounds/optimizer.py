@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverError, InvalidStateError, NumericalConsistencyError
-from .linalg import as_matrix, frozen, require_same_dim, weighted_norm_sq
-from .states import EIGENVALUE_FLOOR, DensityMatrix, Observable
+from .linalg import as_matrix, frozen, nonnegative, require_same_dim, weighted_norm_sq
+from .states import DensityMatrix, Observable
 
 logger = logging.getLogger(__name__)
 
@@ -57,9 +57,7 @@ def _spectrum_of(rho) -> np.ndarray:
         raise InvalidStateError("spectrum needs at least two eigenvalues")
     if not np.isfinite(lam).all():
         raise InvalidStateError("spectrum has a non-finite entry")
-    if float(lam[0]) < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"spectrum has negative entry {float(lam[0]):.3e}")
-    return np.clip(lam, 0.0, None)
+    return nonnegative(lam, "spectrum entry", InvalidStateError)
 
 
 def conjectured_constant(rho) -> float:

@@ -9,10 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, EigensolverError, InvalidStateError, NotHermitianError
-from .linalg import as_matrix, frozen, require_hermitian
-
-#: Eigenvalues below this are rejected; the band [floor, 0) is clipped to 0.
-EIGENVALUE_FLOOR = -1e-12
+from .linalg import frozen, nonnegative, require_hermitian
 
 #: Allowed deviation of the trace from 1 before rejection.
 TRACE_TOL = 1e-10
@@ -28,56 +25,56 @@ PAULIS = frozen(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 
 def checked_spectrum(spectrum) -> np.ndarray:
     """``spectrum`` as floats in its order, round-off negatives set to 0; InvalidStateError
-    unless it is 1-d, finite, has no entry below ``EIGENVALUE_FLOOR`` and sums to 1
+    unless it is 1-d, finite, has no entry below ``linalg.ROUNDOFF_FLOOR`` and sums to 1
     within ``TRACE_TOL``."""
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise InvalidStateError(f"spectrum must be a 1-d sequence, got shape {lam.shape}")
     if not np.isfinite(lam).all():
         raise InvalidStateError("spectrum has a non-finite entry")
-    if float(lam.min()) < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"spectrum has negative entry {float(lam.min()):.3e}")
+    clipped = nonnegative(lam, "spectrum entry", InvalidStateError)
     total = float(lam.sum())
-    if abs(total - 1.0) > TRACE_TOL:
+    if not abs(total - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"spectrum sums to {total!r}, expected 1")
-    return np.clip(lam, 0.0, None)
+    return clipped
+
+
+def checked_bloch(c) -> np.ndarray:
+    """``c`` as floats; InvalidStateError unless a 3-vector of length <= 1 + ``BLOCH_TOL``."""
+    cv = np.asarray(c, dtype=float)
+    if cv.shape != (3,):
+        raise InvalidStateError(f"Bloch vector must have 3 components, got shape {cv.shape}")
+    length = float(np.linalg.norm(cv))
+    if not length <= 1.0 + BLOCH_TOL:
+        raise InvalidStateError(f"Bloch vector has length {length!r} > 1")
+    return cv
 
 
 class DensityMatrix:
     """A validated quantum state with cached spectral data.
 
-    Construction rejects the input unless every entry is finite, it is
-    Hermitian within 1e-10, every eigenvalue is above ``EIGENVALUE_FLOOR``,
-    and the trace is 1 within ``TRACE_TOL``.  The input is symmetrized and
-    decomposed with LAPACK; round-off-negative eigenvalues are clipped to
-    zero, the spectrum renormalized, and the matrix rebuilt from both.  The
-    ascending spectrum, eigenvectors and purity are cached as write-protected
-    arrays, so instances are safe to share between concurrent tasks.
+    Construction rejects the input unless it passes ``require_hermitian``
+    (finite entries, Hermitian within 1e-10) and its eigenvalues pass
+    :func:`checked_spectrum`.  The input is symmetrized and decomposed with
+    LAPACK; round-off-negative eigenvalues are clipped to zero, the spectrum
+    renormalized, and the matrix rebuilt from both.  The ascending spectrum,
+    eigenvectors and purity are cached as write-protected arrays, so
+    instances are safe to share between concurrent tasks.
     """
 
     __slots__ = ("_matrix", "_spectrum", "_vectors", "_purity")
 
     def __init__(self, matrix) -> None:
-        mat = as_matrix(matrix, "density matrix")
-        if not np.isfinite(mat).all():
-            raise InvalidStateError("density matrix has a non-finite entry")
         try:
-            mat = require_hermitian(mat, name="density matrix")
+            mat = require_hermitian(matrix, name="density matrix")
         except NotHermitianError as exc:
             raise InvalidStateError(str(exc)) from exc
         try:
             lam, vec = np.linalg.eigh(mat)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"density matrix eigensolver did not converge: {exc}") from exc
-        if float(lam.min()) < EIGENVALUE_FLOOR:
-            raise InvalidStateError(
-                f"density matrix has negative eigenvalue {float(lam.min()):.3e}"
-            )
-        lam = np.clip(lam, 0.0, None)
-        total = float(lam.sum())
-        if abs(total - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"density matrix trace is {total!r}, expected 1")
-        lam /= total
+        lam = checked_spectrum(lam)
+        lam /= lam.sum()
         mat = (vec * lam) @ vec.conj().T
         self._matrix = frozen((mat + mat.conj().T) / 2.0)
         self._spectrum = frozen(lam)
@@ -87,11 +84,7 @@ class DensityMatrix:
     @classmethod
     def from_bloch(cls, c) -> "DensityMatrix":
         """Qubit state (I + c . sigma)/2 for a Bloch vector inside the unit ball."""
-        cv = np.asarray(c, dtype=float)
-        if cv.shape != (3,):
-            raise InvalidStateError(f"Bloch vector must have 3 components, got shape {cv.shape}")
-        if float(np.linalg.norm(cv)) > 1.0 + BLOCH_TOL:
-            raise InvalidStateError(f"Bloch vector has length {np.linalg.norm(cv)!r} > 1")
+        cv = checked_bloch(c)
         mat = 0.5 * (np.eye(2, dtype=complex) + np.einsum("k,kij->ij", cv, PAULIS))
         return cls(mat)
 

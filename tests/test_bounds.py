@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from commutator_bounds import (
     DensityMatrix,
     InvalidStateError,
+    NotHermitianError,
     NumericalConsistencyError,
     Observable,
     PAULI_X,
@@ -466,6 +467,10 @@ def _invalid_states():
 
 INVALID_STATES = _invalid_states()
 
+_NAN_A = np.eye(3, dtype=complex)
+_NAN_A[0, 0] = np.nan
+INVALID_OBSERVABLES = {"non-hermitian": np.triu(np.ones((3, 3))).astype(complex), "nan": _NAN_A}
+
 
 class TestScalarStateChecks:
     """Every scalar function validates a raw-array state as a DensityMatrix."""
@@ -478,6 +483,13 @@ class TestScalarStateChecks:
     def test_invalid_raw_state_raises(self, fn, case):
         with pytest.raises(InvalidStateError):
             _call(fn, self.A, self.B, INVALID_STATES[case])
+
+    @pytest.mark.parametrize("case", sorted(INVALID_OBSERVABLES))
+    @pytest.mark.parametrize("fn", SCALAR_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_invalid_observable_raises(self, fn, case):
+        rho = sample_density(3, "hilbert-schmidt", np.random.default_rng(SEED + 84))
+        with pytest.raises(NotHermitianError):
+            _call(fn, INVALID_OBSERVABLES[case], self.B, rho)
 
     @pytest.mark.parametrize("fn", SCALAR_FUNCTIONS, ids=lambda fn: fn.__name__)
     def test_raw_state_equals_density_matrix(self, fn):
@@ -558,6 +570,12 @@ class TestQubitClosedForm:
 
         with pytest.raises(InvalidStateError):
             qubit_bounds_closed_form([1, 0, 0], [0, 1, 0], [0, 0, 1.5])
+
+    def test_nan_input_rejected(self):
+        with pytest.raises(InvalidStateError):
+            qubit_bounds_closed_form([1, 0, 0], [0, 1, 0], [np.nan, 0, 0])
+        with pytest.raises(ValueError, match="unit vector"):
+            qubit_bounds_closed_form([1, 0, 0], [np.nan, 1, 0], [0, 0, 0.5])
 
     def test_matches_matrix_path(self):
         rng = np.random.default_rng(SEED + 12)

@@ -573,6 +573,12 @@ class TestParser:
         entry = _option_help(sub.choices[command.split()[0]], flag)
         assert re.search(rf"(?<![\w.]){re.escape(bound)}(?![\w.])", entry), entry
 
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+    def test_every_option_has_help(self, command):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        bare = [a.option_strings for a in sub.choices[command]._actions if not a.help]
+        assert bare == []
+
     @pytest.mark.parametrize(
         "flags", [("--workers", "0"), ("--workers", "-4"), ("--seed", "-1")],
         ids=["workers-0", "workers-negative", "seed-negative"],

@@ -1,5 +1,6 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
-is used, and scipy stays off the import path of everything but the optimizer."""
+is used, scipy stays off the import path of everything but the optimizer, and the
+round-off floor is defined in ``linalg`` alone."""
 
 import ast
 import json
@@ -141,3 +142,31 @@ def test_unused_import_check_sees_each_kind():
         "def k(x: 'g') -> 'list[h]':\n    return x\n"
     )
     assert unused_imports(source) == ["b", "d", "js", "os"]
+
+
+def floor_copies(source: str) -> list[str]:
+    """Each ``*_FLOOR`` name that ``source`` assigns and each ``-1e-12`` literal it writes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id.endswith("_FLOOR"):
+                found.append(node.id)
+        elif (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+            and node.operand.value == 1e-12
+        ):
+            found.append("-1e-12")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_round_off_floor_is_written_once(path):
+    copies = floor_copies((SRC / "commutator_bounds" / path).read_text(encoding="utf-8"))
+    assert copies == (["ROUNDOFF_FLOOR", "-1e-12"] if path == "linalg.py" else [])
+
+
+def test_floor_check_sees_each_kind():
+    source = "A_FLOOR = -1e-12\nb = 1e-12\nc = x - 1e-12\nd = -1e-12\nfor E_FLOOR in (): pass\n"
+    assert floor_copies(source) == ["A_FLOOR", "-1e-12", "-1e-12", "E_FLOOR"]

@@ -61,6 +61,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unit vector"):
             fourier_mub_pair(2, [1.0, 1.0], [1.0, 0.0])
 
+    def test_nan_spectrum_rejected(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            fourier_mub_pair(2, [np.nan, 1.0], [1.0, 0.0])
+
 
 class TestVanishingBounds:
     def test_qubit_quarter_spectrum(self):
@@ -115,6 +119,11 @@ class TestClosedFormAverages:
             with pytest.raises(InvalidStateError):
                 average(lams)
 
+    def test_one_entry_spectrum_rejected(self):
+        for average in (mub_lp_average, mub_b2_average):
+            with pytest.raises(ValueError, match="dimension must be >= 2"):
+                average([1.0])
+
     def test_roundoff_negative_reads_as_zero(self):
         lam = [-1e-13, 1.0 + 1e-13]
         assert mub_lp_average(lam) == pytest.approx(0.0, abs=1e-12)
@@ -141,6 +150,16 @@ class TestCommutatorNormPhaseSum:
                 commutator(pair.observable_a(), pair.observable_b()), rho
             )
             assert abs(phase_sum - matrix_path) < 1e-9
+
+    @pytest.mark.parametrize(
+        "lams, error, message",
+        [([2.0, -1.0], InvalidStateError, "negative"), ([0.2, 0.3, 0.5], ValueError, "2 entries")],
+        ids=["negative", "wrong-length"],
+    )
+    def test_spectrum_that_is_no_state_of_the_pair_rejected(self, lams, error, message):
+        pair = fourier_mub_pair(2, [1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(error, match=message):
+            mub_commutator_norm(pair, lams)
 
     def test_proportional_to_identity_commutes(self):
         d = 4
@@ -313,13 +332,18 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_mub_average(2, [0.5, 0.5], 5000, np.random.default_rng(0))
 
+    def test_one_level_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            mc_mub_average(1, [1.0], 10_000, np.random.default_rng(0))
+
     @pytest.mark.parametrize(
         "dim, phases, message",
         [
             (2, np.zeros((2, 2)), "orthonormal eigenbasis"),
             (3, fourier_phases(2), r"phase table must have shape \(3, 3\)"),
+            (2, np.full((2, 2), np.nan), "orthonormal eigenbasis"),
         ],
-        ids=["not-a-basis", "wrong-shape"],
+        ids=["not-a-basis", "wrong-shape", "nan"],
     )
     def test_phase_table_checked_as_in_mub_pair(self, dim, phases, message):
         rng = np.random.default_rng(SEED)

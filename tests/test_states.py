@@ -16,6 +16,8 @@ from commutator_bounds import (
     sample_hermitian_batch,
     sample_unit_vectors,
 )
+from commutator_bounds.optimizer import conjectured_constant
+from commutator_bounds.states import checked_spectrum
 
 SEED = 20240902
 
@@ -68,6 +70,21 @@ class TestDensityValidation:
         rho = DensityMatrix(np.diag([-eps, 0.5, 0.5 + eps]).astype(complex))
         assert rho.spectrum[0] == 0.0
         assert rho.spectrum.sum() == pytest.approx(1.0, abs=1e-15)
+
+    # One floor serves every spectrum check: -5e-13 is round-off, -2e-12 is no state.
+    @pytest.mark.parametrize(
+        "smallest",
+        [
+            lambda lam: checked_spectrum(lam).min(),
+            lambda lam: DensityMatrix(np.diag(lam)).spectrum[0],
+            lambda lam: 1.0 / conjectured_constant(lam),
+        ],
+        ids=["checked_spectrum", "DensityMatrix", "conjectured_constant"],
+    )
+    def test_shared_roundoff_floor(self, smallest):
+        assert smallest([0.5, -5e-13, 0.5 + 5e-13]) == 0.0
+        with pytest.raises(InvalidStateError):
+            smallest([0.5, -2e-12, 0.5 + 2e-12])
 
     def test_matrix_is_write_protected(self):
         rho = DensityMatrix.maximally_mixed(3)
@@ -226,6 +243,12 @@ class TestObservable:
 
         with pytest.raises(NotHermitianError):
             Observable(np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex))
+
+    def test_non_finite_entry_rejected(self):
+        from commutator_bounds import NotHermitianError
+
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            Observable([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_pauli_x_from_bloch(self):
         np.testing.assert_allclose(Observable.from_bloch([1, 0, 0]).matrix, PAULI_X, atol=0)
