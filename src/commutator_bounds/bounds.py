@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
-from .linalg import as_matrix, checked_unit, nonnegative, require_hermitian, require_same_dim
+from .errors import InvalidStateError, NumericalConsistencyError
+from .linalg import (
+    as_matrix,
+    checked_real,
+    checked_unit,
+    nonnegative,
+    require_hermitian,
+    require_same_dim,
+)
 from .states import DensityMatrix, checked_bloch
 
 logger = logging.getLogger(__name__)
@@ -31,30 +38,19 @@ CONJECTURE_SLACK = 1e-9
 #: Relative slack allowed on the proven inequalities before counting a violation.
 HARD_SLACK = 1e-10
 
-#: Largest imaginary residue tolerated on an expectation value.
-EXPECTATION_IMAG_TOL = 1e-10
-
 #: Tolerance for the internal ordering checks of a bound report.
 ORDERING_SLACK = 1e-12
 
 
 def expectation(x, rho) -> float:
-    """<X> = Tr(X rho), required to be real.
-
-    The imaginary part may reach ``EXPECTATION_IMAG_TOL`` times the largest
-    entry of X (at least 1): the trace's round-off grows with the entries, and
-    a Hermitian X with large entries would otherwise be rejected.
+    """<X> = Tr(X rho), required by :func:`linalg.checked_real` to be finite and real
+    at the trace's scale |X|_F |rho|_F.
     """
     xm = as_matrix(x, "X")
     rm = as_matrix(rho, "rho")
     require_same_dim(xm, rm)
-    value = complex(np.einsum("ij,ji->", xm, rm))
-    residue = abs(value.imag) / max(1.0, float(np.abs(xm).max()))
-    if residue > EXPECTATION_IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"expectation has relative imaginary residue {residue:.3e}"
-        )
-    return value.real
+    scale = np.linalg.norm(xm) * np.linalg.norm(rm)
+    return float(checked_real(np.einsum("ij,ji->", xm, rm), scale, "expectation"))
 
 
 def _single(a, b, rho) -> dict[str, float]:
@@ -82,7 +78,7 @@ def variance(x, rho) -> float:
 def skew_information(x, rho) -> float:
     """V(X) - C(X) = Tr(X^2 rho) - Tr(sqrt(rho) X sqrt(rho) X): the quantum part of V(X)."""
     cols = _single(x, x, rho)
-    return float(nonnegative(cols["var_a"] - cols["cu_a"], "skew information"))
+    return float(nonnegative(cols["var_a"] - cols["cu_a"], "skew information", scale=cols["var_a"]))
 
 
 def classical_uncertainty(x, rho) -> float:
@@ -175,21 +171,12 @@ def _abs2(x: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_mean(xt: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
-    """<X> = sum_j lam_j X~_jj per triple, required to be real.
-
-    The imaginary part may reach ``EXPECTATION_IMAG_TOL`` times the root mean
-    square entry of X (at least 1), since the rotation's round-off grows with
-    the entries.  That scale is the same in every basis and never exceeds the
-    largest entry, so whatever :func:`expectation` rejects is rejected here.
+    """<X> = sum_j lam_j X~_jj per triple, required by :func:`linalg.checked_real` to be
+    finite and real at the scale |X~|_F |lam|_2, the same bound as :func:`expectation`'s.
     """
     mean = np.einsum("nj,nj->n", lam, np.einsum("njj->nj", xt))
-    scale = np.maximum(1.0, np.sqrt(_abs2(xt).mean(axis=(1, 2))))
-    residue = float(np.max(np.abs(mean.imag) / scale))
-    if residue > EXPECTATION_IMAG_TOL:
-        raise NumericalConsistencyError(
-            f"expectation of {name} has relative imaginary residue {residue:.3e}"
-        )
-    return mean.real
+    scale = np.sqrt(_abs2(xt).sum(axis=(1, 2)) * np.einsum("nj,nj->n", lam, lam))
+    return checked_real(mean, scale, f"expectation of {name}")
 
 
 def _spread(xt: np.ndarray, lam: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,10 +206,9 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     and robertson <= schrodinger, robertson <= luo_park and bound1 <= bound2
     hold by construction, up to rounding in the last digit, so of the sign
     tests only ``linalg.nonnegative`` on the classical uncertainties is kept.  Two
-    more cases raise :class:`NumericalConsistencyError`: an imaginary part of
-    <A> or <B> beyond ``EXPECTATION_IMAG_TOL`` relative to the root mean
-    square of the entries of A or B (a non-Hermitian input), and any column
-    that is not finite.
+    more cases raise :class:`NumericalConsistencyError`: a non-finite <A> or <B>,
+    or one whose imaginary part is not round-off by ``linalg.checked_real`` (a
+    non-Hermitian input), and any column that is not finite.
     """
     comm = at @ bt
     comm -= comm.conj().swapaxes(1, 2)
@@ -278,7 +264,9 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
     """Vectorized bound evaluation over stacked triples.
 
     ``a`` and ``b`` are (n, d, d) Hermitian arrays and ``rho`` an (n, d, d)
-    array of valid states; validation is the caller's job on this hot path.
+    array of valid states; validation is the caller's job on this hot path,
+    except that a state eigenvalue below the round-off floor raises
+    :class:`InvalidStateError`.
     Returns per-sample arrays for the product, the five bounds, and purity.
     The inputs are never written to, and read-only or broadcast arrays are
     accepted.
@@ -289,7 +277,7 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
     dropped, so a caller keeps (and a worker pickles back) only these seven.
     """
     lam, vecs = np.linalg.eigh(rho)
-    lam = np.clip(lam, 0.0, None)
+    lam = nonnegative(lam, "state eigenvalue", InvalidStateError)
     # Peak memory is set here, at four (n, d, d) arrays besides the inputs:
     # the eigenvectors are conjugated in place and dropped once A, B rotated.
     at = a @ vecs

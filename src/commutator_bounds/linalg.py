@@ -12,23 +12,34 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError, NumericalConsistencyError
 
-#: Absolute Frobenius tolerance for accepting a matrix as Hermitian.
+#: The one round-off tolerance on Hermiticity and imaginary residues, times max(1, scale).
 HERMITICITY_TOL = 1e-10
 
-#: Largest imaginary residue tolerated on analytically-real traces.
-IMAG_RESIDUE_TOL = 1e-9
-
-#: The one round-off floor: nonnegative quantities below it are errors, above it read as 0.
+#: The one round-off floor: nonnegative quantities below it times max(1, scale) are errors.
 ROUNDOFF_FLOOR = -1e-12
 
 
-def nonnegative(x, what: str, error=NumericalConsistencyError):
-    """``x`` clipped at 0; ``error`` naming ``what`` if its minimum is below ``ROUNDOFF_FLOOR``.
+def nonnegative(x, what: str, error=NumericalConsistencyError, scale=1.0):
+    """``x`` clipped at 0; ``error`` naming ``what`` if its minimum is below ``ROUNDOFF_FLOOR``
+    times max(1, ``scale``), the size of the quantity.
     A NaN is not below it and passes through, for the caller's finiteness check."""
     x = np.asarray(x)
-    if x.min() < ROUNDOFF_FLOOR:
+    if x.min(initial=np.inf) < ROUNDOFF_FLOOR * max(1.0, scale):
         raise error(f"{what} is negative: {x.min():.3e}")
     return np.maximum(x, 0.0)
+
+
+def checked_real(value, scale, what: str):
+    """The real part of ``value``, a real trace up to round-off whose Cauchy-Schwarz bound is
+    ``scale`` (both entrywise); NumericalConsistencyError naming ``what`` unless it is finite
+    with an imaginary residue of at most ``HERMITICITY_TOL`` times max(1, ``scale``)."""
+    value = np.asarray(value)
+    if not np.isfinite(value).all():
+        raise NumericalConsistencyError(f"{what} is non-finite")
+    residue = np.max(np.abs(value.imag) / np.maximum(1.0, scale), initial=0.0)
+    if not residue <= HERMITICITY_TOL:
+        raise NumericalConsistencyError(f"{what} has relative imaginary residue {residue:.3e}")
+    return value.real
 
 
 def checked_unit(v, name: str, size: int) -> np.ndarray:
@@ -94,20 +105,19 @@ def weighted_inner_product(a, b, weight) -> complex:
 def weighted_norm_sq(a, weight) -> float:
     """Squared weighted Frobenius semi-norm Tr(A^dag A W).
 
-    The imaginary residue is checked against ``IMAG_RESIDUE_TOL`` and then
-    discarded; the real part goes through :func:`nonnegative`.
+    Goes through :func:`checked_real` and :func:`nonnegative`, both at the scale
+    |A|_F^2 |W|_F that bounds the trace.
     """
-    value = weighted_inner_product(a, a, weight)
-    if not abs(value.imag) <= IMAG_RESIDUE_TOL:
-        raise NumericalConsistencyError(
-            f"weighted norm has imaginary residue {value.imag:.3e} (tol {IMAG_RESIDUE_TOL:.1e})"
-        )
-    return float(nonnegative(value.real, "weighted norm"))
+    am = as_matrix(a, "A")
+    wm = as_matrix(weight, "weight")
+    scale = frobenius_norm_sq(am) * np.linalg.norm(wm)
+    value = checked_real(weighted_inner_product(am, am, wm), scale, "weighted norm")
+    return float(nonnegative(value, "weighted norm", scale=scale))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate finiteness and Hermiticity within ``HERMITICITY_TOL`` (absolute,
-    Frobenius) and symmetrize.
+    """Validate finiteness and Hermiticity within ``HERMITICITY_TOL`` times
+    max(1, |A|_F) (Frobenius) and symmetrize.
 
     Inputs inside tolerance are returned as (A + A^dag)/2 so that round-off
     from upstream arithmetic never leaks into spectral routines.
@@ -116,9 +126,8 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(am).all():
         raise NotHermitianError(f"{name} has a non-finite entry")
     defect = float(np.linalg.norm(am - am.conj().T))
-    if not defect <= HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL * max(1.0, np.linalg.norm(am)):
         raise NotHermitianError(
-            f"{name} deviates from Hermitian by {defect:.3e} (tol {HERMITICITY_TOL:.1e})"
+            f"{name} deviates from Hermitian by {defect:.3e} (relative tol {HERMITICITY_TOL:.1e})"
         )
     return (am + am.conj().T) / 2.0
-

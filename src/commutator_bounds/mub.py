@@ -17,7 +17,7 @@ import numpy as np
 
 from .averages import MCEstimate, checked_purity, sequential_moments
 from .bounds import bound_report
-from .linalg import checked_unit, frozen
+from .linalg import checked_unit, frozen, nonnegative
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
 FIG2_HEADER = "purity,luo_park_mub_avg,bound2_mub_avg"
@@ -140,8 +140,8 @@ def mub_sample_columns(
     factor_a = a_sq @ lams - (a @ lams) ** 2
     diag_b = np.einsum("njj->nj", b_elems).real
     factor_b = np.einsum("j,njk,k->n", sqrt_lam, g, sqrt_lam) - (diag_b @ lams) ** 2
-    np.clip(factor_a, 0.0, None, out=factor_a)
-    np.clip(factor_b, 0.0, None, out=factor_b)
+    factor_a = nonnegative(factor_a, "classical uncertainty")
+    factor_b = nonnegative(factor_b, "classical uncertainty")
 
     return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
 

@@ -27,12 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverError, InvalidStateError, NumericalConsistencyError
-from .linalg import as_matrix, frozen, nonnegative, require_same_dim, weighted_norm_sq
+from .linalg import (
+    as_matrix,
+    frobenius_norm_sq,
+    frozen,
+    nonnegative,
+    require_same_dim,
+    weighted_norm_sq,
+)
 from .states import DensityMatrix, Observable
 
 logger = logging.getLogger(__name__)
 
-#: Seminorms below this make the ratio undefined.
+#: Seminorms at most this times the squared Frobenius norm make the ratio undefined.
 NULL_NORM_TOL = 1e-14
 
 #: Hard ceiling slack for the proven constant.
@@ -57,7 +64,7 @@ def _spectrum_of(rho) -> np.ndarray:
         raise InvalidStateError("spectrum needs at least two eigenvalues")
     if not np.isfinite(lam).all():
         raise InvalidStateError("spectrum has a non-finite entry")
-    return nonnegative(lam, "spectrum entry", InvalidStateError)
+    return nonnegative(lam, "spectrum entry", InvalidStateError, scale=lam[-1])
 
 
 def conjectured_constant(rho) -> float:
@@ -90,14 +97,15 @@ def ratio(a, b, rho) -> float:
     Invariant under nonzero rescaling of either argument.  Shifting an
     argument by a multiple of the identity leaves the numerator unchanged
     but not the denominators, so the full ratio is not shift-invariant.
-    Arguments annihilated by the seminorm are rejected.
+    Arguments annihilated by the seminorm, |A|_rho^2 <= ``NULL_NORM_TOL`` |A|_F^2,
+    are rejected.
     """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
     require_same_dim(am, bm)
     na = weighted_norm_sq(am, rho)
     nb = weighted_norm_sq(bm, rho)
-    if na <= NULL_NORM_TOL or nb <= NULL_NORM_TOL:
+    if not all(n > NULL_NORM_TOL * frobenius_norm_sq(m) for n, m in ((na, am), (nb, bm))):
         raise ValueError("ratio undefined: an argument is annihilated by the seminorm")
     return weighted_norm_sq(am @ bm - bm @ am, rho) / (na * nb)
 

@@ -27,6 +27,7 @@ from commutator_bounds import (
     qubit_bounds_closed_form,
     qubit_closed_form_batch,
     qubit_commutator_norm_identity,
+    ratio,
     sample_density,
     sample_density_batch,
     sample_hermitian,
@@ -103,6 +104,15 @@ class TestExpectationVariance:
         x = sample_hermitian(3, rng).matrix + 1e-6j * np.eye(3)
         with pytest.raises(NumericalConsistencyError, match="imaginary residue"):
             expectation(x, sample_density(3, "hilbert-schmidt", rng))
+
+    @pytest.mark.parametrize(
+        "x, rho",
+        [([[np.nan, 0], [0, 1]], MIXED), (np.eye(2), [[np.nan, 0], [0, 1]])],
+        ids=["X", "rho"],
+    )
+    def test_non_finite_input_raises(self, x, rho):
+        with pytest.raises(NumericalConsistencyError, match="non-finite"):
+            expectation(x, rho)
 
 
 class TestSkewInformation:
@@ -377,6 +387,17 @@ class TestBatchKernel:
         with pytest.raises(NumericalConsistencyError, match="non-finite"):
             batch_bounds(*triple, sample_density_batch(d, n, rng))
 
+    def test_empty_batch(self):
+        empty = np.zeros((0, 2, 2), dtype=complex)
+        cols = batch_bounds(empty, empty, empty)
+        assert sorted(cols) == sorted(COLUMNS)
+        assert all(col.shape == (0,) for col in cols.values())
+
+    def test_negative_state_eigenvalue_raises(self):
+        rho = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(InvalidStateError, match="negative"):
+            batch_bounds(PAULI_X[None], PAULI_Y[None], rho[None])
+
 
 SCALAR_BOUNDS = {
     "robertson": bound_robertson,
@@ -540,6 +561,48 @@ class TestBatchProperties:
         a, b, rho, _ = _random_triples(seed, d)
         shifted = batch_bounds(a + shift * np.eye(d), b, rho)
         _assert_columns_close(shifted, batch_bounds(a, b, rho), 1e-10)
+
+
+def _homogeneous_parts(a, b, rho):
+    """Each scalar function of (A, B, rho) that is homogeneous in A, keyed by name, as
+    (value, degree in A)."""
+    report = bound_report(a, b, rho)
+    parts = {
+        "expectation": (expectation(a, rho), 1),
+        "variance": (variance(a, rho), 2),
+        "skew_information": (skew_information(a, rho), 2),
+        "classical_uncertainty": (classical_uncertainty(a, rho), 2),
+        "weighted_norm_sq": (weighted_norm_sq(a, rho), 2),
+        "ratio": (ratio(a, b, rho), 0),
+    }
+    parts.update({name: (getattr(report, name), 2) for name in COLUMNS if name != "purity"})
+    return parts
+
+
+class TestScalarScaling:
+    # A = U diag U^dag is Hermitian only up to round-off, which grows with its scale;
+    # with U the eigenvectors of rho, A commutes with rho and its skew information is 0.
+    @PROPERTY_SETTINGS
+    @given(
+        seed=SEEDS,
+        d=DIMS,
+        log_s=st.floats(min_value=-6.0, max_value=8.0),
+        commuting=st.booleans(),
+    )
+    @example(seed=SEED, d=4, log_s=8.0, commuting=False)
+    @example(seed=SEED, d=4, log_s=4.0, commuting=True)
+    @example(seed=SEED, d=2, log_s=-6.0, commuting=False)
+    def test_degree_in_a(self, seed, d, log_s, commuting):
+        rng = np.random.default_rng(seed)
+        rho = sample_density(d, "hilbert-schmidt", rng)
+        u = rho.eigenvectors if commuting else sample_unitary(d, rng)
+        a = (u * rng.standard_normal(d)) @ u.conj().T
+        b = sample_hermitian(d, rng)
+        s = 10.0**log_s
+        base = _homogeneous_parts(a, b, rho)
+        for name, (value, degree) in _homogeneous_parts(s * a, b, rho).items():
+            want = s**degree * base[name][0]
+            assert value == pytest.approx(want, rel=1e-9, abs=1e-9 * s**degree), name
 
 
 class TestQubitClosedForm:

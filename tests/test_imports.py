@@ -1,8 +1,9 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
 is used, scipy stays off the import path of everything but the optimizer, and the
-round-off floor is defined in ``linalg`` alone."""
+round-off floor and any imaginary-residue tolerance are defined in ``linalg`` alone."""
 
 import ast
+import fnmatch
 import json
 import os
 import subprocess
@@ -170,3 +171,25 @@ def test_round_off_floor_is_written_once(path):
 def test_floor_check_sees_each_kind():
     source = "A_FLOOR = -1e-12\nb = 1e-12\nc = x - 1e-12\nd = -1e-12\nfor E_FLOOR in (): pass\n"
     assert floor_copies(source) == ["A_FLOOR", "-1e-12", "-1e-12", "E_FLOOR"]
+
+
+def imaginary_residue_tolerances(source: str) -> list[str]:
+    """Each ``*IMAG*_TOL`` name that ``source`` assigns."""
+    return [
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name)
+        and isinstance(node.ctx, ast.Store)
+        and fnmatch.fnmatchcase(node.id, "*IMAG*_TOL")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_imaginary_residue_tolerance_lives_in_linalg(path):
+    source = (SRC / "commutator_bounds" / path).read_text(encoding="utf-8")
+    assert path == "linalg.py" or imaginary_residue_tolerances(source) == []
+
+
+def test_imaginary_residue_tolerance_check_sees_each_kind():
+    source = "A_IMAG_TOL = 1\nIMAG_B_TOL = 2\nIMAGE = 3\nC_TOL = 4\nfor IMAG_TOL in (): pass\n"
+    assert imaginary_residue_tolerances(source) == ["A_IMAG_TOL", "IMAG_B_TOL", "IMAG_TOL"]

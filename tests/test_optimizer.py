@@ -195,6 +195,8 @@ class TestRatio:
         base = ratio(a, b, rho)
         assert ratio(2.5 * a, b, rho) == pytest.approx(base, rel=1e-12)
         assert ratio(a, -0.3j * b, rho) == pytest.approx(base, rel=1e-12)
+        for s in (1e-9, 1e4, 1e8):
+            assert ratio(s * a, b, rho) == pytest.approx(base, rel=1e-12)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(SEED + 4)
