@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commutator_bounds import (
+    BOUND_NAMES,
     DensityMatrix,
     InvalidStateError,
     NotHermitianError,
@@ -266,7 +267,7 @@ class TestBoundReport:
         # bound2 lies `excess` slacks above the product: inside the slack, then beyond it
         from commutator_bounds import bounds
 
-        b2 = product + excess * bounds.CONJECTURE_SLACK * max(1.0, product)
+        b2 = product + excess * bounds.CONJECTURE_SLACK * product
         cols = dict.fromkeys(("robertson", "schrodinger", "luo_park", "bound1"), 0.0)
         cols.update(product=product, bound2=b2, purity=0.5)
         monkeypatch.setattr(bounds, "_single", lambda a, b, rho: dict(cols))
@@ -282,6 +283,53 @@ class TestBoundReport:
         assert ("conjectured inequality violated" in caplog.text) is violated
         closed = qubit_bounds_closed_form([1, 0, 0], [0, 1, 0], [0, 0, 0])
         assert closed.conjecture_ok is not violated
+
+    def test_closed_form_logs_a_violated_conjecture(self, monkeypatch, caplog):
+        from commutator_bounds import bounds
+
+        cols = dict.fromkeys(("robertson", "schrodinger", "luo_park", "bound1"), 0.0)
+        cols.update(product=0.25, bound2=0.5, purity=0.5)
+        monkeypatch.setattr(
+            bounds, "qubit_closed_form_batch",
+            lambda a, b, c: {name: np.array([value]) for name, value in cols.items()},
+        )
+        with caplog.at_level("WARNING", logger="commutator_bounds.bounds"):
+            rep = qubit_bounds_closed_form([1, 0, 0], [0, 1, 0], [0, 0, 0])
+        assert not rep.conjecture_ok
+        assert "conjectured inequality violated" in caplog.text
+
+
+def _verdict_row(product, hard, conjectured):
+    """One masks row: the four proven bounds ``hard`` and ``bound2`` ``conjectured``."""
+    row = {name: np.array([hard]) for name in BOUND_NAMES}
+    row.update(product=np.array([product]), bound2=np.array([conjectured]))
+    return row
+
+
+class TestViolationVerdict:
+    def test_small_scale_violation_flags_every_bound(self):
+        # each bound is 100x the product; an absolute slack of 1e-9 would hide all five
+        masks = violation_masks(_verdict_row(1e-12, 1e-10, 1e-10))
+        assert {name: bool(mask[0]) for name, mask in masks.items()} == dict.fromkeys(
+            BOUND_NAMES, True
+        )
+
+    @settings(max_examples=50, deadline=None)
+    @given(log_p=st.floats(min_value=-12.0, max_value=12.0), slacks=st.sampled_from([0.5, 2.0]))
+    @example(log_p=-12.0, slacks=2.0)
+    @example(log_p=12.0, slacks=0.5)
+    def test_verdict_is_relative_at_every_scale(self, log_p, slacks):
+        # `slacks` slacks above the product: relative to the bound for the proven four,
+        # to the product for bound2
+        from commutator_bounds import bounds
+
+        p = 10.0**log_p
+        hard = p / (1.0 - slacks * bounds.HARD_SLACK)
+        conjectured = p * (1.0 + slacks * bounds.CONJECTURE_SLACK)
+        masks = violation_masks(_verdict_row(p, hard, conjectured))
+        assert {name: bool(mask[0]) for name, mask in masks.items()} == dict.fromkeys(
+            BOUND_NAMES, slacks > 1.0
+        )
 
 
 def reference_batch_bounds(a, b, rho):
@@ -457,7 +505,7 @@ class TestScalarMatchesReference:
 
 
 def _call(fn, a, b, rho):
-    if fn in (variance, skew_information, classical_uncertainty):
+    if fn in (expectation, variance, skew_information, classical_uncertainty):
         return fn(a, rho)
     return fn(a, b, rho)
 
@@ -500,7 +548,7 @@ class TestScalarStateChecks:
     B = sample_hermitian(3, np.random.default_rng(SEED + 82)).matrix
 
     @pytest.mark.parametrize("case", sorted(INVALID_STATES))
-    @pytest.mark.parametrize("fn", SCALAR_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("fn", [*SCALAR_FUNCTIONS, expectation], ids=lambda fn: fn.__name__)
     def test_invalid_raw_state_raises(self, fn, case):
         with pytest.raises(InvalidStateError):
             _call(fn, self.A, self.B, INVALID_STATES[case])
@@ -561,6 +609,28 @@ class TestBatchProperties:
         a, b, rho, _ = _random_triples(seed, d)
         shifted = batch_bounds(a + shift * np.eye(d), b, rho)
         _assert_columns_close(shifted, batch_bounds(a, b, rho), 1e-10)
+
+
+class TestKernelOrderings:
+    """What the kernel guarantees by construction, so checks nothing: the Schrodinger and
+    Luo-Park bounds add a nonnegative term to Robertson's, bound1's prefactor is at most
+    bound2's, and classical uncertainties are sums of nonnegative terms."""
+
+    @PROPERTY_SETTINGS
+    @given(seed=SEEDS, d=DIMS, log_s=st.floats(min_value=-6.0, max_value=8.0))
+    @example(seed=SEED, d=4, log_s=8.0)
+    @example(seed=SEED, d=2, log_s=-6.0)
+    def test_orderings_hold_at_every_scale(self, seed, d, log_s):
+        a, b, rho, _ = _random_triples(seed, d)
+        rho[0] = np.eye(d) / d  # maximally mixed: bound1 equals bound2
+        a *= 10.0**log_s
+        cols = batch_bounds(a, b, rho)
+        assert (cols["schrodinger"] >= cols["robertson"]).all()
+        assert (cols["luo_park"] >= cols["robertson"]).all()
+        assert (cols["bound1"] <= cols["bound2"] * (1.0 + 4.0 * np.finfo(float).eps)).all()
+        for i in range(len(rho)):
+            assert classical_uncertainty(a[i], rho[i]) >= 0.0
+            assert classical_uncertainty(b[i], rho[i]) >= 0.0
 
 
 def _homogeneous_parts(a, b, rho):

@@ -1,6 +1,7 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
-is used, scipy stays off the import path of everything but the optimizer, and the
-round-off floor and any imaginary-residue tolerance are defined in ``linalg`` alone."""
+is used, every constant and private function or class in the package is read, scipy
+stays off the import path of everything but the optimizer, and the round-off floor and
+any imaginary-residue tolerance are defined in ``linalg`` alone."""
 
 import ast
 import fnmatch
@@ -143,6 +144,53 @@ def test_unused_import_check_sees_each_kind():
         "def k(x: 'g') -> 'list[h]':\n    return x\n"
     )
     assert unused_imports(source) == ["b", "d", "js", "os"]
+
+
+def unread_names(sources: list[str]) -> list[str]:
+    """The module-level upper-case constants and the ``_private`` functions and classes
+    that ``sources`` define and none of them reads.
+
+    A read is a loaded ``Name``, an attribute, or a name imported from a module.
+    """
+    defined = set()
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            defined.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(defined - read)
+
+
+def test_every_constant_and_private_name_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in (SRC / "commutator_bounds").glob("*.py")]
+    assert unread_names(sources) == []
+
+
+def test_unread_name_check_sees_each_kind():
+    sources = [
+        "A_TOL = 1\nB_TOL: float = 2\nC_TOL = 3\nlower = 4\n_D = 5\n"
+        "def _f():\n    return A_TOL\n"
+        "def _g():\n    pass\nclass _H:\n    def _m(self):\n        pass\n"
+        "    def __init__(self):\n        pass\n",
+        "from a import C_TOL, _f\nx = obj._g\n",
+    ]
+    assert unread_names(sources) == ["B_TOL", "_D", "_H", "_m"]
 
 
 def floor_copies(source: str) -> list[str]:
