@@ -5,7 +5,7 @@ eigenbasis of each state, where every nonnegative quantity is a sum of
 squared entry magnitudes with nonnegative weights, so round-off cannot
 manufacture sign violations.  :func:`batch_bounds` runs it over large
 corpora; the scalar functions validate one (A, B, rho) triple and read a
-single row of it.
+single row of it; the MUB path feeds its reductions the tables of its pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericalConsistencyError
+from .errors import DimensionMismatchError, InvalidStateError, NumericalConsistencyError
 from .linalg import (
     as_matrix,
     checked_real,
@@ -176,10 +176,16 @@ def _diagonal_mean(xt: np.ndarray, lam: np.ndarray, name: str) -> np.ndarray:
     return checked_real(mean, scale, f"expectation of {name}")
 
 
-def _spread(xt: np.ndarray, lam: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V(X) = sum_jk lam_j |X~'_jk|^2 and C(X) = sum_jk root_j root_k |X~'_jk|^2."""
-    weights = _abs2(xt)
-    return np.einsum("nj,njk->n", lam, weights), np.einsum("nj,njk,nk->n", root, weights, root)
+def _weighted_sum(weights: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """|X|_rho^2 = sum_jk lam_k w_jk from the table w_jk = |X~_jk|^2, per triple."""
+    return np.einsum("...jk,...k->...", weights, lam)
+
+
+def _spread(w: np.ndarray, lam: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V(X) = |X'|_rho^2 and C(X) = sum_jk root_j root_k w_jk from the symmetric table
+    w_jk = |X~'_jk|^2 of a centered X'.  V reads the table transposed, so it keeps the
+    summation order of sum_jk lam_j w_jk and the last bits of every pinned output."""
+    return _weighted_sum(w.swapaxes(-1, -2), lam), np.einsum("...j,...jk,...k->...", root, w, root)
 
 
 def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
@@ -199,6 +205,8 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     * |[A,B]|_rho^2 = sum_jk lam_k |C_jk|^2 with C = A~B~ - (A~B~)^dag,
       taken before centering since the commutator ignores identity shifts.
 
+    :func:`_weighted_sum` and :func:`_spread` sum the tables, for the MUB path too.
+
     With lam >= 0, the variances and classical uncertainties are sums of
     nonnegative terms, robertson <= schrodinger and robertson <= luo_park add
     a nonnegative term to robertson, and bound1 <= bound2 is the ordering of
@@ -206,11 +214,14 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     so none of these is checked.  Two cases raise
     :class:`NumericalConsistencyError`: a non-finite <A> or <B>, or one whose
     imaginary part is not round-off by ``linalg.checked_real`` (a non-Hermitian
-    input), and any column that is not finite.
+    input), and any column that is not finite; a state of dimension below 2,
+    which has no lam_2, raises :class:`DimensionMismatchError`.
     """
+    if lam.shape[1] < 2:
+        raise DimensionMismatchError(f"state dimension must be >= 2, got {lam.shape[1]}")
     comm = at @ bt
     comm -= comm.conj().swapaxes(1, 2)
-    comm_norm = np.einsum("njk,nk->n", _abs2(comm), lam)
+    comm_norm = _weighted_sum(_abs2(comm), lam)
 
     diag = np.arange(lam.shape[1])
     mean_a = _diagonal_mean(at, lam, "A")
@@ -223,8 +234,8 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     schrodinger = robertson + cross.real**2
 
     root = np.sqrt(lam)
-    var_a, cu_a = _spread(at, lam, root)
-    var_b, cu_b = _spread(bt, lam, root)
+    var_a, cu_a = _spread(_abs2(at), lam, root)
+    var_b, cu_b = _spread(_abs2(bt), lam, root)
 
     lam_m = lam[:, 0]
     lam_sm = lam[:, 1]

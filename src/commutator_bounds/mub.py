@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from .averages import MCEstimate, checked_purity, sequential_moments
-from .bounds import bound_report
-from .linalg import checked_unit, frozen, nonnegative
+from .bounds import _spread, _weighted_sum, bound_report
+from .linalg import checked_unit, frozen
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
 FIG2_HEADER = "purity,luo_park_mub_avg,bound2_mub_avg"
@@ -115,34 +115,35 @@ def fourier_mub_pair(dim, spectrum_a, spectrum_b) -> MUBPair:
 def mub_sample_columns(
     phases: np.ndarray, lams: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Per-sample phase-sum evaluation for batches of spectra ``a``, ``b`` (rows).
+    """Per-sample bound-kernel columns for batches of spectra ``a``, ``b`` (rows).
 
     Columns: weighted squared commutator norm, Luo-Park second term, and its
-    two classical factors.  Works entirely through the overlap phases, never
-    building the d x d observables.
+    two classical factors.  In the diagonal state's eigenbasis A~ = diag(a) and
+    B~ = U diag(b) U^dag, u_jl = <j|b_l>; b and the table u_jl conj(u_kl) give the
+    |B~'_jk|^2 tables, and the bound kernel's reductions sum them into nonnegative columns.
     """
     d = phases.shape[0]
-    # off-diagonal matrix elements of B in the computational basis
-    u = _overlaps(phases)  # u[j, l] = <j|b_l>
-    b_elems = np.einsum("nl,jl,kl->njk", b.astype(complex), u, u.conj())
-    g = np.abs(b_elems) ** 2  # |<j|B|k>|^2
+    u = _overlaps(phases).T[:, :, None]  # u[l, j, 0] = <j|b_l>
+    ut = u.swapaxes(1, 2)
+    # B~_jk = sum_l b_l u_jl conj(u_kl), one real product for each part; the imaginary
+    # part of u_jl conj(u_jl) is written as y x - x y, so B~_jj is exactly real
+    weights = b @ (u.real * ut.real + u.imag * ut.imag).reshape(d, d * d)
+    diag = weights[:, :: d + 1]
+    diag -= (diag @ lams)[:, None]  # centering B moves only the diagonal
+    np.square(weights, out=weights)
+    imag = b @ (u.imag * ut.real - u.real * ut.imag).reshape(d, d * d)
+    weights += np.square(imag, out=imag)
+    del imag  # peak memory: at most two (n, d^2) tables at once
+    weights = weights.reshape(-1, d, d)
 
-    a_sq = a**2
-    sqrt_lam = np.sqrt(lams)
-
-    # |[A,B]|_rho^2 = sum_jk lam_k a_j (a_j - 2 a_k) |<j|B|k>|^2 + sum_j lam_j a_j^2 <j|B^2|j>
-    term1 = np.einsum("nj,njk,k->n", a_sq, g, lams) - 2.0 * np.einsum(
-        "nj,njk,nk,k->n", a, g, a, lams
-    )
-    term2 = (a_sq @ lams) * np.einsum("nl,nl->n", b, b) / d
-    comm_norm = term1 + term2
-
-    factor_a = a_sq @ lams - (a @ lams) ** 2
-    diag_b = np.einsum("njj->nj", b_elems).real
-    factor_b = np.einsum("j,njk,k->n", sqrt_lam, g, sqrt_lam) - (diag_b @ lams) ** 2
-    factor_a = nonnegative(factor_a, "classical uncertainty")
-    factor_b = nonnegative(factor_b, "classical uncertainty")
-
+    # A commutes with rho, so V(A) = C(A), and the table of the diagonal A~' is one row
+    centered_a = a - (a @ lams)[:, None]
+    factor_a = _weighted_sum(np.square(centered_a)[:, None, :], lams)
+    _, factor_b = _spread(weights, lams, np.sqrt(lams))
+    # |[A,B]~_jk|^2 = (a_j - a_k)^2 |B~_jk|^2: centering moved only the diagonal, where a_j = a_k
+    gaps = a[:, :, None] - a[:, None, :]
+    weights *= np.square(gaps, out=gaps)
+    comm_norm = _weighted_sum(weights, lams)
     return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
 
 
@@ -157,7 +158,7 @@ def mub_samples(
 
 
 def mub_commutator_norm(pair: MUBPair, lams) -> float:
-    """State-weighted squared commutator norm via the double phase sum.
+    """State-weighted squared commutator norm, the first of :func:`mub_sample_columns`.
 
     Agrees with the matrix path (building both observables and the diagonal
     state explicitly) within 1e-9; ``lams`` is a state spectrum of the pair's dimension.

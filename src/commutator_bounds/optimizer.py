@@ -57,11 +57,14 @@ CONSISTENCY_SLACK = 1e-10
 
 
 def _spectrum_of(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return np.asarray(rho.spectrum, dtype=float)
-    lam = np.sort(np.asarray(rho, dtype=float).ravel())
+    """The spectrum of a :class:`DensityMatrix`, or a raw spectrum sorted and checked;
+    InvalidStateError unless it has at least two eigenvalues."""
+    state = isinstance(rho, DensityMatrix)
+    lam = rho.spectrum if state else np.sort(np.asarray(rho, dtype=float).ravel())
     if lam.size < 2:
         raise InvalidStateError("spectrum needs at least two eigenvalues")
+    if state:
+        return lam
     if not np.isfinite(lam).all():
         raise InvalidStateError("spectrum has a non-finite entry")
     return nonnegative(lam, "spectrum entry", InvalidStateError, scale=lam[-1])
@@ -119,7 +122,7 @@ def equality_witness(rho: DensityMatrix) -> tuple[Observable, Observable]:
     and |B|_rho^2 = lam1 + lam2, hence R = (lam1 + lam2)/(lam1 lam2).
     Undefined for rank-deficient states.
     """
-    lam = rho.spectrum
+    lam = _spectrum_of(rho)
     if float(lam[0]) <= 0.0:
         raise InvalidStateError("equality witness undefined for rank-deficient states")
     v1 = rho.eigenvectors[:, 0]
@@ -358,7 +361,7 @@ def maximize_ratio(
     """
     if mode not in ("hermitian", "complex"):
         raise ValueError(f"mode must be 'hermitian' or 'complex', got {mode!r}")
-    if float(rho.spectrum[0]) <= 0.0:
+    if float(_spectrum_of(rho)[0]) <= 0.0:
         raise InvalidStateError("ratio is unbounded for rank-deficient states")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from commutator_bounds import (
     BOUND_NAMES,
     DensityMatrix,
+    DimensionMismatchError,
     InvalidStateError,
     NotHermitianError,
     NumericalConsistencyError,
@@ -559,6 +560,18 @@ class TestScalarStateChecks:
         rho = sample_density(3, "hilbert-schmidt", np.random.default_rng(SEED + 84))
         with pytest.raises(NotHermitianError):
             _call(fn, INVALID_OBSERVABLES[case], self.B, rho)
+
+    @pytest.mark.parametrize(
+        "fn", [*SCALAR_FUNCTIONS, batch_bounds], ids=lambda fn: fn.__name__
+    )
+    def test_one_level_state_raises(self, fn):
+        # the kernel reads lambda_2; expectation and ratio stay defined at d = 1
+        x = np.array([[2.0 + 0j]])
+        args = (x[None], x[None], x[None] / 2.0) if fn is batch_bounds else (x, x, x / 2.0)
+        with pytest.raises(DimensionMismatchError, match="dimension must be >= 2"):
+            _call(fn, *args)
+        assert expectation(x, x / 2.0) == 2.0
+        assert ratio(x, x, x / 2.0) == 0.0
 
     @pytest.mark.parametrize("fn", SCALAR_FUNCTIONS, ids=lambda fn: fn.__name__)
     def test_raw_state_equals_density_matrix(self, fn):

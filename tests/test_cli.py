@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from commutator_bounds import FIG1_HEADER, FIG2_HEADER, averaged_bounds_qubit
-from commutator_bounds.cli import _compare_lines, build_parser, main
+from commutator_bounds import FIG1_HEADER, FIG2_HEADER, averaged_bounds_qubit, fourier_phases
+from commutator_bounds.cli import _compare_lines, _mub_samples, build_parser, main
+from commutator_bounds.mub import mub_samples
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -324,6 +325,15 @@ class TestMCAverage:
         two = run_cli(*base, "--workers", "2", cwd=tmp_path)
         assert ok_stdout(one) == ok_stdout(two)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mub_sampler_copy_matches_library(self, d):
+        # cli copies mub.mub_samples so that perfbench's traced run, which wraps cli's
+        # names, sees the sampler and the columns; the copy must not drift from it
+        lams = np.random.default_rng(d).dirichlet(np.ones(d))
+        got = _mub_samples(d, lams, 1000, np.random.default_rng(d + 10))
+        want = mub_samples(fourier_phases(d), lams, 1000, np.random.default_rng(d + 10))
+        assert got.tobytes() == want.tobytes()
+
 
 class TestVerifyConjecture:
     def test_small_campaign_converges(self, tmp_path):
@@ -413,7 +423,8 @@ class TestMubAverage:
         assert rows["schrodinger_mub"]["value"] < 1e-10
 
     # sha256 of stdout, recorded from mub-average's former CSV/JSON writer before it
-    # moved onto the shared row writer, which must reproduce it byte for byte
+    # moved onto the shared row writer, which must reproduce it byte for byte; d3-mc-csv
+    # re-recorded when the MUB sample columns moved onto the bound kernel's reductions
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -427,7 +438,7 @@ class TestMubAverage:
             ),
             (
                 ("--dim", "3", "--samples", "20000", "--seed", "42", "--format", "csv"),
-                "e09fb8787feb1a7cf0b2d9d5f09b64de449ae547619f9510230862d273a62830",
+                "6500203ad9b4a2ff52e98659e6b44f6e1a0bc907d3eb00549b7d0ba60d0f5400",
             ),
         ],
         ids=["d4-csv", "d4-json", "d3-mc-csv"],
@@ -612,10 +623,12 @@ class TestParser:
 class TestChunkedGoldenBytes:
     """sha256 of stdout for chunked Monte Carlo and compare runs.
 
-    Recorded before the sampling loops were folded into one chunk plan, and the
+    Recorded before the sampling loops were folded into one chunk plan, the
     compare-d2 and compare-d16 digests before compare's lines were formatted in
-    the workers; every sample count leaves a ragged last batch, and the worker
-    count must not change a byte.
+    the workers, and the mub-d4 and mub-d3-spectrum digests when the MUB sample
+    columns moved onto the bound kernel's reductions, which sum in another
+    order (means moved by at most 2 ulp); every sample count leaves a ragged
+    last batch, and the worker count must not change a byte.
     """
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -633,12 +646,12 @@ class TestChunkedGoldenBytes:
             ),
             (
                 ("mc-average", "--mub", "--dim", "4", "--samples", "300000", "--seed", "101"),
-                "e6feade731d99db98874cb67d5e031289e47af0b76ef3dec6ff3a7358f5fbb96",
+                "ad01a43e92dc3daa5185fe04fe0a9ff1505d0cb4ba345686363812fc844c4223",
             ),
             (
                 ("mc-average", "--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5",
                  "--samples", "70000", "--seed", "3"),
-                "723d9a7eb483c6d2f46eaf20719d6c0d53d0211dd4a32b609f8daea44d7afafb",
+                "b6fdb973262377d0f832cff0afb6546e704a30815fd3805c3b24b1b433d78ffc",
             ),
             (
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),

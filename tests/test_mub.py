@@ -27,6 +27,7 @@ from commutator_bounds import (
     variance,
     weighted_norm_sq,
 )
+from commutator_bounds.linalg import nonnegative
 
 SEED = 20240905
 
@@ -227,6 +228,76 @@ NON_FOURIER_TABLES = {
 }
 
 
+def reference_mub_sample_columns(phases, lams, a, b):
+    """The phase-sum formulas that gave :func:`mub_sample_columns` before it used the bound
+    kernel's reductions: differences of sums, two of them clamped at 0."""
+    d = phases.shape[0]
+    u = np.exp(1j * phases) / np.sqrt(d)  # u[j, l] = <j|b_l>
+    b_elems = np.einsum("nl,jl,kl->njk", b.astype(complex), u, u.conj())
+    g = np.abs(b_elems) ** 2  # |<j|B|k>|^2
+    a_sq = a**2
+    sqrt_lam = np.sqrt(lams)
+    # |[A,B]|_rho^2 = sum_jk lam_k a_j (a_j - 2 a_k) |<j|B|k>|^2 + sum_j lam_j a_j^2 <j|B^2|j>
+    term1 = np.einsum("nj,njk,k->n", a_sq, g, lams) - 2.0 * np.einsum(
+        "nj,njk,nk,k->n", a, g, a, lams
+    )
+    term2 = (a_sq @ lams) * np.einsum("nl,nl->n", b, b) / d
+    comm_norm = term1 + term2
+    factor_a = a_sq @ lams - (a @ lams) ** 2
+    diag_b = np.einsum("njj->nj", b_elems).real
+    factor_b = np.einsum("j,njk,k->n", sqrt_lam, g, sqrt_lam) - (diag_b @ lams) ** 2
+    factor_a = nonnegative(factor_a, "classical uncertainty")
+    factor_b = nonnegative(factor_b, "classical uncertainty")
+    return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
+
+
+class TestSampleColumnsReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=2, max_value=16),
+        f4=st.booleans(),
+        zeros=st.integers(min_value=0, max_value=2),
+    )
+    @example(seed=SEED, d=16, f4=False, zeros=2)
+    @example(seed=SEED, d=4, f4=True, zeros=1)
+    def test_columns_match_former_formulas(self, seed, d, f4, zeros):
+        rng = np.random.default_rng(seed)
+        if f4:
+            d = 4
+            phases = f4_phases(rng.uniform(0.0, 2.0 * np.pi))
+        else:
+            phases = fourier_phases(d)
+        lam = rng.dirichlet(np.ones(d))
+        lam[rng.choice(d, min(zeros, d - 1), replace=False)] = 0.0
+        lam /= lam.sum()
+        a = sample_unit_vectors(d, 16, rng)
+        b = sample_unit_vectors(d, 16, rng)
+        cols = mub_sample_columns(phases, lam, a, b)
+        want = reference_mub_sample_columns(phases, lam, a, b)
+        # the former formulas subtract sums of size up to 1 for unit spectra, so near a pure
+        # state their round-off is 1e-16, however small the column: hence max(1, column max)
+        assert np.all(np.abs(cols - want) <= 1e-14 * np.maximum(np.abs(want).max(axis=0), 1.0))
+        assert np.all(cols >= 0.0)
+
+    @pytest.mark.parametrize(
+        "d, lam, a, b",
+        [
+            (3, np.full(3, 1 / 3), np.full(3, 1 / np.sqrt(3)), np.full(3, 1 / np.sqrt(3))),
+            (4, np.full(4, 1 / 4), np.full(4, 1 / 2), np.array([0.0, 0.6, 0.0, 0.8])),
+            (4, np.array([0.0, 0.0, 0.5, 0.5]), np.array([0.0, 0.6, 0.0, 0.8]), np.full(4, 1 / 2)),
+            (2, np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([0.6, 0.8])),
+        ],
+        ids=["a-proportional-to-identity-d3", "a-proportional-to-identity-d4", "rank-2-d4",
+             "pure-d2"],
+    )
+    def test_columns_are_nonnegative(self, d, lam, a, b):
+        # a commuting pair has a zero commutator norm, which differences of sums can
+        # leave at -5.55e-17; a sum of nonnegative terms cannot
+        cols = mub_sample_columns(fourier_phases(d), lam, a[None, :], b[None, :])
+        assert np.all(cols >= 0.0)
+
+
 @pytest.mark.parametrize("name", sorted(NON_FOURIER_TABLES))
 class TestNonFourierPhaseTable:
     def test_columns_match_matrix_path(self, name):
@@ -315,11 +386,20 @@ class TestMonteCarlo:
             for e in (result.comm_norm, result.lp_term, result.lp_factor_a, result.lp_factor_b)
         ]
         assert got == [
-            (0.09371291669845264, 0.00013396534734318706, 150_003),
-            (0.030356617718456144, 4.4074995883976174e-05, 150_003),
-            (0.17479796079806698, 0.00019351719071986572, 150_003),
-            (0.17358449846988733, 0.00014956498635091626, 150_003),
+            (0.09371291669845264, 0.00013396534734318698, 150_003),
+            (0.030356617718456144, 4.407499588397619e-05, 150_003),
+            (0.17479796079806695, 0.0001935171907198658, 150_003),
+            (0.17358449846988733, 0.00014956498635091612, 150_003),
         ]
+        # the values of the former phase-sum formulas, which summed in another order
+        former = [
+            (0.09371291669845264, 0.00013396534734318706),
+            (0.030356617718456144, 4.4074995883976174e-05),
+            (0.17479796079806698, 0.00019351719071986572),
+            (0.17358449846988733, 0.00014956498635091626),
+        ]
+        for (mean, std_error, _), want in zip(got, former):
+            np.testing.assert_allclose((mean, std_error), want, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize(
         "lams", [[-0.5, 1.5], [0.7, 0.7], [np.nan, 1.0]], ids=["negative", "trace", "nan"]

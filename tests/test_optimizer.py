@@ -108,6 +108,16 @@ class TestConstants:
             with pytest.raises(InvalidStateError, match="non-finite"):
                 constant(lam)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [conjectured_constant, loose_constant, equality_witness, maximize_ratio],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_one_level_state_rejected(self, fn):
+        # the rule for raw spectra holds for a DensityMatrix too
+        with pytest.raises(InvalidStateError, match="spectrum needs at least two eigenvalues"):
+            fn(DensityMatrix(np.array([[1.0 + 0j]])))
+
     def test_loose_never_below_conjectured(self):
         rng = np.random.default_rng(SEED)
         for _ in range(200):
