@@ -20,6 +20,7 @@ import numpy as np
 
 from ._parallel import pairwise_reduce
 from .bounds import BOUND_NAMES, qubit_closed_form_batch
+from .linalg import checked_dim
 from .states import sample_unit_vectors
 
 FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
@@ -199,8 +200,7 @@ def sphere_moment_check(dim: int, samples: int, rng: np.random.Generator) -> Mom
     The exact second moments are delta_jk / dim; each row of outer products
     sums to 1 exactly sample by sample.
     """
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
+    checked_dim(dim)
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
 

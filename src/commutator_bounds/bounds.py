@@ -15,16 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStateError, NumericalConsistencyError
+from .errors import InvalidStateError, NumericalConsistencyError
 from .linalg import (
     as_matrix,
+    checked_dim,
     checked_real,
     checked_unit,
     nonnegative,
     require_hermitian,
     require_same_dim,
 )
-from .states import DensityMatrix, checked_bloch
+from .states import as_state, checked_bloch
 
 logger = logging.getLogger(__name__)
 
@@ -51,8 +52,8 @@ def expectation(x, rho) -> float:
     rm = as_matrix(rho, "rho")
     require_same_dim(xm, rm)
     trace = np.einsum("ij,ji->", xm, rm)
-    if np.isfinite(trace) and not isinstance(rho, DensityMatrix):
-        DensityMatrix(rm)
+    if np.isfinite(trace):
+        as_state(rho)
     scale = np.linalg.norm(xm) * np.linalg.norm(rm)
     return float(checked_real(trace, scale, "expectation"))
 
@@ -60,12 +61,12 @@ def expectation(x, rho) -> float:
 def _single(a, b, rho) -> dict[str, float]:
     """Every kernel column for one triple, after the scalar path's input checks.
 
-    A and B must pass ``require_hermitian``, and a raw-array ``rho`` is validated
-    as a :class:`DensityMatrix`, whose spectrum and eigenvectors are the eigenbasis.
+    A and B must pass ``require_hermitian``, and ``rho`` goes through :func:`states.as_state`,
+    whose spectrum and eigenvectors are the eigenbasis.
     """
     am = require_hermitian(a, "A")
     bm = require_hermitian(b, "B")
-    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+    state = as_state(rho)
     require_same_dim(am, bm)
     require_same_dim(am, state.matrix)
     vecs = state.eigenvectors
@@ -181,11 +182,9 @@ def _weighted_sum(weights: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.einsum("...jk,...k->...", weights, lam)
 
 
-def _spread(w: np.ndarray, lam: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V(X) = |X'|_rho^2 and C(X) = sum_jk root_j root_k w_jk from the symmetric table
-    w_jk = |X~'_jk|^2 of a centered X'.  V reads the table transposed, so it keeps the
-    summation order of sum_jk lam_j w_jk and the last bits of every pinned output."""
-    return _weighted_sum(w.swapaxes(-1, -2), lam), np.einsum("...j,...jk,...k->...", root, w, root)
+def _root_weighted_sum(w: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """C(X) = sum_jk root_j root_k w_jk from the table w_jk = |X~'_jk|^2 of a centered X'."""
+    return np.einsum("...j,...jk,...k->...", root, w, root)
 
 
 def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
@@ -205,7 +204,7 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     * |[A,B]|_rho^2 = sum_jk lam_k |C_jk|^2 with C = A~B~ - (A~B~)^dag,
       taken before centering since the commutator ignores identity shifts.
 
-    :func:`_weighted_sum` and :func:`_spread` sum the tables, for the MUB path too.
+    :func:`_weighted_sum` and :func:`_root_weighted_sum` sum the tables, for the MUB path too.
 
     With lam >= 0, the variances and classical uncertainties are sums of
     nonnegative terms, robertson <= schrodinger and robertson <= luo_park add
@@ -215,10 +214,9 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     :class:`NumericalConsistencyError`: a non-finite <A> or <B>, or one whose
     imaginary part is not round-off by ``linalg.checked_real`` (a non-Hermitian
     input), and any column that is not finite; a state of dimension below 2,
-    which has no lam_2, raises :class:`DimensionMismatchError`.
+    which has no lam_2, raises :class:`DimensionMismatchError` by ``linalg.checked_dim``.
     """
-    if lam.shape[1] < 2:
-        raise DimensionMismatchError(f"state dimension must be >= 2, got {lam.shape[1]}")
+    checked_dim(lam.shape[1])
     comm = at @ bt
     comm -= comm.conj().swapaxes(1, 2)
     comm_norm = _weighted_sum(_abs2(comm), lam)
@@ -233,16 +231,19 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     robertson = cross.imag**2
     schrodinger = robertson + cross.real**2
 
+    # V reads each symmetric table transposed, keeping the pinned order sum_jk lam_j w_jk
     root = np.sqrt(lam)
-    var_a, cu_a = _spread(_abs2(at), lam, root)
-    var_b, cu_b = _spread(_abs2(bt), lam, root)
+    w = _abs2(at)
+    var_a, cu_a = _weighted_sum(w.swapaxes(-1, -2), lam), _root_weighted_sum(w, root)
+    del w  # one (n, d, d) table at a time, which keeps the peak memory of batch_bounds
+    w = _abs2(bt)
+    var_b, cu_b = _weighted_sum(w.swapaxes(-1, -2), lam), _root_weighted_sum(w, root)
 
     lam_m = lam[:, 0]
     lam_sm = lam[:, 1]
     lam_big = lam[:, -1]
     denom = lam_m + lam_sm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        prefactor = np.where(denom > 0.0, lam_m * lam_sm / np.where(denom > 0.0, denom, 1.0), 0.0)
+    prefactor = np.where(denom > 0.0, lam_m * lam_sm / np.where(denom > 0.0, denom, 1.0), 0.0)
 
     cols = {
         "product": var_a * var_b,

@@ -245,10 +245,7 @@ def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
     if text is None:
         return np.full(dim, 1.0 / dim)
     try:
-        values = np.array([float(tok) for tok in text.split(",")])
-        if values.shape != (dim,):
-            raise ValueError(f"needs exactly {dim} comma-separated values")
-        lam = checked_spectrum(values)
+        lam = checked_spectrum([float(tok) for tok in text.split(",")], dim)
     except ValueError as err:
         raise ValueError(f"--spectrum: {err}") from err
     return lam / lam.sum()

@@ -2,7 +2,7 @@
 
 
 class DimensionMismatchError(ValueError):
-    """Operands have incompatible shapes or a non-square matrix was given."""
+    """Incompatible operand shapes, a non-square matrix, or a dimension below what is needed."""
 
 
 class NotHermitianError(ValueError):

@@ -66,6 +66,15 @@ def require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
+def checked_dim(dim) -> int:
+    """``dim`` as an int; DimensionMismatchError unless it is at least 2, since every bound,
+    constant and MUB average reads the two smallest eigenvalues."""
+    d = int(dim)
+    if d < 2:
+        raise DimensionMismatchError(f"dimension must be >= 2, got {d}")
+    return d
+
+
 def frozen(arr: np.ndarray) -> np.ndarray:
     """Return a write-protected copy of ``arr``."""
     out = np.array(arr)

@@ -16,8 +16,8 @@ from functools import partial
 import numpy as np
 
 from .averages import MCEstimate, checked_purity, sequential_moments
-from .bounds import _spread, _weighted_sum, bound_report
-from .linalg import checked_unit, frozen
+from .bounds import _root_weighted_sum, _weighted_sum, bound_report
+from .linalg import checked_dim, checked_unit, frozen
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
 FIG2_HEADER = "purity,luo_park_mub_avg,bound2_mub_avg"
@@ -43,22 +43,6 @@ def _checked_phases(d: int, phases) -> np.ndarray:
     if not defect <= BASIS_TOL:
         raise ValueError(f"phases do not induce an orthonormal eigenbasis (defect {defect:.3e})")
     return ph
-
-
-def _checked_dim(dim) -> int:
-    """``dim`` as an int; ValueError unless it is at least 2."""
-    d = int(dim)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    return d
-
-
-def _state_spectrum(lams, dim: int) -> np.ndarray:
-    """``lams`` through :func:`checked_spectrum`; ValueError unless it has ``dim`` entries."""
-    lam = checked_spectrum(lams)
-    if lam.shape != (dim,):
-        raise ValueError(f"spectrum must have {dim} entries, got shape {lam.shape}")
-    return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +78,7 @@ def mub_pair(dim, phases, spectrum_a, spectrum_b) -> MUBPair:
     matrix), and both spectra must be unit vectors, the normalization used
     throughout the sphere-averaging formulas.
     """
-    d = _checked_dim(dim)
+    d = checked_dim(dim)
     ph = _checked_phases(d, phases)
     sa = checked_unit(spectrum_a, "spectrum_a", d)
     sb = checked_unit(spectrum_b, "spectrum_b", d)
@@ -139,7 +123,7 @@ def mub_sample_columns(
     # A commutes with rho, so V(A) = C(A), and the table of the diagonal A~' is one row
     centered_a = a - (a @ lams)[:, None]
     factor_a = _weighted_sum(np.square(centered_a)[:, None, :], lams)
-    _, factor_b = _spread(weights, lams, np.sqrt(lams))
+    factor_b = _root_weighted_sum(weights, np.sqrt(lams))
     # |[A,B]~_jk|^2 = (a_j - a_k)^2 |B~_jk|^2: centering moved only the diagonal, where a_j = a_k
     gaps = a[:, :, None] - a[:, None, :]
     weights *= np.square(gaps, out=gaps)
@@ -163,7 +147,7 @@ def mub_commutator_norm(pair: MUBPair, lams) -> float:
     Agrees with the matrix path (building both observables and the diagonal
     state explicitly) within 1e-9; ``lams`` is a state spectrum of the pair's dimension.
     """
-    lam = _state_spectrum(lams, pair.dim)
+    lam = checked_spectrum(lams, pair.dim)
     cols = mub_sample_columns(
         np.asarray(pair.phases), lam, pair.spectrum_a[None, :], pair.spectrum_b[None, :]
     )
@@ -187,14 +171,14 @@ def mub_lp_average(lams) -> float:
     (1 - sum lam^2) ((sum sqrt(lam))^2 - 1) / d^3.
     """
     lam = checked_spectrum(lams)
-    d = _checked_dim(lam.shape[0])
+    d = checked_dim(lam.shape[0])
     return float((1.0 - lam @ lam) * (np.sqrt(lam).sum() ** 2 - 1.0) / d**3)
 
 
 def mub_b2_average(lams) -> float:
     """Pair-averaged conjectured bound: lam1 lam2 / (lam1 + lam2) * 2 (d-1) / d^3."""
     lam = np.sort(checked_spectrum(lams))
-    d = _checked_dim(lam.shape[0])
+    d = checked_dim(lam.shape[0])
     denom = float(lam[0] + lam[1])
     if denom <= 0.0:
         return 0.0
@@ -206,7 +190,7 @@ def mub_commutator_norm_average(dim: int) -> float:
 
     2 (d - 1) / d^3, independent of the state spectrum and the phase table.
     """
-    d = _checked_dim(dim)
+    d = checked_dim(dim)
     return 2.0 * (d - 1) / d**3
 
 
@@ -232,7 +216,7 @@ def mc_mub_average(
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
-    lam = _state_spectrum(lams, _checked_dim(dim))
+    lam = checked_spectrum(lams, checked_dim(dim))
     ph = fourier_phases(dim) if phases is None else _checked_phases(dim, phases)
     ests = sequential_moments(partial(mub_samples, ph, lam), samples, _CHUNK, rng).estimates()
     return MubAverages(comm_norm=ests[0], lp_term=ests[1], lp_factor_a=ests[2], lp_factor_b=ests[3])

@@ -29,13 +29,14 @@ import numpy as np
 from .errors import EigensolverError, InvalidStateError, NumericalConsistencyError
 from .linalg import (
     as_matrix,
+    checked_dim,
     frobenius_norm_sq,
     frozen,
     nonnegative,
     require_same_dim,
     weighted_norm_sq,
 )
-from .states import DensityMatrix, Observable
+from .states import DensityMatrix, Observable, as_state
 
 logger = logging.getLogger(__name__)
 
@@ -57,13 +58,12 @@ CONSISTENCY_SLACK = 1e-10
 
 
 def _spectrum_of(rho) -> np.ndarray:
-    """The spectrum of a :class:`DensityMatrix`, or a raw spectrum sorted and checked;
-    InvalidStateError unless it has at least two eigenvalues."""
-    state = isinstance(rho, DensityMatrix)
-    lam = rho.spectrum if state else np.sort(np.asarray(rho, dtype=float).ravel())
-    if lam.size < 2:
-        raise InvalidStateError("spectrum needs at least two eigenvalues")
-    if state:
+    """The ascending spectrum of ``states.as_state(rho)``, or of a 1-d raw spectrum, which may be
+    unnormalized but not non-finite or negative (InvalidStateError); ``checked_dim`` of its size."""
+    raw = np.ndim(rho) == 1
+    lam = np.sort(np.asarray(rho, dtype=float)) if raw else as_state(rho).spectrum
+    checked_dim(lam.size)
+    if not raw:
         return lam
     if not np.isfinite(lam).all():
         raise InvalidStateError("spectrum has a non-finite entry")
@@ -122,6 +122,7 @@ def equality_witness(rho: DensityMatrix) -> tuple[Observable, Observable]:
     and |B|_rho^2 = lam1 + lam2, hence R = (lam1 + lam2)/(lam1 lam2).
     Undefined for rank-deficient states.
     """
+    rho = as_state(rho)
     lam = _spectrum_of(rho)
     if float(lam[0]) <= 0.0:
         raise InvalidStateError("equality witness undefined for rank-deficient states")
@@ -361,6 +362,7 @@ def maximize_ratio(
     """
     if mode not in ("hermitian", "complex"):
         raise ValueError(f"mode must be 'hermitian' or 'complex', got {mode!r}")
+    rho = as_state(rho)
     if float(_spectrum_of(rho)[0]) <= 0.0:
         raise InvalidStateError("ratio is unbounded for rank-deficient states")
     if max_iters < 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, EigensolverError, InvalidStateError, NotHermitianError
-from .linalg import frozen, nonnegative, require_hermitian
+from .linalg import checked_dim, frozen, nonnegative, require_hermitian
 
 #: Allowed deviation of the trace from 1 before rejection.
 TRACE_TOL = 1e-10
@@ -23,13 +23,15 @@ PAULI_Z = frozen(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
 PAULIS = frozen(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 
 
-def checked_spectrum(spectrum) -> np.ndarray:
+def checked_spectrum(spectrum, dim: int | None = None) -> np.ndarray:
     """``spectrum`` as floats in its order, round-off negatives set to 0; InvalidStateError
-    unless it is 1-d, finite, has no entry below ``linalg.ROUNDOFF_FLOOR`` and sums to 1
-    within ``TRACE_TOL``."""
+    unless it is 1-d with ``dim`` entries (any number but 0 when ``dim`` is None), finite,
+    has no entry below ``linalg.ROUNDOFF_FLOOR`` and sums to 1 within ``TRACE_TOL``."""
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise InvalidStateError(f"spectrum must be a 1-d sequence, got shape {lam.shape}")
+    if dim is not None and lam.shape[0] != dim:
+        raise InvalidStateError(f"spectrum must have {dim} entries, got {lam.shape[0]}")
     if not np.isfinite(lam).all():
         raise InvalidStateError("spectrum has a non-finite entry")
     clipped = nonnegative(lam, "spectrum entry", InvalidStateError)
@@ -130,6 +132,11 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, purity={self._purity:.6f})"
 
 
+def as_state(rho) -> DensityMatrix:
+    """``rho`` if it is a :class:`DensityMatrix`, else the array validated as one."""
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
+
+
 class Observable:
     """A Hermitian matrix representing a measurable quantity."""
 
@@ -185,8 +192,7 @@ def sample_density(dim: int, spec: str, rng: np.random.Generator) -> DensityMatr
 
     Any other ``spec`` raises :class:`InvalidStateError`.
     """
-    if dim < 2:
-        raise DimensionMismatchError(f"state dimension must be >= 2, got {dim}")
+    checked_dim(dim)
     if not isinstance(spec, str) or spec not in ("hilbert-schmidt", "flat-simplex"):
         raise InvalidStateError(f"unknown sampling spec {spec!r}")
     if spec == "hilbert-schmidt":

@@ -454,6 +454,14 @@ class TestMubAverage:
             assert_exit(proc, 2)
             assert "error: --spectrum: " in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command", [("mub-average",), ("mc-average", "--mub", "--samples", "10000")]
+    )
+    def test_spectrum_of_wrong_length_rejected(self, command, tmp_path):
+        proc = run_cli(*command, "--dim", "3", "--spectrum", "0.5,0.5", cwd=tmp_path)
+        assert_exit(proc, 2)
+        assert "error: --spectrum: spectrum must have 3 entries" in proc.stderr
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert_exit(run_cli("mub-average", "--dim", "2", "--frobnicate", cwd=tmp_path), 2)
 

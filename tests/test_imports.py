@@ -1,7 +1,7 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
 is used, every constant and private function or class in the package is read, scipy
-stays off the import path of everything but the optimizer, and the round-off floor and
-any imaginary-residue tolerance are defined in ``linalg`` alone."""
+stays off the import path of everything but the optimizer, and the round-off floor, any
+imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone."""
 
 import ast
 import fnmatch
@@ -241,3 +241,34 @@ def test_imaginary_residue_tolerance_lives_in_linalg(path):
 def test_imaginary_residue_tolerance_check_sees_each_kind():
     source = "A_IMAG_TOL = 1\nIMAG_B_TOL = 2\nIMAGE = 3\nC_TOL = 4\nfor IMAG_TOL in (): pass\n"
     assert imaginary_residue_tolerances(source) == ["A_IMAG_TOL", "IMAG_B_TOL", "IMAG_TOL"]
+
+
+def two_level_rules(source: str) -> list[str]:
+    """Each string constant in ``source``, f-string parts included, that states the
+    two-level rule."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "dimension must be >= 2" in node.value
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_two_level_rule_lives_in_linalg(path):
+    source = (SRC / "commutator_bounds" / path).read_text(encoding="utf-8")
+    assert path == "linalg.py" or two_level_rules(source) == []
+
+
+def test_two_level_rule_check_sees_each_kind():
+    source = (
+        'a = "dimension must be >= 2"\nb = f"state dimension must be >= 2, got {d}"\n'
+        'c = "dimension must be >= 3"\nd = b"dimension must be >= 2"\n'
+        'def f():\n    """The dimension must be >= 2."""\n'
+    )
+    assert two_level_rules(source) == [
+        "dimension must be >= 2",
+        "state dimension must be >= 2, got ",
+        "The dimension must be >= 2.",
+    ]

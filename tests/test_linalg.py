@@ -11,16 +11,32 @@ from commutator_bounds import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    batch_bounds,
+    bound_luo_park,
+    bound_one,
+    bound_report,
+    bound_robertson,
+    bound_schrodinger,
+    bound_two,
     commutator,
+    conjectured_constant,
+    equality_witness,
     frobenius_norm_sq,
+    loose_constant,
+    maximize_ratio,
+    mc_mub_average,
+    mub_b2_average,
+    mub_lp_average,
+    mub_pair,
     sample_density,
     sample_density_batch,
     sample_hermitian,
     sample_unitary,
+    sphere_moment_check,
     weighted_inner_product,
     weighted_norm_sq,
 )
-from commutator_bounds.linalg import require_hermitian
+from commutator_bounds.linalg import checked_dim, require_hermitian
 
 SEED = 20240901
 
@@ -145,6 +161,40 @@ class TestFrobeniusNormSq:
         assert frobenius_norm_sq(a) == pytest.approx(
             weighted_norm_sq(a, np.eye(4)), rel=1e-12
         )
+
+
+ONE = np.array([[1.0 + 0j]])
+
+#: Every function that reads two eigenvalues, called at d = 1.
+ONE_LEVEL_CALLS = {
+    "sample_density": lambda rng: sample_density(1, "hilbert-schmidt", rng),
+    "sphere_moment_check": lambda rng: sphere_moment_check(1, 10_000, rng),
+    "mub_lp_average": lambda rng: mub_lp_average([1.0]),
+    "mub_b2_average": lambda rng: mub_b2_average([1.0]),
+    "mub_pair": lambda rng: mub_pair(1, [[0.0]], [1.0], [1.0]),
+    "mc_mub_average": lambda rng: mc_mub_average(1, [1.0], 10_000, rng),
+    **{
+        fn.__name__: (lambda rng, fn=fn: fn(ONE, ONE, ONE))
+        for fn in (bound_robertson, bound_schrodinger, bound_luo_park, bound_one, bound_two,
+                   bound_report)
+    },
+    "batch_bounds": lambda rng: batch_bounds(ONE[None], ONE[None], ONE[None]),
+    **{
+        fn.__name__: (lambda rng, fn=fn: fn(ONE))
+        for fn in (conjectured_constant, loose_constant, equality_witness, maximize_ratio)
+    },
+}
+
+
+class TestCheckedDim:
+    def test_two_levels_pass(self):
+        assert checked_dim(2) == 2
+        assert checked_dim(np.int64(5)) == 5
+
+    @pytest.mark.parametrize("name", sorted(ONE_LEVEL_CALLS))
+    def test_one_level_raises_one_error(self, name):
+        with pytest.raises(DimensionMismatchError, match="dimension must be >= 2, got 1"):
+            ONE_LEVEL_CALLS[name](np.random.default_rng(SEED))
 
 
 class TestHermitianEigensystem:

@@ -9,6 +9,7 @@ import scipy.linalg
 
 from commutator_bounds import (
     DensityMatrix,
+    DimensionMismatchError,
     InvalidStateError,
     NumericalConsistencyError,
     PAULI_X,
@@ -115,8 +116,26 @@ class TestConstants:
     )
     def test_one_level_state_rejected(self, fn):
         # the rule for raw spectra holds for a DensityMatrix too
-        with pytest.raises(InvalidStateError, match="spectrum needs at least two eigenvalues"):
+        with pytest.raises(DimensionMismatchError, match="dimension must be >= 2"):
             fn(DensityMatrix(np.array([[1.0 + 0j]])))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [np.array([[0.6, 0.1], [0.1, 0.4]]), np.diag([0.2, 0.3, 0.5])],
+        ids=["2x2", "diag-3"],
+    )
+    def test_raw_state_equals_density_matrix(self, raw):
+        # a raw matrix is a state, not a spectrum of its d^2 entries
+        state = DensityMatrix(raw)
+        for constant in (conjectured_constant, loose_constant):
+            assert constant(raw) == constant(state)
+        for got, want in zip(equality_witness(raw), equality_witness(state)):
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+        options = dict(restarts=2, max_iters=50)
+        got = maximize_ratio(raw, rng=np.random.default_rng(SEED), **options)
+        want = maximize_ratio(state, rng=np.random.default_rng(SEED), **options)
+        assert got.achieved_ratio == want.achieved_ratio
+        assert got.achieved_ratio == pytest.approx(conjectured_constant(state), rel=1e-9)
 
     def test_loose_never_below_conjectured(self):
         rng = np.random.default_rng(SEED)

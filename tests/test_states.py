@@ -105,6 +105,11 @@ class TestDensityValidation:
         with pytest.raises(InvalidStateError, match="non-finite"):
             DensityMatrix(mat)
 
+    def test_spectrum_length_is_checked_when_given(self):
+        np.testing.assert_array_equal(checked_spectrum([0.5, 0.5], 2), [0.5, 0.5])
+        with pytest.raises(InvalidStateError, match="must have 3 entries"):
+            checked_spectrum([0.5, 0.5], 3)
+
     @pytest.mark.parametrize("spectrum", [[np.nan, np.nan], [np.nan, 1.0], [0.5, 0.5, np.nan]])
     def test_non_finite_spectrum_rejected(self, spectrum):
         with pytest.raises(InvalidStateError):
