@@ -281,7 +281,7 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
     Each state is decomposed here, and the rotated triples go to the kernel
     :func:`_eigenbasis_columns`, shared with the scalar functions and
     documented there.  Its variance and classical-uncertainty columns are
-    dropped, so a caller keeps (and a worker pickles back) only these seven.
+    dropped, so a caller holds only these seven.
     """
     lam, vecs = np.linalg.eigh(rho)
     lam = nonnegative(lam, "state eigenvalue", InvalidStateError)

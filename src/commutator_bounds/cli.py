@@ -44,8 +44,7 @@ from .mub import (
     fourier_mub_pair,
     fourier_phases,
     mub_b2_average,
-    mub_commutator_norm_average,
-    mub_lp_average,
+    mub_column_averages,
     mub_sample_columns,
     mub_vanishing_check,
 )
@@ -257,15 +256,8 @@ def _cmd_mc_average(args) -> int:
             raise ValueError("--mub averaging needs --samples >= 10000")
         lams = _parse_spectrum(args.spectrum, args.dim)
         moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
-        purity = float(lams @ lams)
-        d = args.dim
         names = ("comm_norm", "lp_term", "lp_factor_a", "lp_factor_b")
-        targets = (
-            mub_commutator_norm_average(d),
-            mub_lp_average(lams),
-            (1.0 - purity) / d,
-            (np.sqrt(lams).sum() ** 2 - 1.0) / d**2,
-        )
+        targets = mub_column_averages(lams)
     else:
         if args.dim != 2 or args.spectrum is not None:
             raise ValueError("--dim and --spectrum need --mub; the --purity average is over qubits")
@@ -278,25 +270,22 @@ def _cmd_mc_average(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# mutually unbiased averages (closed forms, optional MC)
+# mutually unbiased averages in closed form (their Monte Carlo check is mc-average --mub)
 
 
 def _cmd_mub_average(args) -> int:
     lams = _parse_spectrum(args.spectrum, args.dim)
+    comm_norm, luo_park = mub_column_averages(lams)[:2]
     pair = fourier_mub_pair(args.dim, *_default_unit_spectra(args.dim))
     vanishing = mub_vanishing_check(pair, lams)
     rows = [
-        {"name": "luo_park_mub_avg", "value": mub_lp_average(lams)},
+        {"name": "luo_park_mub_avg", "value": luo_park},
         {"name": "bound2_mub_avg", "value": mub_b2_average(lams)},
-        {"name": "comm_norm_avg", "value": mub_commutator_norm_average(args.dim)},
+        {"name": "comm_norm_avg", "value": comm_norm},
         {"name": "robertson_mub", "value": float(vanishing[0])},
         {"name": "schrodinger_mub", "value": float(vanishing[1])},
     ]
-    if args.samples is not None:
-        moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
-        # the first moment column is the commutator norm
-        target = mub_commutator_norm_average(args.dim)
-        rows += _estimate_rows(("comm_norm_mc",), (target,), moments)
+    # the estimate columns stay in the CSV header, always empty, so readers of its layout still work
     keys = ("name", "value") + _ESTIMATE_KEYS[1:]
     with _output(args.out) as out:
         _write_rows(out, rows, args.format, keys)
@@ -494,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=_count(2), required=True, help="integer >= 2")
     p.add_argument("--spectrum", default=None, help=_SPECTRUM_HELP)
-    p.add_argument("--samples", type=_count(10_000), default=None, help="integer >= 10000")
     p.set_defaults(func=_cmd_mub_average)
 
     return parser

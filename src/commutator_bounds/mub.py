@@ -165,14 +165,23 @@ def mub_vanishing_check(pair: MUBPair, rho_spectrum) -> tuple[float, float]:
     return report.robertson, report.schrodinger
 
 
-def mub_lp_average(lams) -> float:
-    """Pair-averaged Luo-Park bound for a mutually unbiased pair, given the state spectrum.
+def mub_column_averages(lams) -> tuple[float, float, float, float]:
+    """Closed-form means of the four :func:`mub_sample_columns` over both unit spectra.
 
-    (1 - sum lam^2) ((sum sqrt(lam))^2 - 1) / d^3.
+    2 (d - 1) / d^3 for the commutator norm, then with f_a = (1 - sum lam^2) / d and
+    f_b = ((sum sqrt(lam))^2 - 1) / d^2 the Luo-Park term f_a f_b and the factors f_a, f_b.
     """
     lam = checked_spectrum(lams)
     d = checked_dim(lam.shape[0])
-    return float((1.0 - lam @ lam) * (np.sqrt(lam).sum() ** 2 - 1.0) / d**3)
+    mixed = 1.0 - lam @ lam
+    spread = np.sqrt(lam).sum() ** 2 - 1.0
+    lp = mixed * spread / d**3
+    return mub_commutator_norm_average(d), float(lp), float(mixed / d), float(spread / d**2)
+
+
+def mub_lp_average(lams) -> float:
+    """The pair-averaged Luo-Park bound, the second of :func:`mub_column_averages`."""
+    return mub_column_averages(lams)[1]
 
 
 def mub_b2_average(lams) -> float:
@@ -209,10 +218,8 @@ def mc_mub_average(
 ) -> MubAverages:
     """Monte Carlo averages over independent uniform unit spectra of both observables.
 
-    The commutator-norm mean matches :func:`mub_commutator_norm_average`, the
-    Luo-Park term matches :func:`mub_lp_average`, and the factors match
-    (1 - sum lam^2)/d and ((sum sqrt(lam))^2 - 1)/d^2.  ``phases`` is checked
-    as in :func:`mub_pair`.
+    The four means match :func:`mub_column_averages`.  ``phases`` is checked as
+    in :func:`mub_pair`.
     """
     if samples < 10_000:
         raise ValueError(f"need at least 10^4 samples, got {samples}")

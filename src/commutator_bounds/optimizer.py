@@ -113,14 +113,14 @@ def ratio(a, b, rho) -> float:
     return weighted_norm_sq(am @ bm - bm @ am, rho) / (na * nb)
 
 
-def equality_witness(rho: DensityMatrix) -> tuple[Observable, Observable]:
+def equality_witness(rho: DensityMatrix | np.ndarray) -> tuple[Observable, Observable]:
     """The explicit Hermitian pair attaining the conjectured constant.
 
     With |1>, |2> the eigenvectors of the two smallest eigenvalues,
     A = lam2 |1><1| - lam1 |2><2| and B = |1><2| + |2><1| give
     |[A,B]|_rho^2 = (lam1 + lam2)^3, |A|_rho^2 = lam1 lam2 (lam1 + lam2),
     and |B|_rho^2 = lam1 + lam2, hence R = (lam1 + lam2)/(lam1 lam2).
-    Undefined for rank-deficient states.
+    Undefined for rank-deficient states.  A raw matrix ``rho`` goes through ``states.as_state``.
     """
     rho = as_state(rho)
     lam = _spectrum_of(rho)
@@ -338,7 +338,7 @@ def _ascend(
 
 
 def maximize_ratio(
-    rho: DensityMatrix,
+    rho: DensityMatrix | np.ndarray,
     *,
     restarts: int = 8,
     max_iters: int = 500,
@@ -351,10 +351,11 @@ def maximize_ratio(
 
     Runs ``restarts`` random starts plus one start seeded at the analytic
     equality witness; the best run (ties to the earliest start) is reported.
-    ``converged`` reflects whether that run's relative gain fell below
-    ``tol`` before ``max_iters``.  Requires a full-rank state, since the
-    ratio is unbounded otherwise.  The achieved ratio is re-evaluated from
-    the reported matrices and always checked against the proven ceiling.
+    ``converged`` reflects whether that run's relative gain fell below ``tol``
+    before ``max_iters``.  ``rho`` is a :class:`DensityMatrix` or a raw matrix
+    that ``states.as_state`` validates, and must have full rank, since the ratio
+    is unbounded otherwise.  The achieved ratio is re-evaluated from the
+    reported matrices and always checked against the proven ceiling.
 
     ``seed_witness=False`` drops the analytic start so the constant must be
     found from random starts alone, which costs more iterations but gives an

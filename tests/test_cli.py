@@ -423,8 +423,8 @@ class TestMubAverage:
         assert rows["schrodinger_mub"]["value"] < 1e-10
 
     # sha256 of stdout, recorded from mub-average's former CSV/JSON writer before it
-    # moved onto the shared row writer, which must reproduce it byte for byte; d3-mc-csv
-    # re-recorded when the MUB sample columns moved onto the bound kernel's reductions
+    # moved onto the shared row writer, which must reproduce it byte for byte; the CSV
+    # header still names the estimate columns of the Monte Carlo rows mub-average had
     @pytest.mark.parametrize(
         "args, digest",
         [
@@ -436,16 +436,37 @@ class TestMubAverage:
                 ("--dim", "4", "--format", "json"),
                 "b6b20b126264b4fe27ab783842cbbc9ab2a6b4415cda29a45585e117bfdd7520",
             ),
-            (
-                ("--dim", "3", "--samples", "20000", "--seed", "42", "--format", "csv"),
-                "6500203ad9b4a2ff52e98659e6b44f6e1a0bc907d3eb00549b7d0ba60d0f5400",
-            ),
         ],
-        ids=["d4-csv", "d4-json", "d3-mc-csv"],
+        ids=["d4-csv", "d4-json"],
     )
     def test_golden_bytes(self, args, digest, tmp_path):
         out = ok_stdout(run_cli("mub-average", *args, cwd=tmp_path))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_monte_carlo_row_lives_on_in_mc_average(self, tmp_path):
+        # the comm_norm_mc row of `mub-average --dim 3 --samples 20000 --seed 42`, recorded
+        # before that option was deleted: mc-average --mub drew the same samples
+        recorded = {
+            "mean": 0.14791291208411572,
+            "std_error": 0.0006933790745374153,
+            "samples": 20000,
+            "target": 0.14814814814814814,
+            "z": -0.3392604026727439,
+        }
+        proc = run_cli(
+            "mc-average", "--mub", "--dim", "3", "--samples", "20000", "--seed", "42",
+            cwd=tmp_path,
+        )
+        rows = {json.loads(line)["name"]: json.loads(line) for line in ok_stdout(proc).splitlines()}
+        assert {key: rows["comm_norm"][key] for key in recorded} == recorded
+
+    def test_samples_is_no_option(self, tmp_path):
+        out = tmp_path / "out"
+        proc = run_cli("mub-average", "--dim", "2", "--samples", "10000", "--out", str(out),
+                       cwd=tmp_path)
+        assert_exit(proc, 2)
+        assert "unrecognized arguments: --samples 10000" in proc.stderr
+        assert not out.exists()
 
     def test_bad_spectrum_rejected(self, tmp_path):
         # a spectrum that is not a state, and one that is not numbers
@@ -501,7 +522,7 @@ SUBCOMMAND_OPTIONS = {
         "--dim": None, "--trials": 20, "--restarts": 8, "--max-iters": 500, "--tol": 1e-10,
         "--mode": "hermitian", "--no-witness-seed": False,
     },
-    "mub-average": {"--format": "json", "--dim": None, "--spectrum": None, "--samples": None},
+    "mub-average": {"--format": "json", "--dim": None, "--spectrum": None},
 }
 
 # A valid command line per subcommand; a flag appended to it overrides an earlier value.
@@ -538,7 +559,6 @@ RANGED_FLAGS = [
     ("verify-conjecture", "--tol", float, "1.7976931348623157e+308", "inf"),
     ("verify-conjecture", "--tol", float, "0.0", "nan"),
     ("mub-average", "--dim", int, "2", "1"),
-    ("mub-average", "--samples", int, "10000", "9999"),
 ]
 
 # (command, flag, the edge of its range as --help writes it), from RANGED_FLAGS

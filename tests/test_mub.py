@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from commutator_bounds import (
     DensityMatrix,
+    DimensionMismatchError,
     InvalidStateError,
     classical_uncertainty,
     commutator,
@@ -15,6 +16,7 @@ from commutator_bounds import (
     fourier_phases,
     mc_mub_average,
     mub_b2_average,
+    mub_column_averages,
     mub_commutator_norm,
     mub_commutator_norm_average,
     mub_lp_average,
@@ -28,6 +30,7 @@ from commutator_bounds import (
     weighted_norm_sq,
 )
 from commutator_bounds.linalg import nonnegative
+from commutator_bounds.states import checked_spectrum
 
 SEED = 20240905
 
@@ -134,6 +137,64 @@ class TestClosedFormAverages:
         assert mub_commutator_norm_average(2) == pytest.approx(1 / 4)
         assert mub_commutator_norm_average(3) == pytest.approx(4 / 27)
         assert mub_commutator_norm_average(4) == pytest.approx(3 / 32)
+
+
+def former_cli_targets(lams) -> tuple:
+    """The four mc-average --mub targets as the CLI wrote them inline, on the spectrum it
+    had checked, before they moved into ``mub_column_averages``."""
+    lam = checked_spectrum(lams)
+    d = lam.shape[0]
+    purity = float(lam @ lam)
+    return (
+        2.0 * (d - 1) / d**3,
+        float((1.0 - lam @ lam) * (np.sqrt(lam).sum() ** 2 - 1.0) / d**3),
+        (1.0 - purity) / d,
+        (np.sqrt(lam).sum() ** 2 - 1.0) / d**2,
+    )
+
+
+def column_average_spectra():
+    """(id, spectrum) pairs at d = 2 to 6: uniform, unsorted, round-off negative, Dirichlet."""
+    rng = np.random.default_rng(SEED + 30)
+    for d in range(2, 7):
+        yield f"uniform-d{d}", np.full(d, 1.0 / d)
+        yield f"unsorted-d{d}", np.arange(d, 0, -1) / (d * (d + 1) / 2)
+        yield f"roundoff-d{d}", np.r_[-1e-13, np.zeros(d - 2), 1.0 + 1e-13]
+        for k in range(3):
+            yield f"dirichlet{k}-d{d}", rng.dirichlet(np.full(d, 0.5))
+
+
+COLUMN_AVERAGE_SPECTRA = list(column_average_spectra())
+
+
+class TestColumnAverages:
+    @pytest.mark.parametrize(
+        "lams", [lam for _, lam in COLUMN_AVERAGE_SPECTRA],
+        ids=[name for name, _ in COLUMN_AVERAGE_SPECTRA],
+    )
+    def test_bit_for_bit_as_the_former_cli(self, lams):
+        got = mub_column_averages(lams)
+        assert got == former_cli_targets(lams)
+        assert mub_lp_average(lams) == got[1]
+
+    # the errors mub_lp_average raised before it read mub_column_averages
+    @pytest.mark.parametrize(
+        "lams, error, message",
+        [
+            ([-0.5, 1.5], InvalidStateError, "spectrum entry is negative: -5.000e-01"),
+            ([0.7, 0.7], InvalidStateError, "spectrum sums to 1.4, expected 1"),
+            ([np.nan, 1.0], InvalidStateError, "spectrum has a non-finite entry"),
+            ([0.5, np.inf], InvalidStateError, "spectrum has a non-finite entry"),
+            ([[0.5, 0.5]], InvalidStateError, "spectrum must be a 1-d sequence, got shape (1, 2)"),
+            ([1.0], DimensionMismatchError, "dimension must be >= 2, got 1"),
+        ],
+        ids=["negative", "trace", "nan", "inf", "2-d", "one-entry"],
+    )
+    def test_spectrum_that_is_no_state_raises_as_lp_average(self, lams, error, message):
+        for average in (mub_column_averages, mub_lp_average):
+            with pytest.raises(error) as info:
+                average(lams)
+            assert type(info.value) is error and str(info.value) == message
 
 
 class TestCommutatorNormPhaseSum:
