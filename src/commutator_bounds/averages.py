@@ -20,7 +20,7 @@ import numpy as np
 
 from ._parallel import pairwise_reduce
 from .bounds import BOUND_NAMES, qubit_closed_form_batch
-from .linalg import checked_dim
+from .linalg import checked_dim, nonnegative
 from .states import sample_unit_vectors
 
 FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
@@ -72,8 +72,9 @@ class Moments:
         if self.count < 2:
             raise ValueError("need at least 2 samples for a standard error")
         mean = self.total / self.count
-        var = np.clip(self.total_sq - self.count * mean**2, 0.0, None) / (self.count - 1)
-        se = np.sqrt(var / self.count)
+        sq_dev = self.total_sq - self.count * mean**2
+        var = nonnegative(sq_dev, "sample variance", scale=float(self.total_sq.max()))
+        se = np.sqrt(var / (self.count - 1) / self.count)
         return tuple(
             MCEstimate(mean=float(m), std_error=float(s), samples=self.count)
             for m, s in zip(mean, se)
@@ -126,23 +127,23 @@ class AveragedBounds:
         return np.array([getattr(self, name) for name in BOUND_NAMES])
 
 
-def averaged_bounds_qubit(purity: float) -> AveragedBounds:
-    """Closed-form pair-averaged qubit bounds as functions of purity in [1/2, 1]."""
-    p = checked_purity(purity)
-    root = math.sqrt(2.0 * p - 1.0)
+def _qubit_averages(p: np.ndarray) -> np.ndarray:
+    """The (len(p), 5) averaged qubit bounds at purities ``p``, in ``BOUND_NAMES`` order."""
     robertson = 2.0 * (2.0 * p - 1.0) / 9.0
     schrodinger = robertson + 2.0 * (2.0 * p * p - 4.0 * p + 3.0) / 9.0
-    luo_park = robertson + 4.0 / 9.0 * ((1.0 - p) + math.sqrt(2.0 * (1.0 - p))) ** 2
-    bound1 = 4.0 / 3.0 * (p - root) / (1.0 + root)
+    luo_park = robertson + 4.0 / 9.0 * ((1.0 - p) + np.sqrt(2.0 * (1.0 - p))) ** 2
+    root = np.sqrt(2.0 * p - 1.0)
+    # 4/3 (p - root)/(1 + root), as 2 (p - root) = (1 - root)^2 = (2 (1 - p)/(1 + root))^2
+    bound1 = 4.0 / 3.0 * (1.0 - p) ** 2 / ((p + root) * (1.0 + root))
     bound2 = 4.0 / 3.0 * (1.0 - p)
-    return AveragedBounds(
-        purity=p,
-        robertson=robertson,
-        schrodinger=schrodinger,
-        luo_park=luo_park,
-        bound1=bound1,
-        bound2=bound2,
-    )
+    return np.column_stack([robertson, schrodinger, luo_park, bound1, bound2])
+
+
+def averaged_bounds_qubit(purity: float) -> AveragedBounds:
+    """Closed-form pair-averaged qubit bounds at one purity in [1/2, 1]: one row of the
+    formula :func:`fig1_rows` evaluates over its whole grid."""
+    p = checked_purity(purity)
+    return AveragedBounds(p, *_qubit_averages(np.array([p]))[0].tolist())
 
 
 def qubit_bound_samples(purity: float, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -218,13 +219,10 @@ def sphere_moment_check(dim: int, samples: int, rng: np.random.Generator) -> Mom
 def fig1_rows(points: int) -> np.ndarray:
     """(points, 6) table of averaged bounds on a uniform purity grid over [1/2, 1].
 
-    Columns follow ``FIG1_HEADER``.
+    Columns follow ``FIG1_HEADER``; row i is the purity and
+    :func:`averaged_bounds_qubit` at it, bit for bit.
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     grid = np.linspace(0.5, 1.0, points)
-    rows = np.empty((points, 6))
-    for i, p in enumerate(grid):
-        av = averaged_bounds_qubit(float(p))
-        rows[i] = (av.purity, *av.as_array())
-    return rows
+    return np.column_stack([grid, _qubit_averages(grid)])

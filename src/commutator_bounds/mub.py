@@ -254,14 +254,12 @@ def qubit_spectrum_from_purity(purity: float) -> np.ndarray:
 def fig2_rows(points: int) -> np.ndarray:
     """(points, 3) table of mutually-unbiased-pair averages over a qubit purity grid.
 
-    Columns follow ``FIG2_HEADER``: purity, Luo-Park average, conjectured
-    bound average.  The second column never exceeds the third.
+    Columns follow ``FIG2_HEADER``: purity P, then the d = 2 closed forms of
+    :func:`mub_lp_average`, (1 - P) sqrt(2 (1 - P)) / 8, and of :func:`mub_b2_average`,
+    (1 - P) / 8.  The second column never exceeds the third.
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     grid = np.linspace(0.5, 1.0, points)
-    rows = np.empty((points, 3))
-    for i, p in enumerate(grid):
-        lam = qubit_spectrum_from_purity(float(p))
-        rows[i] = (float(p), mub_lp_average(lam), mub_b2_average(lam))
-    return rows
+    mixed = 1.0 - grid
+    return np.column_stack([grid, mixed * np.sqrt(2.0 * mixed) / 8.0, mixed / 8.0])

@@ -1,5 +1,8 @@
 """Sphere averaging: closed forms, Monte Carlo agreement, crossovers, fig1 data."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from commutator_bounds import (
     BOUND_NAMES,
     MCEstimate,
     Moments,
+    NumericalConsistencyError,
     averaged_bounds_qubit,
     crossover_purities,
     fig1_rows,
@@ -17,6 +21,28 @@ from commutator_bounds import (
 )
 
 SEED = 20240904
+
+
+def fifty_digit_averages(purity: float) -> list[Decimal]:
+    """The five averaged qubit bounds at the float ``purity``, exactly as given, evaluated
+    to 50 digits in their defining forms, in ``BOUND_NAMES`` order."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = Decimal(purity)
+        root = (2 * p - 1).sqrt()
+        robertson = 2 * (2 * p - 1) / 9
+        return [
+            robertson,
+            robertson + 2 * (2 * p * p - 4 * p + 3) / 9,
+            robertson + Decimal(4) / 9 * ((1 - p) + (2 * (1 - p)).sqrt()) ** 2,
+            Decimal(4) / 3 * (p - root) / (1 + root),
+            Decimal(4) / 3 * (1 - p),
+        ]
+
+
+def ulps(got: float, exact: Decimal) -> float:
+    """|got - exact| in units in the last place of ``exact`` rounded to a float."""
+    return float(abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact))))
 
 
 class TestClosedForms:
@@ -78,13 +104,36 @@ class TestMonteCarlo:
     def test_exact_estimates_across_chunks(self):
         # 300_001 samples are two full chunks and a ragged tail, drawn in order from one rng
         estimates = monte_carlo_qubit_average(0.8, 300_001, np.random.default_rng(5))
-        assert [(e.mean, e.std_error, e.samples) for e in estimates] == [
+        got = [(e.mean, e.std_error, e.samples) for e in estimates]
+        assert got == [
             (0.13338314194948106, 0.00026243337368373664, 300_001),
             (0.3738434716925308, 0.0004465358406878297, 300_001),
             (0.4414219304262992, 0.0003322106902156572, 300_001),
-            (0.01906613409493053, 1.5610384188659972e-05, 300_001),
+            (0.019066134094930513, 1.5610384188659945e-05, 300_001),
             (0.2663800143517098, 0.00021809845370368593, 300_001),
         ]
+        # the values of the former bound1 formula 2 (P - r)/(1 + r), which cancels near P = 1
+        former = [
+            (0.13338314194948106, 0.00026243337368373664),
+            (0.3738434716925308, 0.0004465358406878297),
+            (0.4414219304262992, 0.0003322106902156572),
+            (0.01906613409493053, 1.5610384188659972e-05),
+            (0.2663800143517098, 0.00021809845370368593),
+        ]
+        for (mean, std_error, _), want in zip(got, former):
+            np.testing.assert_allclose((mean, std_error), want, rtol=1e-14, atol=0.0)
+
+    def test_round_off_variance_of_a_constant_column_is_zero(self):
+        moments = Moments.of(np.full((7, 1), 0.7))
+        assert moments.total_sq[0] - 7 * (moments.total[0] / 7) ** 2 < 0.0  # round-off
+        (est,) = moments.estimates()
+        assert est.std_error == 0.0
+
+    def test_negative_variance_beyond_round_off_raises(self):
+        total_sq = 10.0 / (1.0 + 1e-9)  # sum of squares - n mean^2 = -1e-9 total_sq
+        moments = Moments(count=10, total=np.array([10.0]), total_sq=np.array([total_sq]))
+        with pytest.raises(NumericalConsistencyError, match="sample variance is negative"):
+            moments.estimates()
 
     def test_estimate_needs_two_samples(self):
         with pytest.raises(ValueError):
@@ -185,3 +234,18 @@ class TestFig1Rows:
     def test_point_count_validated(self):
         with pytest.raises(ValueError):
             fig1_rows(1)
+
+    def test_rows_are_averaged_bounds_qubit(self):
+        rows = fig1_rows(2001)
+        np.testing.assert_array_equal(rows[:, 0], np.linspace(0.5, 1.0, 2001))
+        singles = np.array([averaged_bounds_qubit(p).as_array() for p in rows[:, 0]])
+        np.testing.assert_array_equal(rows[:, 1:], singles)
+
+    def test_within_8_ulp_of_50_digits(self):
+        # bound1's defining form 4/3 (p - r)/(1 + r) cancels near p = 1; the table must not
+        rows = fig1_rows(2001)
+        worst = dict.fromkeys(BOUND_NAMES, 0.0)
+        for row in rows:
+            for name, got, exact in zip(BOUND_NAMES, row[1:], fifty_digit_averages(row[0])):
+                worst[name] = max(worst[name], ulps(got, exact))
+        assert all(w <= 8.0 for w in worst.values()), worst

@@ -1,5 +1,7 @@
 """Bounds engine: variances, skew information, the five bounds, qubit closed forms."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -688,6 +690,17 @@ class TestScalarScaling:
             assert value == pytest.approx(want, rel=1e-9, abs=1e-9 * s**degree), name
 
 
+def fifty_digit_bound1(a, b, c) -> tuple[Decimal, Decimal]:
+    """(1 - |c|)^2 / (1 + |c|) |a x b|^2 and |c| for the float axes and Bloch vector as
+    given, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c = ([Decimal(x) for x in v] for v in (a, b, c))
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        radius = sum(x * x for x in c).sqrt()
+        return (1 - radius) ** 2 / (1 + radius) * sum(x * x for x in cross), radius
+
+
 class TestQubitClosedForm:
     def test_axes_example(self):
         rep = qubit_bounds_closed_form([1, 0, 0], [0, 1, 0], [0, 0, 0.5])
@@ -742,6 +755,18 @@ class TestQubitClosedForm:
                 assert getattr(closed, name) == pytest.approx(
                     getattr(generic, name), abs=1e-10
                 ), name
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_bound1_accurate_near_pure_states(self, k):
+        # at |c| = 1 - 10^-k the relative error may grow like the conditioning of 1 - |c|,
+        # eps / (1 - |c|), but not like the cancellation in 2 (P - |c|) / (1 + |c|)
+        rng = np.random.default_rng(SEED + 16)
+        a, b, axes = (sample_unit_vectors(3, 8, rng) for _ in range(3))
+        for a_i, b_i, axis in zip(a, b, axes):
+            c = (1.0 - 10.0**-k) * axis
+            exact, radius = fifty_digit_bound1(a_i, b_i, c)
+            got = Decimal(qubit_bounds_closed_form(a_i, b_i, c).bound1)
+            assert abs(got - exact) <= Decimal(1e-14) / (1 - radius) * exact, (k, got, exact)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(SEED + 13)

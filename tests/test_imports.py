@@ -1,7 +1,8 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
 is used, every constant and private function or class in the package is read, scipy
-stays off the import path of everything but the optimizer, and the round-off floor, any
-imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone."""
+stays off the import path of everything but the optimizer, the round-off floor, any
+imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone, and
+no clamp bypasses ``linalg.nonnegative``."""
 
 import ast
 import fnmatch
@@ -272,3 +273,29 @@ def test_two_level_rule_check_sees_each_kind():
         "state dimension must be >= 2, got ",
         "The dimension must be >= 2.",
     ]
+
+
+def clip_calls(source: str) -> list[str]:
+    """Each call of a ``clip`` attribute in ``source``: ``np.clip``, ``numpy.clip`` or an
+    array's ``.clip`` method."""
+    return [
+        ast.unparse(node.func)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "clip"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_clamps_go_through_nonnegative(path):
+    # a clamp at 0 is linalg.nonnegative, which raises below the round-off floor
+    assert clip_calls((SRC / "commutator_bounds" / path).read_text(encoding="utf-8")) == []
+
+
+def test_clip_check_sees_each_kind():
+    source = (
+        "import numpy\nimport numpy as np\na = np.clip(x, 0.0, None)\nb = numpy.clip(x, 0, 1)\n"
+        "c = x.sum(axis=0).clip(0.0)\nd = np.maximum(x, 0.0)\nclipped = clip\ne = np.clip\n"
+    )
+    assert clip_calls(source) == ["np.clip", "numpy.clip", "x.sum(axis=0).clip"]

@@ -1,5 +1,8 @@
 """Mutually unbiased pairs: construction, bound formulas, averages, fig2 data."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -520,6 +523,17 @@ class TestThetaParameterizedLP:
         assert qubit_mub_theta_lp(0.5, np.pi / 4) == pytest.approx(1.0)
 
 
+def fifty_digit_fig2_row(purity: float) -> tuple[Decimal, Decimal]:
+    """The Luo-Park and conjectured MUB averages at the float ``purity``, exactly as given,
+    to 50 digits from the qubit spectrum ((1 - r)/2, (1 + r)/2), r = sqrt(2P - 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = (2 * Decimal(purity) - 1).sqrt()
+        low, high = (1 - root) / 2, (1 + root) / 2
+        lp = (1 - low * low - high * high) * ((low.sqrt() + high.sqrt()) ** 2 - 1) / 8
+        return lp, low * high / (low + high) * 2 / 8
+
+
 class TestFig2Rows:
     def test_endpoints(self):
         rows = fig2_rows(3)
@@ -532,6 +546,23 @@ class TestFig2Rows:
         assert np.all(b2 >= lp - 1e-15)
         interior = (purity > 0.5 + 1e-9) & (purity < 1.0 - 1e-9)
         assert np.all(b2[interior] - lp[interior] > 1e-12)
+
+    @pytest.mark.parametrize("points", [3, 512, 2001])
+    def test_matches_spectrum_route(self, points):
+        # the general-d averages at the spectrum ((1 - r)/2, (1 + r)/2) of each purity
+        rows = fig2_rows(points)
+        lams = [qubit_spectrum_from_purity(p) for p in rows[:, 0]]
+        want = np.array([(mub_lp_average(lam), mub_b2_average(lam)) for lam in lams])
+        assert np.max(np.abs(rows[:, 1:] - want)) <= 1e-16
+
+    def test_within_8_ulp_of_50_digits(self):
+        # the float spectrum route to these columns cancels near P = 1; the table must not
+        worst = [0.0, 0.0]
+        for purity, lp, b2 in fig2_rows(2001):
+            for j, (got, exact) in enumerate(zip((lp, b2), fifty_digit_fig2_row(purity))):
+                exact_ulp = Decimal(math.ulp(float(exact)))
+                worst[j] = max(worst[j], float(abs(Decimal(got) - exact) / exact_ulp))
+        assert max(worst) <= 8.0, worst
 
     def test_spectrum_parameterization(self):
         lam = qubit_spectrum_from_purity(0.75)
