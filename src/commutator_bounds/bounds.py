@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, NumericalConsistencyError
+from .errors import DimensionMismatchError, InvalidStateError, NumericalConsistencyError
 from .linalg import (
     as_matrix,
     checked_dim,
@@ -270,29 +270,43 @@ _BATCH_COLUMNS = ("product", *BOUND_NAMES, "purity")
 def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.ndarray]:
     """Vectorized bound evaluation over stacked triples.
 
-    ``a`` and ``b`` are (n, d, d) Hermitian arrays and ``rho`` an (n, d, d)
-    array of valid states; validation is the caller's job on this hot path,
-    except that a state eigenvalue below the round-off floor raises
-    :class:`InvalidStateError`.
+    ``a`` and ``b`` are (n, d, d) Hermitian arrays.  ``rho`` is either an
+    (n, d, d) array of valid states, or an (n, d) array of spectra standing
+    for the diagonal states diag(lam), with ``a`` and ``b`` already in that
+    eigenbasis ordered by ascending eigenvalue; each row is sorted here, so
+    its own order is ignored.  Validation is
+    the caller's job on this hot path, except that a state eigenvalue below
+    the round-off floor raises :class:`InvalidStateError`, and spectra whose
+    width is not that of ``a`` raise :class:`DimensionMismatchError`.
     Returns per-sample arrays for the product, the five bounds, and purity.
     The inputs are never written to, and read-only or broadcast arrays are
     accepted.
 
-    Each state is decomposed here, and the rotated triples go to the kernel
-    :func:`_eigenbasis_columns`, shared with the scalar functions and
-    documented there.  Its variance and classical-uncertainty columns are
-    dropped, so a caller holds only these seven.
+    Each state matrix is decomposed here, and the rotated triples go to the
+    kernel :func:`_eigenbasis_columns`, shared with the scalar functions and
+    documented there; spectra go to it with copies of ``a`` and ``b``, with
+    no decomposition and no rotation.  Its variance and classical-uncertainty
+    columns are dropped, so a caller holds only these seven.
     """
-    lam, vecs = np.linalg.eigh(rho)
-    lam = nonnegative(lam, "state eigenvalue", InvalidStateError)
-    # Peak memory is set here, at four (n, d, d) arrays besides the inputs:
-    # the eigenvectors are conjugated in place and dropped once A, B rotated.
-    at = a @ vecs
-    bt = b @ vecs
-    vh = np.conj(vecs, out=vecs).swapaxes(1, 2)
-    at = vh @ at
-    bt = vh @ bt
-    del vecs, vh
+    if np.ndim(rho) == 2:
+        lam = nonnegative(np.sort(rho, axis=1), "state eigenvalue", InvalidStateError)
+        dim = np.shape(a)[-1]
+        if lam.shape[1] != dim:
+            raise DimensionMismatchError(
+                f"spectra of width {lam.shape[1]} for observables of dimension {dim}"
+            )
+        at, bt = np.array(a), np.array(b)
+    else:
+        lam, vecs = np.linalg.eigh(rho)
+        lam = nonnegative(lam, "state eigenvalue", InvalidStateError)
+        # Peak memory of the matrix path is set here, at four (n, d, d) arrays besides
+        # the inputs: the eigenvectors are conjugated in place and dropped once A, B rotated.
+        at = a @ vecs
+        bt = b @ vecs
+        vh = np.conj(vecs, out=vecs).swapaxes(1, 2)
+        at = vh @ at
+        bt = vh @ bt
+        del vecs, vh
     cols = _eigenbasis_columns(at, bt, lam)
     return {name: cols[name] for name in _BATCH_COLUMNS}
 

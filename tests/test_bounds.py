@@ -450,6 +450,97 @@ class TestBatchKernel:
             batch_bounds(PAULI_X[None], PAULI_Y[None], rho[None])
 
 
+def _spectra(d, n, rng):
+    """Ascending Hilbert-Schmidt spectra, then a rank-deficient, a pure and the
+    maximally mixed spectrum."""
+    one_zero = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 1.0, d - 1))])
+    pure = np.zeros(d)
+    pure[-1] = 1.0
+    special = [one_zero / one_zero.sum(), pure, np.full(d, 1.0 / d)]
+    return np.concatenate([np.linalg.eigvalsh(sample_density_batch(d, n, rng)), special])
+
+
+class TestBatchKernelOnSpectra:
+    """``batch_bounds(a, b, lam)`` with (n, d) spectra: the diagonal states diag(lam),
+    with A and B already in that eigenbasis."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_matches_diagonal_states(self, d):
+        rng = np.random.default_rng(SEED + 140 + d)
+        lam = _spectra(d, 64, rng)
+        a = sample_hermitian_batch(d, lam.shape[0], rng)
+        b = sample_hermitian_batch(d, lam.shape[0], rng)
+        diag = np.einsum("nj,jk->njk", lam, np.eye(d)).astype(complex)
+        _assert_columns_close(batch_bounds(a, b, lam), batch_bounds(a, b, diag), 1e-12)
+
+    def test_row_order_does_not_matter(self):
+        rng = np.random.default_rng(SEED + 150)
+        d = 5
+        lam = _spectra(d, 32, rng)
+        a = sample_hermitian_batch(d, lam.shape[0], rng)
+        b = sample_hermitian_batch(d, lam.shape[0], rng)
+        shuffled = rng.permuted(lam, axis=1)
+        assert (shuffled != lam).any()
+        got, want = batch_bounds(a, b, shuffled), batch_bounds(a, b, lam)
+        for name in COLUMNS:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_negative_entry_raises(self):
+        with pytest.raises(InvalidStateError, match="negative"):
+            batch_bounds(PAULI_X[None], PAULI_Y[None], np.array([[1.5, -0.5]]))
+
+    def test_dimension_one_raises(self):
+        one = np.ones((3, 1, 1), dtype=complex)
+        with pytest.raises(DimensionMismatchError):
+            batch_bounds(one, one, np.ones((3, 1)))
+
+    def test_width_must_match_the_observables(self):
+        rng = np.random.default_rng(SEED + 151)
+        a = sample_hermitian_batch(3, 4, rng)
+        with pytest.raises(DimensionMismatchError, match="width 4"):
+            batch_bounds(a, a, np.full((4, 4), 0.25))
+
+    def test_read_only_and_broadcast_inputs_unchanged(self):
+        rng = np.random.default_rng(SEED + 152)
+        n, d = 16, 4
+        lam = _spectra(d, n - 3, rng)
+        a = sample_hermitian_batch(d, n, rng)
+        b = np.broadcast_to(sample_hermitian_batch(d, 1, rng), (n, d, d))
+        saved = a.copy(), b.copy(), lam.copy()
+        a.setflags(write=False)
+        lam.setflags(write=False)
+        got = batch_bounds(a, b, lam)
+        for x, before in zip((a, b, lam), saved):
+            np.testing.assert_array_equal(x, before)
+        want = batch_bounds(a.copy(), np.array(b), lam.copy())
+        for name in COLUMNS:
+            np.testing.assert_array_equal(got[name], want[name])
+
+    def test_empty_batch(self):
+        cols = batch_bounds(np.zeros((0, 3, 3), dtype=complex), np.zeros((0, 3, 3)), np.zeros((0, 3)))
+        assert sorted(cols) == sorted(COLUMNS)
+        assert all(col.shape == (0,) for col in cols.values())
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_compare_law_matches_the_rotated_path(self, d):
+        """The triples as ``compare`` draws them, (A, B, eigvalsh(rho)), against
+        ``batch_bounds`` on independent matrix states: a two-sample KS test of each
+        column, the bounds divided by the product."""
+        from scipy.stats import ks_2samp
+
+        n = 20_000
+        rng = np.random.default_rng(SEED + 160 + d)
+        a, b = sample_hermitian_batch(d, n, rng), sample_hermitian_batch(d, n, rng)
+        new = batch_bounds(a, b, np.linalg.eigvalsh(sample_density_batch(d, n, rng)))
+        a, b = sample_hermitian_batch(d, n, rng), sample_hermitian_batch(d, n, rng)
+        old = batch_bounds(a, b, sample_density_batch(d, n, rng))
+        for cols in (new, old):
+            for name in BOUND_NAMES:
+                cols[name] = cols[name] / cols["product"]
+        for name in ("product", "purity", *BOUND_NAMES):
+            assert ks_2samp(new[name], old[name]).pvalue > 1e-3, name
+
+
 SCALAR_BOUNDS = {
     "robertson": bound_robertson,
     "schrodinger": bound_schrodinger,

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from commutator_bounds import FIG1_HEADER, FIG2_HEADER, averaged_bounds_qubit, fourier_phases
+from commutator_bounds import (
+    FIG1_HEADER,
+    FIG2_HEADER,
+    averaged_bounds_qubit,
+    batch_bounds,
+    fourier_phases,
+    matrix_from_pairs,
+)
 from commutator_bounds.cli import _compare_lines, _mub_samples, build_parser, main
 from commutator_bounds.mub import mub_samples
 
@@ -79,6 +86,19 @@ class TestCompare:
         one = run_cli(*base, "--workers", "1", cwd=tmp_path)
         two = run_cli(*base, "--workers", "2", cwd=tmp_path)
         assert ok_stdout(one) == ok_stdout(two)
+
+    def test_no_state_is_decomposed(self, monkeypatch, tmp_path):
+        """compare reads each triple in its state's eigenbasis from the spectrum alone."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        out = tmp_path / "compare.jsonl"
+        code = main(["compare", "--dim", "3", "--samples", "5000", "--seed", "2", "--workers", "1",
+                     "--out", str(out), "--counterexample-dir", str(tmp_path / "cx")])
+        assert code == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 5000
 
 
 COMPARE_VALUES = ("purity", "product", "robertson", "schrodinger", "luo_park", "bound1", "bound2")
@@ -187,6 +207,16 @@ class TestCompareViolations:
         assert files == ["compare_d4_4500.json"]
         payload = json.loads((tmp_path / "cx" / files[0]).read_text(encoding="utf-8"))
         assert payload["index"] == 4500 and payload["dim"] == 4
+        # rho is diag(spectrum): the triple as compare evaluated it, in the state's eigenbasis
+        spectrum = np.array(payload["spectrum"])
+        rho = matrix_from_pairs(payload["rho"])
+        np.testing.assert_array_equal(rho, np.diag(spectrum))
+        assert np.all(np.diff(spectrum) >= 0.0)
+        assert spectrum.sum() == pytest.approx(1.0, abs=1e-12)
+        a, b = (matrix_from_pairs(payload[name])[None] for name in ("a", "b"))
+        cols = batch_bounds(a, b, rho[None])
+        for name in ("product", "bound2"):
+            assert cols[name][0] == pytest.approx(payload[name], rel=1e-12, abs=0.0)
 
 
 class TestFigures:
@@ -651,12 +681,14 @@ class TestParser:
 class TestChunkedGoldenBytes:
     """sha256 of stdout for chunked Monte Carlo and compare runs.
 
-    Recorded before the sampling loops were folded into one chunk plan, the
-    compare-d2 and compare-d16 digests before compare's lines were formatted in
-    the workers, and the mub-d4 and mub-d3-spectrum digests when the MUB sample
-    columns moved onto the bound kernel's reductions, which sum in another
-    order (means moved by at most 2 ulp); every sample count leaves a ragged
-    last batch, and the worker count must not change a byte.
+    Recorded before the sampling loops were folded into one chunk plan, and the
+    mub-d4 and mub-d3-spectrum digests when the MUB sample columns moved onto the
+    bound kernel's reductions, which sum in another order (means moved by at most
+    2 ulp).  The three compare digests were re-recorded when compare began to read
+    each triple in its state's eigenbasis, as (eigvalsh(rho), A, B) with no
+    rotation: each row is another draw from the same law, so the values moved
+    while the row counts, keys and pass flags held.  Every sample count leaves a
+    ragged last batch, and the worker count must not change a byte.
     """
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -683,15 +715,15 @@ class TestChunkedGoldenBytes:
             ),
             (
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),
-                "f224aa039c0ab278288c64257ba7cec857c08ae3b2869960300a3511170fd3db",
+                "be7bb80fd5cda85176469c9f9eaf495deea707285143468aed9567b49e77242d",
             ),
             (
                 ("compare", "--dim", "2", "--samples", "5000", "--seed", "3"),
-                "b77f513a7b7494d89aa8deb3a50a7f50c7a927c84ad97027a573fe5eb3d10e6b",
+                "e77bedf082fb09771943bbeedf29e130e28519b93e358fa1d1bd65b1e4cb72bf",
             ),
             (
                 ("compare", "--dim", "16", "--samples", "300", "--seed", "5"),
-                "ce88a961c46d472e7508e193c2397e2cac45f7d8cfaa9b3a06895efbb574edac",
+                "bb8994eacf402b450920db5997e9c656bcb6dd33d7a538be60e1b80880a241b7",
             ),
         ],
         ids=["purity-json", "purity-csv", "mub-d4", "mub-d3-spectrum", "compare-d4",

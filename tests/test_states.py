@@ -233,6 +233,17 @@ class TestSampling:
         np.testing.assert_array_equal(obs.matrix, sample_hermitian_batch(d, 1, batch_rng)[0])
         assert rng.bit_generator.state == batch_rng.bit_generator.state
 
+    @pytest.mark.parametrize("count", [0, 1, 4097])
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    def test_hermitian_batch_is_the_complex_expression_bit_for_bit(self, d, count):
+        rng, ref_rng = np.random.default_rng(SEED + 10 + d), np.random.default_rng(SEED + 10 + d)
+        g = ref_rng.standard_normal((count, d, d)) + 1j * ref_rng.standard_normal((count, d, d))
+        want = (g + g.conj().transpose(0, 2, 1)) / 2.0
+        got = sample_hermitian_batch(d, count, rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
     def test_hilbert_schmidt_draw_is_a_batch_row(self, d):
         rng, batch_rng = np.random.default_rng(SEED + d), np.random.default_rng(SEED + d)
