@@ -26,6 +26,7 @@ from .states import sample_unit_vectors
 FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
 
 _CHUNK = 1 << 17
+MIN_QUBIT_SAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,8 @@ def monte_carlo_qubit_average(
     Returns five estimates in ``BOUND_NAMES`` order; each mean matches
     :func:`averaged_bounds_qubit` within a few standard errors.
     """
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    if samples < MIN_QUBIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_QUBIT_SAMPLES} samples, got {samples}")
     moments = sequential_moments(partial(qubit_bound_samples, purity), samples, _CHUNK, rng)
     return moments.estimates()
 

@@ -187,6 +187,12 @@ def _root_weighted_sum(w: np.ndarray, root: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...jk,...k->...", root, w, root)
 
 
+def _bound2_prefactor(small: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """bound2's lam_1 lam_2 / (lam_1 + lam_2) of the two smallest eigenvalues; 0 at 0/0."""
+    denom = small + second
+    return np.where(denom > 0.0, small * second / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+
 def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict[str, np.ndarray]:
     """The :func:`batch_bounds` columns plus the variances ``var_a``, ``var_b``
     and classical uncertainties ``cu_a``, ``cu_b`` of stacked triples.
@@ -238,19 +244,14 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     del w  # one (n, d, d) table at a time, which keeps the peak memory of batch_bounds
     w = _abs2(bt)
     var_b, cu_b = _weighted_sum(w.swapaxes(-1, -2), lam), _root_weighted_sum(w, root)
-
-    lam_m = lam[:, 0]
-    lam_sm = lam[:, 1]
-    lam_big = lam[:, -1]
-    denom = lam_m + lam_sm
-    prefactor = np.where(denom > 0.0, lam_m * lam_sm / np.where(denom > 0.0, denom, 1.0), 0.0)
+    prefactor = _bound2_prefactor(lam[:, 0], lam[:, 1])
 
     cols = {
         "product": var_a * var_b,
         "robertson": robertson,
         "schrodinger": schrodinger,
         "luo_park": robertson + cu_a * cu_b,
-        "bound1": lam_m**2 / (2.0 * lam_big) * comm_norm,
+        "bound1": lam[:, 0] ** 2 / (2.0 * lam[:, -1]) * comm_norm,
         "bound2": prefactor * comm_norm,
         "purity": (lam**2).sum(axis=1),
         "var_a": var_a,

@@ -29,6 +29,7 @@ import numpy as np
 from ._parallel import map_ordered, task_rng
 from .averages import (
     FIG1_HEADER,
+    MIN_QUBIT_SAMPLES,
     Moments,
     averaged_bounds_qubit,
     chunk_moments,
@@ -40,13 +41,13 @@ from .averages import (
 from .bounds import BOUND_NAMES, HARD_BOUND_NAMES, batch_bounds, violation_masks
 from .mub import (
     FIG2_HEADER,
+    MIN_MUB_SAMPLES,
+    MUB_COLUMN_NAMES,
     fig2_rows,
-    fourier_mub_pair,
     fourier_phases,
     mub_b2_average,
     mub_column_averages,
     mub_sample_columns,
-    mub_vanishing_check,
 )
 from .optimizer import matrix_to_pairs, maximize_ratio, result_record
 from .states import (
@@ -255,11 +256,11 @@ def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
 
 def _cmd_mc_average(args) -> int:
     if args.mub:
-        if args.samples < 10_000:
-            raise ValueError("--mub averaging needs --samples >= 10000")
+        if args.samples < MIN_MUB_SAMPLES:
+            raise ValueError(f"--mub averaging needs --samples >= {MIN_MUB_SAMPLES}")
         lams = _parse_spectrum(args.spectrum, args.dim)
         moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
-        names = ("comm_norm", "lp_term", "lp_factor_a", "lp_factor_b")
+        names = MUB_COLUMN_NAMES
         targets = mub_column_averages(lams)
     else:
         if args.dim != 2 or args.spectrum is not None:
@@ -279,27 +280,19 @@ def _cmd_mc_average(args) -> int:
 def _cmd_mub_average(args) -> int:
     lams = _parse_spectrum(args.spectrum, args.dim)
     comm_norm, luo_park = mub_column_averages(lams)[:2]
-    pair = fourier_mub_pair(args.dim, *_default_unit_spectra(args.dim))
-    vanishing = mub_vanishing_check(pair, lams)
+    # both vanish exactly: rho commutes with A, and B's diagonal in A's eigenbasis is constant
     rows = [
         {"name": "luo_park_mub_avg", "value": luo_park},
         {"name": "bound2_mub_avg", "value": mub_b2_average(lams)},
         {"name": "comm_norm_avg", "value": comm_norm},
-        {"name": "robertson_mub", "value": float(vanishing[0])},
-        {"name": "schrodinger_mub", "value": float(vanishing[1])},
+        {"name": "robertson_mub", "value": 0.0},
+        {"name": "schrodinger_mub", "value": 0.0},
     ]
     # the estimate columns stay in the CSV header, always empty, so readers of its layout still work
     keys = ("name", "value") + _ESTIMATE_KEYS[1:]
     with _output(args.out) as out:
         _write_rows(out, rows, args.format, keys)
     return EXIT_OK
-
-
-def _default_unit_spectra(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    base = np.arange(1, dim + 1, dtype=float)
-    base -= base.mean()
-    unit = base / np.linalg.norm(base)
-    return unit, unit
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +392,7 @@ _SPECTRUM_HELP = (
     "--dim comma-separated values forming a state spectrum, divided by their sum"
     " (default uniform)"
 )
+_SAMPLES_HELP = f"integer >= {MIN_QUBIT_SAMPLES} ({MIN_MUB_SAMPLES} with --mub)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_count(2), default=2, help="integer >= 2 (default 2)")
     p.add_argument("--spectrum", default=None, help=_SPECTRUM_HELP)
     p.add_argument(
-        "--samples", type=_count(1000), required=True, help="integer >= 1000 (10000 with --mub)"
+        "--samples", type=_count(MIN_QUBIT_SAMPLES), required=True, help=_SAMPLES_HELP
     )
     p.set_defaults(func=_cmd_mc_average)
 

@@ -10,19 +10,20 @@ independent of which valid phase table is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .averages import MCEstimate, checked_purity, sequential_moments
-from .bounds import _root_weighted_sum, _weighted_sum, bound_report
+from .bounds import _bound2_prefactor, _root_weighted_sum, _weighted_sum, bound_report
 from .linalg import checked_dim, checked_unit, frozen
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
 FIG2_HEADER = "purity,luo_park_mub_avg,bound2_mub_avg"
 
 _CHUNK = 1 << 16
+MIN_MUB_SAMPLES = 10_000
 
 #: Tolerance on the unitarity of the induced eigenbasis.
 BASIS_TOL = 1e-10
@@ -157,8 +158,8 @@ def mub_commutator_norm(pair: MUBPair, lams) -> float:
 def mub_vanishing_check(pair: MUBPair, rho_spectrum) -> tuple[float, float]:
     """Robertson and Schroedinger bounds when the state commutes with the first observable.
 
-    Both vanish (below 1e-10) for every spectrum: a mutually unbiased pair's
-    complementarity is invisible to them.
+    Both are exactly 0, which ``mub-average`` prints; this matrix-path check of that 0 reads
+    round-off below 1e-10.  A mutually unbiased pair's complementarity is invisible to them.
     """
     rho = DensityMatrix.from_spectrum(rho_spectrum)
     report = bound_report(pair.observable_a(), pair.observable_b(), rho)
@@ -168,15 +169,16 @@ def mub_vanishing_check(pair: MUBPair, rho_spectrum) -> tuple[float, float]:
 def mub_column_averages(lams) -> tuple[float, float, float, float]:
     """Closed-form means of the four :func:`mub_sample_columns` over both unit spectra.
 
-    2 (d - 1) / d^3 for the commutator norm, then with f_a = (1 - sum lam^2) / d and
-    f_b = ((sum sqrt(lam))^2 - 1) / d^2 the Luo-Park term f_a f_b and the factors f_a, f_b.
+    2 (d - 1) / d^3 for the commutator norm, then with f_a = sum_{j != k} lam_j lam_k / d
+    and f_b = sum_{j != k} sqrt(lam_j lam_k) / d^2, whose nonnegative pair sums (``fsum``)
+    do not cancel near a pure state, the Luo-Park term f_a f_b and the factors f_a, f_b.
     """
     lam = checked_spectrum(lams)
     d = checked_dim(lam.shape[0])
-    mixed = 1.0 - lam @ lam
-    spread = np.sqrt(lam).sum() ** 2 - 1.0
-    lp = mixed * spread / d**3
-    return mub_commutator_norm_average(d), float(lp), float(mixed / d), float(spread / d**2)
+    pairs = np.outer(lam, lam)[np.triu_indices(d, 1)]
+    mixed = 2.0 * math.fsum(pairs)
+    spread = 2.0 * math.fsum(np.sqrt(pairs))
+    return mub_commutator_norm_average(d), mixed * spread / d**3, mixed / d, spread / d**2
 
 
 def mub_lp_average(lams) -> float:
@@ -188,10 +190,7 @@ def mub_b2_average(lams) -> float:
     """Pair-averaged conjectured bound: lam1 lam2 / (lam1 + lam2) * 2 (d-1) / d^3."""
     lam = np.sort(checked_spectrum(lams))
     d = checked_dim(lam.shape[0])
-    denom = float(lam[0] + lam[1])
-    if denom <= 0.0:
-        return 0.0
-    return float(lam[0] * lam[1] / denom) * mub_commutator_norm_average(d)
+    return float(_bound2_prefactor(lam[0], lam[1])) * mub_commutator_norm_average(d)
 
 
 def mub_commutator_norm_average(dim: int) -> float:
@@ -213,6 +212,10 @@ class MubAverages:
     lp_factor_b: MCEstimate
 
 
+#: The four :func:`mub_sample_columns`, in column order, as :class:`MubAverages` names them.
+MUB_COLUMN_NAMES = tuple(field.name for field in fields(MubAverages))
+
+
 def mc_mub_average(
     dim: int, lams, samples: int, rng: np.random.Generator, phases: np.ndarray | None = None
 ) -> MubAverages:
@@ -221,12 +224,12 @@ def mc_mub_average(
     The four means match :func:`mub_column_averages`.  ``phases`` is checked as
     in :func:`mub_pair`.
     """
-    if samples < 10_000:
+    if samples < MIN_MUB_SAMPLES:
         raise ValueError(f"need at least 10^4 samples, got {samples}")
     lam = checked_spectrum(lams, checked_dim(dim))
     ph = fourier_phases(dim) if phases is None else _checked_phases(dim, phases)
     ests = sequential_moments(partial(mub_samples, ph, lam), samples, _CHUNK, rng).estimates()
-    return MubAverages(comm_norm=ests[0], lp_term=ests[1], lp_factor_a=ests[2], lp_factor_b=ests[3])
+    return MubAverages(*ests)
 
 
 def qubit_mub_theta_lp(purity: float, theta: float) -> float:

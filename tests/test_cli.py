@@ -285,6 +285,13 @@ class TestMCAverage:
         proc = run_cli("mc-average", "--purity", "0.75", "--samples", "500", cwd=tmp_path)
         assert_exit(proc, 2)
 
+    def test_too_few_mub_samples_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["mc-average", "--mub", "--samples", "9999", "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: --mub averaging needs --samples >= 10000" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [("--dim", "7"), ("--spectrum", "0.1,0.9"), ("--dim", "7", "--spectrum", "0.1,0.9")],
@@ -454,17 +461,19 @@ class TestMubAverage:
 
     # sha256 of stdout, recorded from mub-average's former CSV/JSON writer before it
     # moved onto the shared row writer, which must reproduce it byte for byte; the CSV
-    # header still names the estimate columns of the Monte Carlo rows mub-average had
+    # header still names the estimate columns of the Monte Carlo rows mub-average had.
+    # Re-recorded when robertson_mub and schrodinger_mub became their closed form 0.0:
+    # only schrodinger_mub moved, from the matrix path's round-off 1.9769057276571755e-66
     @pytest.mark.parametrize(
         "args, digest",
         [
             (
                 ("--dim", "4", "--format", "csv"),
-                "40bfcae395bd243b464bfda986323ab736aba281862b16700b757640b87c93eb",
+                "14afb3f2ae7fd23ab89589a6cc1c9cf995d2641ed36a60e6033e23440ef39405",
             ),
             (
                 ("--dim", "4", "--format", "json"),
-                "b6b20b126264b4fe27ab783842cbbc9ab2a6b4415cda29a45585e117bfdd7520",
+                "02c9c463f51ed8525c0ae93fa4569a59822965cb2e8b1d13917505ea54a01ebd",
             ),
         ],
         ids=["d4-csv", "d4-json"],
@@ -472,6 +481,29 @@ class TestMubAverage:
     def test_golden_bytes(self, args, digest, tmp_path):
         out = ok_stdout(run_cli("mub-average", *args, cwd=tmp_path))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    @pytest.mark.parametrize("spectrum", ["uniform", "dirichlet"])
+    def test_vanishing_rows_are_exactly_zero(self, dim, spectrum, tmp_path):
+        out = tmp_path / "out.jsonl"
+        argv = ["mub-average", "--dim", str(dim), "--out", str(out)]
+        if spectrum == "dirichlet":
+            lam = np.random.default_rng(dim).dirichlet(np.ones(dim))
+            argv.append("--spectrum=" + ",".join(map(repr, lam.tolist())))
+        assert main(argv) == 0
+        rows = {row["name"]: row["value"] for row in map(json.loads, out.read_text().splitlines())}
+        assert (rows["robertson_mub"], rows["schrodinger_mub"]) == (0.0, 0.0)
+
+    def test_no_matrix_is_decomposed(self, monkeypatch, tmp_path):
+        """mub-average prints closed forms only."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mub-average called np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        out = tmp_path / "out.jsonl"
+        assert main(["mub-average", "--dim", "4", "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 5
 
     def test_monte_carlo_row_lives_on_in_mc_average(self, tmp_path):
         # the comm_norm_mc row of `mub-average --dim 3 --samples 20000 --seed 42`, recorded

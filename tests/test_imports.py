@@ -1,8 +1,8 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
 is used, every constant and private function or class in the package is read, scipy
 stays off the import path of everything but the optimizer, the round-off floor, any
-imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone, and
-no clamp bypasses ``linalg.nonnegative``."""
+imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone, the
+MUB column names in ``mub`` alone, and no clamp bypasses ``linalg.nonnegative``."""
 
 import ast
 import fnmatch
@@ -273,6 +273,33 @@ def test_two_level_rule_check_sees_each_kind():
         "state dimension must be >= 2, got ",
         "The dimension must be >= 2.",
     ]
+
+
+def column_name_copies(source: str) -> list[str]:
+    """Each string constant in ``source``, f-string parts included, that spells the MUB
+    column name ``lp_factor_a``."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "lp_factor_a" in node.value
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_mub_column_names_live_in_mub(path):
+    # the four column names come from mub.MUB_COLUMN_NAMES, as the bound names from bounds
+    source = (SRC / "commutator_bounds" / path).read_text(encoding="utf-8")
+    assert path == "mub.py" or column_name_copies(source) == []
+
+
+def test_column_name_check_sees_each_kind():
+    source = (
+        'a = ("comm_norm", "lp_factor_a")\nb = f"{x}.lp_factor_a"\nlp_factor_a = 1\n'
+        'c = b"lp_factor_a"\nd = "lp_factor_b"\ndef f():\n    """Reads lp_factor_a."""\n'
+    )
+    assert column_name_copies(source) == ["lp_factor_a", ".lp_factor_a", "Reads lp_factor_a."]
 
 
 def clip_calls(source: str) -> list[str]:

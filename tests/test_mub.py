@@ -170,6 +170,38 @@ def column_average_spectra():
 COLUMN_AVERAGE_SPECTRA = list(column_average_spectra())
 
 
+def former_b2_average(lams) -> float:
+    """``mub_b2_average`` as it read before the bound2 prefactor moved into ``bounds``."""
+    lam = np.sort(checked_spectrum(lams))
+    d = lam.shape[0]
+    denom = float(lam[0] + lam[1])
+    if denom <= 0.0:
+        return 0.0
+    return float(lam[0] * lam[1] / denom) * (2.0 * (d - 1) / d**3)
+
+
+def fifty_digit_column_averages(lam) -> tuple[Decimal, ...]:
+    """The four ``mub_column_averages`` to 50 digits from the pair sums over the float
+    spectrum ``lam``, exactly as given."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = [Decimal(float(v)) for v in lam]
+        d = len(x)
+        pairs = [x[j] * x[k] for j in range(d) for k in range(d) if j != k]
+        mixed = sum(pairs)
+        spread = sum(pair.sqrt() for pair in pairs)
+        return Decimal(2 * (d - 1)) / d**3, mixed * spread / d**3, mixed / d, spread / d**2
+
+
+def near_pure_and_dirichlet_spectra():
+    """(10^-k, 1 - 10^-k) for k = 1 to 16, then 50 Dirichlet spectra at each d = 2 to 8."""
+    for k in range(1, 17):
+        yield np.array([10.0**-k, 1.0 - 10.0**-k])
+    rng = np.random.default_rng(SEED + 31)
+    for d in range(2, 9):
+        yield from rng.dirichlet(np.full(d, 0.5), size=50)
+
+
 class TestColumnAverages:
     @pytest.mark.parametrize(
         "lams", [lam for _, lam in COLUMN_AVERAGE_SPECTRA],
@@ -177,8 +209,32 @@ class TestColumnAverages:
     )
     def test_bit_for_bit_as_the_former_cli(self, lams):
         got = mub_column_averages(lams)
-        assert got == former_cli_targets(lams)
+        assert got[0] == former_cli_targets(lams)[0]
         assert mub_lp_average(lams) == got[1]
+        # the pair sums part from the former 1 - sum lam^2 and (sum sqrt(lam))^2 - 1 by
+        # that form's cancellation; every column here is at most 1
+        np.testing.assert_allclose(got, former_cli_targets(lams), rtol=0.0, atol=1e-12)
+
+    def test_within_4_ulp_of_50_digits(self):
+        worst = 0.0
+        for lam in near_pure_and_dirichlet_spectra():
+            for got, exact in zip(mub_column_averages(lam), fifty_digit_column_averages(lam)):
+                exact_ulp = Decimal(math.ulp(float(exact)))
+                worst = max(worst, float(abs(Decimal(got) - exact) / exact_ulp))
+        assert worst <= 4.0, worst
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_roundoff_spectrum_reads_no_negative_average(self, d):
+        lam = np.r_[-1e-13, np.zeros(d - 2), 1.0 + 1e-13]
+        averages = mub_column_averages(lam)
+        assert min(averages) >= 0.0, averages
+
+    @pytest.mark.parametrize(
+        "lams", [lam for _, lam in COLUMN_AVERAGE_SPECTRA],
+        ids=[name for name, _ in COLUMN_AVERAGE_SPECTRA],
+    )
+    def test_b2_average_bit_for_bit_as_before(self, lams):
+        assert mub_b2_average(lams) == former_b2_average(lams)
 
     # the errors mub_lp_average raised before it read mub_column_averages
     @pytest.mark.parametrize(
