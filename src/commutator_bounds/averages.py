@@ -27,6 +27,7 @@ FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
 
 _CHUNK = 1 << 17
 MIN_QUBIT_SAMPLES = 1000
+MIN_MOMENT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -203,8 +204,8 @@ def sphere_moment_check(dim: int, samples: int, rng: np.random.Generator) -> Mom
     sums to 1 exactly sample by sample.
     """
     checked_dim(dim)
-    if samples < 10_000:
-        raise ValueError(f"need at least 10^4 samples, got {samples}")
+    if samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {samples}")
 
     def outer_products(count: int, chunk_rng: np.random.Generator) -> np.ndarray:
         x = sample_unit_vectors(dim, count, chunk_rng)

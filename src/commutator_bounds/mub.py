@@ -5,6 +5,11 @@ with the state); its partner's eigenbasis is encoded by a phase table
 theta[j, k] with overlaps e^(i theta[j,k]) / sqrt(d).  The discrete Fourier
 phases give a valid pair in every dimension, and the averaged quantities are
 independent of which valid phase table is used.
+
+:func:`mub_sample_columns` has two paths.  On the Fourier table, the one the CLI
+uses, |<j|B|k>|^2 depends only on (j - k) mod d, and the columns are sums over
+those d - 1 shifts: O(d^2) per sample.  Any other table builds every <j|B|k>
+from a d x d^2 overlap table: O(d^3) per sample.
 """
 
 from __future__ import annotations
@@ -104,8 +109,29 @@ def mub_sample_columns(
 
     Columns: weighted squared commutator norm, Luo-Park second term, and its
     two classical factors.  In the diagonal state's eigenbasis A~ = diag(a) and
-    B~ = U diag(b) U^dag, u_jl = <j|b_l>; b and the table u_jl conj(u_kl) give the
-    |B~'_jk|^2 tables, and the bound kernel's reductions sum them into nonnegative columns.
+    B~ = U diag(b) U^dag, u_jl = <j|b_l>, and every column is a sum of nonnegative
+    terms over the |B~'_jk|^2 of the centered B'.  On :func:`fourier_phases` those
+    depend only on (j - k) mod d and :func:`_circulant_sums` costs O(d^2) per sample;
+    any other table takes :func:`_table_sums`, O(d^3) per sample.
+    """
+    d = phases.shape[0]
+    if np.array_equal(phases, fourier_phases(d)):
+        comm_norm, factor_b = _circulant_sums(lams, a, b)
+    else:
+        comm_norm, factor_b = _table_sums(phases, lams, a, b)
+    # A commutes with rho, so V(A) = C(A), and the table of the diagonal A~' is one row
+    centered_a = a - (a @ lams)[:, None]
+    factor_a = _weighted_sum(np.square(centered_a)[:, None, :], lams)
+    return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
+
+
+def _table_sums(
+    phases: np.ndarray, lams: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The commutator norm and C(B) of :func:`mub_sample_columns` for any phase table.
+
+    b and the table u_jl conj(u_kl) give the (n, d, d) |B~'_jk|^2 tables, which the
+    bound kernel's reductions sum.
     """
     d = phases.shape[0]
     u = _overlaps(phases).T[:, :, None]  # u[l, j, 0] = <j|b_l>
@@ -121,15 +147,47 @@ def mub_sample_columns(
     del imag  # peak memory: at most two (n, d^2) tables at once
     weights = weights.reshape(-1, d, d)
 
-    # A commutes with rho, so V(A) = C(A), and the table of the diagonal A~' is one row
-    centered_a = a - (a @ lams)[:, None]
-    factor_a = _weighted_sum(np.square(centered_a)[:, None, :], lams)
     factor_b = _root_weighted_sum(weights, np.sqrt(lams))
     # |[A,B]~_jk|^2 = (a_j - a_k)^2 |B~_jk|^2: centering moved only the diagonal, where a_j = a_k
     gaps = a[:, :, None] - a[:, None, :]
     weights *= np.square(gaps, out=gaps)
-    comm_norm = _weighted_sum(weights, lams)
-    return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
+    return _weighted_sum(weights, lams), factor_b
+
+
+def _circulant_sums(
+    lams: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The commutator norm and C(B) of :func:`mub_sample_columns` on the Fourier table.
+
+    There B~_jk = g_((j - k) mod d) with g = ifft(b), so with c_s = |g_s|^2 the two
+    columns are sum_{s>=1} c_s sum_k lam_k (a_(k+s) - a_k)^2 and sum_{s>=1} c_s R_s,
+    R_s = sum_k sqrt(lam_k lam_(k+s)), indices mod d.  Centering leaves each B~'_jj
+    at g_0 (1 - sum lam) = 0, so s = 0 drops out.  The gaps stay differences that are
+    squared, never expanded into sums that cancel.
+    """
+    d = lams.shape[0]
+    shifts = np.arange(1, d)[:, None]
+    k = np.arange(d)
+    # rows s = 1..d-1 of ifft: g_s = sum_l b_l e^(2 pi i s l / d) / d, angles reduced mod d
+    angles = (2.0 * np.pi / d) * (shifts * k % d)
+    waves = np.concatenate([np.cos(angles), np.sin(angles)]) / d
+    parts = waves @ b.T  # (2 (d - 1), n): real parts of g_s, then imaginary parts
+    np.square(parts, out=parts)
+    overlap = parts[: d - 1]  # (d - 1, n) table of c_s
+    overlap += parts[d - 1 :]
+    root = np.sqrt(lams)
+    pair_roots = root[(shifts + k) % d] @ root  # R_s
+    factor_b = pair_roots @ overlap
+
+    at = np.ascontiguousarray(a.T)  # (d, n): one contiguous row per level
+    gap = np.empty_like(at)
+    spread = parts[d - 1 :]  # the spent sine rows take sum_k lam_k gap_k^2, one per shift
+    for s in range(1, d):
+        np.subtract(at[s:], at[:-s], out=gap[:-s])  # a_(k+s) - a_k for k < d - s
+        np.subtract(at[:s], at[-s:], out=gap[-s:])  # and wrapped round for the rest
+        np.dot(lams, np.square(gap, out=gap), out=spread[s - 1])
+    spread *= overlap
+    return spread.sum(axis=0), factor_b
 
 
 def mub_samples(
@@ -225,7 +283,7 @@ def mc_mub_average(
     in :func:`mub_pair`.
     """
     if samples < MIN_MUB_SAMPLES:
-        raise ValueError(f"need at least 10^4 samples, got {samples}")
+        raise ValueError(f"need at least {MIN_MUB_SAMPLES} samples, got {samples}")
     lam = checked_spectrum(lams, checked_dim(dim))
     ph = fourier_phases(dim) if phases is None else _checked_phases(dim, phases)
     ests = sequential_moments(partial(mub_samples, ph, lam), samples, _CHUNK, rng).estimates()

@@ -214,6 +214,10 @@ class TestSphereMoments:
         with pytest.raises(ValueError):
             sphere_moment_check(3, 100, np.random.default_rng(0))
 
+    def test_one_sample_short_of_the_minimum_names_it(self):
+        with pytest.raises(ValueError, match="need at least 10000 samples, got 9999"):
+            sphere_moment_check(3, 9_999, np.random.default_rng(0))
+
 
 class TestFig1Rows:
     def test_endpoints_match_closed_forms(self):

@@ -507,13 +507,14 @@ class TestMubAverage:
 
     def test_monte_carlo_row_lives_on_in_mc_average(self, tmp_path):
         # the comm_norm_mc row of `mub-average --dim 3 --samples 20000 --seed 42`, recorded
-        # before that option was deleted: mc-average --mub drew the same samples
+        # before that option was deleted: mc-average --mub drew the same samples.  Re-recorded
+        # when the Fourier columns became circulant sums: the mean moved by 3 ulp
         recorded = {
-            "mean": 0.14791291208411572,
-            "std_error": 0.0006933790745374153,
+            "mean": 0.14791291208411564,
+            "std_error": 0.0006933790745374145,
             "samples": 20000,
             "target": 0.14814814814814814,
-            "z": -0.3392604026727439,
+            "z": -0.3392604026728644,
         }
         proc = run_cli(
             "mc-average", "--mub", "--dim", "3", "--samples", "20000", "--seed", "42",
@@ -716,7 +717,8 @@ class TestChunkedGoldenBytes:
     Recorded before the sampling loops were folded into one chunk plan, and the
     mub-d4 and mub-d3-spectrum digests when the MUB sample columns moved onto the
     bound kernel's reductions, which sum in another order (means moved by at most
-    2 ulp).  The three compare digests were re-recorded when compare began to read
+    2 ulp), and again when the Fourier columns became circulant sums over the
+    shifts (j - k) mod d (means moved by at most 4 ulp).  The three compare digests were re-recorded when compare began to read
     each triple in its state's eigenbasis, as (eigvalsh(rho), A, B) with no
     rotation: each row is another draw from the same law, so the values moved
     while the row counts, keys and pass flags held.  Every sample count leaves a
@@ -738,12 +740,12 @@ class TestChunkedGoldenBytes:
             ),
             (
                 ("mc-average", "--mub", "--dim", "4", "--samples", "300000", "--seed", "101"),
-                "ad01a43e92dc3daa5185fe04fe0a9ff1505d0cb4ba345686363812fc844c4223",
+                "87a0501fcfb4266bf9691aa6f002c42339b84c2268f0239d14416a97c1dfa460",
             ),
             (
                 ("mc-average", "--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5",
                  "--samples", "70000", "--seed", "3"),
-                "b6fdb973262377d0f832cff0afb6546e704a30815fd3805c3b24b1b433d78ffc",
+                "221b131aeb141363b17b11f282496ba983c62bc7d6673eccb760e6dd08a74ff0",
             ),
             (
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),

@@ -290,6 +290,14 @@ class TestCommutatorNormPhaseSum:
         assert mub_commutator_norm(pair, np.full(d, 1.0 / d)) == pytest.approx(0.0, abs=1e-12)
 
 
+def shifted_fourier_phases(rng, d):
+    """The Fourier table plus row phases alpha_j and column phases beta_k: the same
+    |B~_jk|^2, but no longer equal to :func:`fourier_phases`, so the general path runs."""
+    return fourier_phases(d) + rng.uniform(0.0, 2.0 * np.pi, (d, 1)) + rng.uniform(
+        0.0, 2.0 * np.pi, (1, d)
+    )
+
+
 class TestSampleColumnsMatrixPath:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -299,11 +307,8 @@ class TestSampleColumnsMatrixPath:
     )
     @example(seed=SEED, d=2, rank_deficient=True)
     def test_columns_match_matrix_path(self, seed, d, rank_deficient):
-        # any valid table: Fourier phases plus row phases alpha_j and column phases beta_k
         rng = np.random.default_rng(seed)
-        alpha = rng.uniform(0.0, 2.0 * np.pi, (d, 1))
-        beta = rng.uniform(0.0, 2.0 * np.pi, (1, d))
-        phases = fourier_phases(d) + alpha + beta
+        phases = shifted_fourier_phases(rng, d)
         lam = rng.dirichlet(np.ones(d))
         if rank_deficient:
             lam[rng.integers(d)] = 0.0
@@ -416,6 +421,54 @@ class TestSampleColumnsReference:
         # leave at -5.55e-17; a sum of nonnegative terms cannot
         cols = mub_sample_columns(fourier_phases(d), lam, a[None, :], b[None, :])
         assert np.all(cols >= 0.0)
+
+
+class TestCirculantFourierPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=2, max_value=16),
+        state=st.sampled_from(["full", "rank-deficient", "pure"]),
+    )
+    @example(seed=SEED, d=64, state="rank-deficient")
+    @example(seed=SEED, d=2, state="pure")
+    def test_matches_the_general_path(self, seed, d, state):
+        rng = np.random.default_rng(seed)
+        lam = rng.dirichlet(np.ones(d))
+        if state == "rank-deficient":
+            lam[rng.choice(d, d // 2, replace=False)] = 0.0
+            lam /= lam.sum()
+        elif state == "pure":
+            lam = np.eye(d)[rng.integers(d)]
+        a = sample_unit_vectors(d, 16, rng)
+        b = sample_unit_vectors(d, 16, rng)
+        cols = mub_sample_columns(fourier_phases(d), lam, a, b)
+        want = mub_sample_columns(shifted_fourier_phases(rng, d), lam, a, b)
+        assert np.all(np.abs(cols - want) <= 1e-14 * np.abs(want).max(axis=0))
+        assert np.all(cols >= 0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
+    def test_a_proportional_to_identity_commutes_exactly(self, d):
+        # every gap a_(k+s) - a_k is an exact 0, so no round-off can leave a negative norm
+        rng = np.random.default_rng(SEED + 20 + d)
+        a = np.full((8, d), 1.0 / np.sqrt(d))
+        b = sample_unit_vectors(d, 8, rng)
+        for lam in (rng.dirichlet(np.ones(d)), np.eye(d)[0]):
+            cols = mub_sample_columns(fourier_phases(d), lam, a, b)
+            assert np.all(cols >= 0.0)
+            assert np.all(cols[:, 0] == 0.0)
+
+    def test_builds_no_overlap_table(self, monkeypatch):
+        from commutator_bounds import cli, mub
+
+        def no_table(phases):
+            raise AssertionError("the Fourier path built the d x d^2 overlap table")
+
+        monkeypatch.setattr(mub, "_overlaps", no_table)
+        lam = np.array([0.1, 0.2, 0.3, 0.4])
+        result = mc_mub_average(4, lam, 10_000, np.random.default_rng(SEED + 21))
+        assert result.comm_norm.samples == 10_000
+        assert cli._mub_samples(4, lam, 100, np.random.default_rng(SEED + 22)).shape == (100, 4)
 
 
 @pytest.mark.parametrize("name", sorted(NON_FOURIER_TABLES))
@@ -531,6 +584,10 @@ class TestMonteCarlo:
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
             mc_mub_average(2, [0.5, 0.5], 5000, np.random.default_rng(0))
+
+    def test_one_sample_short_of_the_minimum_names_it(self):
+        with pytest.raises(ValueError, match="need at least 10000 samples, got 9999"):
+            mc_mub_average(2, [0.5, 0.5], 9_999, np.random.default_rng(0))
 
     def test_one_level_rejected(self):
         with pytest.raises(ValueError, match="dimension must be >= 2"):
