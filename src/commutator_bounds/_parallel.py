@@ -1,6 +1,6 @@
-"""Deterministic seed splitting and ordered parallel mapping.
+"""Deterministic seed splitting, the stream tags, and ordered parallel mapping.
 
-Task streams are Philox generators keyed on (seed, *path); because the
+Task streams are Philox generators keyed on (seed, tag, *path); because the
 generator is counter-based and the key never involves the worker that runs
 the task, results are identical for any worker count, and byte-identical for
 a fixed seed.
@@ -8,8 +8,10 @@ a fixed seed.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from enum import IntEnum
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -18,9 +20,20 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+class Stream(IntEnum):
+    """First element of every task path: one seed gives each command and estimator its own."""
+
+    COMPARE = 1
+    MC_PURITY = 2
+    MC_MUB = 3
+    CONJECTURE = 4
+    SPHERE_MOMENTS = 5
+
+
 def task_rng(seed: int, *path: int) -> np.random.Generator:
-    """Independent counter-based stream for the task addressed by ``path``."""
-    entropy = (int(seed),) + tuple(int(p) for p in path)
+    """Independent counter-based stream for the task addressed by ``path``, a :class:`Stream`
+    first; seed and path are integers (``operator.index``), so a float raises ``TypeError``."""
+    entropy = tuple(map(operator.index, (seed, *path)))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

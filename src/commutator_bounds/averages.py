@@ -5,9 +5,9 @@ pair average depends on the state only through its purity (the average is
 invariant under simultaneous rotations), so Monte Carlo fixes the state
 direction along z without bias.
 
-Every Monte Carlo average here, in ``mub`` and in the CLI, is one chunk plan
-(:func:`chunk_plan`) with one per-chunk rule (:func:`chunk_moments`); the
-callers differ only in the sampler and in the generator each chunk draws from.
+Every Monte Carlo average here, in ``mub`` and in the CLI, merges in order batch i of
+:data:`MC_BATCH` samples drawn from ``task_rng(seed, tag, i)`` (:func:`seeded_moments`),
+so an estimator and ``cbounds mc-average`` with the same seed agree bit for bit.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import pairwise_reduce
+from ._parallel import Stream, pairwise_reduce, task_rng
 from .bounds import BOUND_NAMES, qubit_closed_form_batch
 from .linalg import checked_dim, nonnegative
 from .states import sample_unit_vectors
 
 FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
 
-_CHUNK = 1 << 17
+MC_BATCH = 1 << 16
 MIN_QUBIT_SAMPLES = 1000
 MIN_MOMENT_SAMPLES = 10_000
 
@@ -92,17 +92,16 @@ def chunk_plan(total: int, size: int) -> list[tuple[int, int]]:
     return [(index, min(size, total - start)) for index, start in enumerate(range(0, total, size))]
 
 
-def chunk_moments(sample, rng_for, chunk: tuple[int, int]) -> Moments:
-    """Moments of one chunk: ``sample(count, rng_for(index))``, a (count, k) array."""
+def chunk_moments(sample, seed: int, tag: Stream, chunk: tuple[int, int]) -> Moments:
+    """Moments of one chunk: ``sample(count, task_rng(seed, tag, index))``, a (count, k) array."""
     index, count = chunk
-    return Moments.of(sample(count, rng_for(index)))
+    return Moments.of(sample(count, task_rng(seed, tag, index)))
 
 
-def sequential_moments(sample, total: int, size: int, rng: np.random.Generator) -> Moments:
-    """Moments of ``total`` samples drawn from ``rng`` in order, in chunks of ``size``."""
-    return merge_moments(
-        [chunk_moments(sample, lambda _: rng, chunk) for chunk in chunk_plan(total, size)]
-    )
+def seeded_moments(sample, total: int, seed: int, tag: Stream) -> Moments:
+    """Moments of ``total`` draws of ``sample`` in :data:`MC_BATCH` chunks, merged in order."""
+    chunks = chunk_plan(total, MC_BATCH)
+    return merge_moments([chunk_moments(sample, seed, tag, chunk) for chunk in chunks])
 
 
 def checked_purity(purity: float) -> float:
@@ -162,18 +161,16 @@ def qubit_bound_samples(purity: float, count: int, rng: np.random.Generator) -> 
     return np.column_stack([cols[name] for name in BOUND_NAMES])
 
 
-def monte_carlo_qubit_average(
-    purity: float, samples: int, rng: np.random.Generator
-) -> tuple[MCEstimate, ...]:
+def monte_carlo_qubit_average(purity: float, samples: int, seed: int) -> tuple[MCEstimate, ...]:
     """Monte Carlo estimate of the pair-averaged qubit bounds at one purity.
 
     Returns five estimates in ``BOUND_NAMES`` order; each mean matches
-    :func:`averaged_bounds_qubit` within a few standard errors.
+    :func:`averaged_bounds_qubit` within a few standard errors; ``mc-average --purity`` prints them.
     """
     if samples < MIN_QUBIT_SAMPLES:
         raise ValueError(f"need at least {MIN_QUBIT_SAMPLES} samples, got {samples}")
-    moments = sequential_moments(partial(qubit_bound_samples, purity), samples, _CHUNK, rng)
-    return moments.estimates()
+    sample = partial(qubit_bound_samples, purity)
+    return seeded_moments(sample, samples, seed, Stream.MC_PURITY).estimates()
 
 
 def crossover_purities() -> tuple[float, float]:
@@ -197,7 +194,7 @@ class MomentMatrixEstimate:
     samples: int
 
 
-def sphere_moment_check(dim: int, samples: int, rng: np.random.Generator) -> MomentMatrixEstimate:
+def sphere_moment_check(dim: int, samples: int, seed: int) -> MomentMatrixEstimate:
     """Estimate <x_j x_k> for x uniform on the unit sphere in R^dim.
 
     The exact second moments are delta_jk / dim; each row of outer products
@@ -211,10 +208,9 @@ def sphere_moment_check(dim: int, samples: int, rng: np.random.Generator) -> Mom
         x = sample_unit_vectors(dim, count, chunk_rng)
         return np.einsum("ni,nj->nij", x, x).reshape(count, dim * dim)
 
-    merged = sequential_moments(outer_products, samples, _CHUNK, rng)
-    ests = merged.estimates()
-    mean = np.array([e.mean for e in ests]).reshape(dim, dim)
-    se = np.array([e.std_error for e in ests]).reshape(dim, dim)
+    merged = seeded_moments(outer_products, samples, seed, Stream.SPHERE_MOMENTS)
+    pairs = np.array([(e.mean, e.std_error) for e in merged.estimates()])
+    mean, se = pairs.T.reshape(2, dim, dim)
     return MomentMatrixEstimate(mean=mean, std_error=se, samples=merged.count)
 
 

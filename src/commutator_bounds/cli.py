@@ -26,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import map_ordered, task_rng
+from ._parallel import Stream, map_ordered, task_rng
 from .averages import (
     FIG1_HEADER,
+    MC_BATCH,
     MIN_QUBIT_SAMPLES,
     Moments,
     averaged_bounds_qubit,
@@ -67,14 +68,9 @@ EXIT_CONJECTURE = 3
 EXIT_IO = 4
 EXIT_COUNTEREXAMPLE = 5
 
-# Stream-domain tags keeping command seeds disjoint.
-_D_COMPARE = 1
-_D_MC_PURITY = 2
-_D_MC_MUB = 3
-_D_CONJECTURE = 4
-
 _BATCH = 4096
-_MC_BATCH = 1 << 16
+# verify-conjecture's defaults are the optimizer's, read before anything can rebind the name
+_OPT_DEFAULTS = maximize_ratio.__kwdefaults__
 
 
 def _output(path: str):
@@ -143,7 +139,7 @@ def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
     violations and the counterexample payloads of its ``bound2`` violations."""
     batch_index, count = chunk
     start = batch_index * _BATCH
-    rng = task_rng(seed, _D_COMPARE, dim, batch_index)
+    rng = task_rng(seed, Stream.COMPARE, dim, batch_index)
     a = sample_hermitian_batch(dim, count, rng)
     b = sample_hermitian_batch(dim, count, rng)
     # A and B are unitarily invariant and independent of rho = V diag(lam) V^dag, so
@@ -209,17 +205,18 @@ def _cmd_figure(header: str, table, args) -> int:
 
 
 def _mub_samples(dim: int, lams: np.ndarray, count: int, rng) -> np.ndarray:
-    # mub.mub_samples on the Fourier table, through this module's names: perfbench's
-    # traced run wraps them here
+    """mub.mub_samples on the Fourier table."""
     a = sample_unit_vectors(dim, count, rng)
     b = sample_unit_vectors(dim, count, rng)
     return mub_sample_columns(fourier_phases(dim), lams, a, b)
 
 
-def _mc_moments(sample, domain: int, args) -> Moments:
-    """Moments of ``args.samples`` draws of ``sample``, one counter-based stream per batch."""
-    per_batch = partial(chunk_moments, sample, partial(task_rng, args.seed, domain))
-    chunks = chunk_plan(args.samples, _MC_BATCH)
+def _mc_moments(sample, tag: Stream, args) -> Moments:
+    """averages.seeded_moments, its batches mapped over the workers.  This and _mub_samples
+    repeat the library through this module's names, which perfbench's traced run wraps
+    (map_ordered, merge_moments, sample_unit_vectors, mub_sample_columns; ROADMAP item 5)."""
+    per_batch = partial(chunk_moments, sample, args.seed, tag)
+    chunks = chunk_plan(args.samples, MC_BATCH)
     return merge_moments(list(map_ordered(per_batch, chunks, args.workers)))
 
 
@@ -227,19 +224,11 @@ _ESTIMATE_KEYS = ("name", "mean", "std_error", "samples", "target", "z")
 
 
 def _estimate_rows(names, targets, moments) -> list[dict]:
-    rows = []
-    for name, target, est in zip(names, targets, moments.estimates()):
-        rows.append(
-            {
-                "name": name,
-                "mean": est.mean,
-                "std_error": est.std_error,
-                "samples": est.samples,
-                "target": float(target),
-                "z": est.z_score(float(target)),
-            }
-        )
-    return rows
+    values = (
+        (name, est.mean, est.std_error, est.samples, float(t), est.z_score(float(t)))
+        for name, t, est in zip(names, targets, moments.estimates())
+    )
+    return [dict(zip(_ESTIMATE_KEYS, row)) for row in values]
 
 
 def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
@@ -259,13 +248,13 @@ def _cmd_mc_average(args) -> int:
         if args.samples < MIN_MUB_SAMPLES:
             raise ValueError(f"--mub averaging needs --samples >= {MIN_MUB_SAMPLES}")
         lams = _parse_spectrum(args.spectrum, args.dim)
-        moments = _mc_moments(partial(_mub_samples, args.dim, lams), _D_MC_MUB, args)
+        moments = _mc_moments(partial(_mub_samples, args.dim, lams), Stream.MC_MUB, args)
         names = MUB_COLUMN_NAMES
         targets = mub_column_averages(lams)
     else:
         if args.dim != 2 or args.spectrum is not None:
             raise ValueError("--dim and --spectrum need --mub; the --purity average is over qubits")
-        moments = _mc_moments(partial(qubit_bound_samples, args.purity), _D_MC_PURITY, args)
+        moments = _mc_moments(partial(qubit_bound_samples, args.purity), Stream.MC_PURITY, args)
         names = BOUND_NAMES
         targets = averaged_bounds_qubit(args.purity).as_array()
     with _output(args.out) as out:
@@ -301,8 +290,8 @@ def _cmd_mub_average(args) -> int:
 
 def _conjecture_task(seed: int, dim: int, trial: int, **options) -> dict:
     """One trial: ``maximize_ratio(..., **options)`` on a random Dirichlet spectrum."""
-    rho = sample_density(dim, "flat-simplex", task_rng(seed, _D_CONJECTURE, dim, trial, 0))
-    opt_rng = task_rng(seed, _D_CONJECTURE, dim, trial, 1)
+    rho = sample_density(dim, "flat-simplex", task_rng(seed, Stream.CONJECTURE, dim, trial, 0))
+    opt_rng = task_rng(seed, Stream.CONJECTURE, dim, trial, 1)
     result = maximize_ratio(rho, rng=opt_rng, **options)
     record = result_record(result)
     record["trial"] = trial
@@ -454,19 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=_count(2, 15), required=True, help="integer in [2, 15]")
     p.add_argument("--trials", type=_count(1), default=20, help="integer >= 1 (default 20)")
-    p.add_argument("--restarts", type=_count(0), default=8, help="integer >= 0 (default 8)")
-    p.add_argument("--max-iters", type=_count(1), default=500, help="integer >= 1 (default 500)")
+    for flag, low, key in (("--restarts", 0, "restarts"), ("--max-iters", 1, "max_iters")):
+        help_text = f"integer >= {low} (default {_OPT_DEFAULTS[key]})"
+        p.add_argument(flag, type=_count(low), default=_OPT_DEFAULTS[key], help=help_text)
     p.add_argument(
         "--tol",
         type=_checked(float, lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
-        default=1e-10,
-        help="finite float >= 0 (default 1e-10)",
+        default=_OPT_DEFAULTS["tol"],
+        help=f"finite float >= 0 (default {_OPT_DEFAULTS['tol']})",
     )
     p.add_argument(
         "--mode",
         choices=("hermitian", "complex"),
-        default="hermitian",
-        help="search Hermitian pairs or all complex pairs (default hermitian)",
+        default=_OPT_DEFAULTS["mode"],
+        help=f"search Hermitian pairs or all complex pairs (default {_OPT_DEFAULTS['mode']})",
     )
     p.add_argument(
         "--no-witness-seed",

@@ -153,8 +153,7 @@ def test_criterion_4_closed_form_averages():
     started = time.time()
     worst_z = 0.0
     for i, purity in enumerate(np.linspace(0.5, 1.0, 20)):
-        rng = task_rng(SEED, 4, i)
-        estimates = monte_carlo_qubit_average(float(purity), 1_000_000, rng)
+        estimates = monte_carlo_qubit_average(float(purity), 1_000_000, SEED + i)
         targets = averaged_bounds_qubit(float(purity)).as_array()
         for est, target in zip(estimates, targets):
             worst_z = max(worst_z, abs(est.z_score(float(target))))
@@ -192,7 +191,7 @@ def test_criterion_6_mub_identities():
     for dim in (2, 3, 4):
         rng = task_rng(SEED, 6, dim)
         lam = np.sort(rng.dirichlet(np.ones(dim)))
-        result = mc_mub_average(dim, lam, 1_000_000, rng)
+        result = mc_mub_average(dim, lam, 1_000_000, SEED + dim)
         worst_z = max(worst_z, abs(result.comm_norm.z_score(mub_commutator_norm_average(dim))))
 
     worst_vanishing = 0.0
@@ -253,8 +252,7 @@ def test_criterion_8_identity_recoveries():
     # sphere second moments
     worst_moment_z = 0.0
     for dim in (2, 3):
-        rng = task_rng(SEED, 8, dim)
-        result = sphere_moment_check(dim, 1_000_000, rng)
+        result = sphere_moment_check(dim, 1_000_000, SEED + dim)
         target = np.eye(dim) / dim
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(

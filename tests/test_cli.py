@@ -16,15 +16,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from commutator_bounds import (
+    BOUND_NAMES,
     FIG1_HEADER,
     FIG2_HEADER,
     averaged_bounds_qubit,
     batch_bounds,
     fourier_phases,
     matrix_from_pairs,
+    maximize_ratio,
+    mc_mub_average,
+    monte_carlo_qubit_average,
+    mub_column_averages,
 )
 from commutator_bounds.cli import _compare_lines, _mub_samples, build_parser, main
-from commutator_bounds.mub import mub_samples
+from commutator_bounds.mub import MUB_COLUMN_NAMES, mub_samples
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -263,6 +268,44 @@ class TestFigures:
         assert_exit(run_cli("fig1", "--points", "1", cwd=tmp_path), 2)
 
 
+def _mub_estimate(dim: int, lams, samples: int, seed: int):
+    """(name, estimate, target) of each column of ``mc_mub_average``."""
+    lams = np.asarray(lams, dtype=float)
+    result = mc_mub_average(dim, lams, samples, seed)
+    ests = [getattr(result, name) for name in MUB_COLUMN_NAMES]
+    return zip(MUB_COLUMN_NAMES, ests, mub_column_averages(lams))
+
+
+#: mc-average argv and the library call that must give its rows, bit for bit.  The
+#: spectra are the ones ``--spectrum`` parses to: divided by their sum, which is 1.
+LIBRARY_ESTIMATES = {
+    "mub-d2": (
+        ["--mub", "--dim", "2", "--samples", "150003", "--seed", "11"],
+        lambda: _mub_estimate(2, [0.5, 0.5], 150_003, 11),
+    ),
+    "mub-d3": (
+        ["--mub", "--dim", "3", "--samples", "150003", "--seed", "12"],
+        lambda: _mub_estimate(3, np.full(3, 1 / 3), 150_003, 12),
+    ),
+    "mub-d4": (
+        ["--mub", "--dim", "4", "--samples", "300000", "--seed", "101"],
+        lambda: _mub_estimate(4, np.full(4, 1 / 4), 300_000, 101),
+    ),
+    "mub-d3-spectrum": (
+        ["--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5", "--samples", "70000", "--seed", "3"],
+        lambda: _mub_estimate(3, [0.2, 0.3, 0.5], 70_000, 3),
+    ),
+    "purity": (
+        ["--purity", "0.75", "--samples", "300000", "--seed", "7"],
+        lambda: zip(
+            BOUND_NAMES,
+            monte_carlo_qubit_average(0.75, 300_000, 7),
+            averaged_bounds_qubit(0.75).as_array(),
+        ),
+    ),
+}
+
+
 class TestMCAverage:
     def test_purity_report_within_tolerance(self, tmp_path):
         proc = run_cli(
@@ -370,6 +413,23 @@ class TestMCAverage:
         got = _mub_samples(d, lams, 1000, np.random.default_rng(d + 10))
         want = mub_samples(fourier_phases(d), lams, 1000, np.random.default_rng(d + 10))
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", sorted(LIBRARY_ESTIMATES))
+    def test_rows_equal_the_library_estimate(self, case, workers, tmp_path):
+        # the estimators draw the same seeded batches as mc-average; three of the argv are
+        # TestChunkedGoldenBytes runs, so their digests pin the library's values as well
+        argv, estimate = LIBRARY_ESTIMATES[case]
+        out = tmp_path / "out.jsonl"
+        assert main(["mc-average", *argv, "--workers", workers, "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        want = [
+            {"name": name, "mean": est.mean, "std_error": est.std_error,
+             "samples": est.samples, "z": est.z_score(float(target))}
+            for name, est, target in estimate()
+        ]
+        assert [{key: row[key] for key in want[0]} for row in rows] == want
+
 
 
 class TestVerifyConjecture:
@@ -651,6 +711,12 @@ class TestParser:
             for name, p in sub.choices.items()
         }
         assert got == {name: COMMON_OPTIONS | own for name, own in SUBCOMMAND_OPTIONS.items()}
+
+    def test_verify_conjecture_defaults_are_the_optimizers(self):
+        args = build_parser().parse_args(["verify-conjecture", "--dim", "2"])
+        defaults = maximize_ratio.__kwdefaults__
+        parsed = {key: getattr(args, key) for key in ("restarts", "max_iters", "tol", "mode")}
+        assert parsed == {key: defaults[key] for key in parsed}
 
     @pytest.mark.parametrize(
         "command, flag, kind, accepted, rejected", RANGED_FLAGS,

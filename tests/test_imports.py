@@ -2,7 +2,9 @@
 is used, every constant and private function or class in the package is read, scipy
 stays off the import path of everything but the optimizer, the round-off floor, any
 imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone, the
-MUB column names in ``mub`` alone, and no clamp bypasses ``linalg.nonnegative``."""
+MUB column names in ``mub`` alone, the Monte Carlo batch size in ``averages`` alone, no
+clamp bypasses ``linalg.nonnegative``, and every seed stream is opened with a tag from
+``_parallel.Stream``."""
 
 import ast
 import fnmatch
@@ -14,6 +16,8 @@ import types
 from pathlib import Path
 
 import pytest
+
+from commutator_bounds._parallel import Stream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -326,3 +330,118 @@ def test_clip_check_sees_each_kind():
         "c = x.sum(axis=0).clip(0.0)\nd = np.maximum(x, 0.0)\nclipped = clip\ne = np.clip\n"
     )
     assert clip_calls(source) == ["np.clip", "numpy.clip", "x.sum(axis=0).clip"]
+
+
+def untagged_streams(source: str) -> list[str]:
+    """Each ``task_rng`` call in ``source``, direct or through ``partial(task_rng, ...)``,
+    whose tag (the argument after the seed) is neither a ``Stream`` member nor a parameter
+    annotated ``Stream`` of the function it is in, and each other read of ``task_rng``."""
+    faults = []
+    checked = set()
+
+    def is_tag(node, params) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in params
+        return (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "Stream"
+            and node.attr in Stream.__members__
+        )
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            every = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            params = {
+                a.arg for a in every if a.annotation and ast.unparse(a.annotation) == "Stream"
+            }
+        elif isinstance(node, ast.Call):
+            args = node.args
+            if args and isinstance(node.func, ast.Name) and node.func.id == "partial":
+                args = args[1:] if ast.unparse(args[0]) == "task_rng" else None
+            elif ast.unparse(node.func) != "task_rng":
+                args = None
+            if args is not None:
+                checked.add(node.func if args is node.args else node.args[0])
+                if len(args) < 2 or not is_tag(args[1], params):
+                    faults.append(ast.unparse(node))
+        elif isinstance(node, ast.Name) and node.id == "task_rng" and node not in checked:
+            faults.append("task_rng")
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    visit(ast.parse(source), set())
+    return faults
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_every_stream_is_tagged_from_the_table(path):
+    assert untagged_streams((SRC / "commutator_bounds" / path).read_text(encoding="utf-8")) == []
+
+
+def test_stream_tag_check_sees_each_kind():
+    source = (
+        "a = task_rng(seed, Stream.COMPARE, 0)\n"
+        "b = task_rng(seed, 3, 0)\n"
+        "c = partial(task_rng, seed, Stream.MC_MUB)\n"
+        "d = partial(task_rng, seed, 2)\n"
+        "e = task_rng(seed)\n"
+        "f = task_rng(seed, Stream.NO_SUCH_TAG)\n"
+        "def g(seed, tag: Stream, other: int):\n"
+        "    return task_rng(seed, tag), task_rng(seed, other)\n"
+        "h = task_rng(seed, tag)\n"
+        "k = map(task_rng, seeds)\n"
+    )
+    assert untagged_streams(source) == [
+        "task_rng(seed, 3, 0)",
+        "partial(task_rng, seed, 2)",
+        "task_rng(seed)",
+        "task_rng(seed, Stream.NO_SUCH_TAG)",
+        "task_rng(seed, other)",
+        "task_rng(seed, tag)",
+        "task_rng",
+    ]
+
+
+def monte_carlo_batch_sizes(source: str) -> list[str]:
+    """Each name that ``source`` assigns and that names a Monte Carlo batch size
+    (``MC_BATCH``, or any name holding ``CHUNK``), and each ``chunk_plan`` size, in a
+    function that reads ``chunk_moments``, other than ``MC_BATCH``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id == "MC_BATCH" or "CHUNK" in node.id:
+                found.append(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = list(ast.walk(node))
+            if any(isinstance(n, ast.Name) and n.id == "chunk_moments" for n in inner):
+                found.extend(
+                    ast.unparse(n)
+                    for n in inner
+                    if isinstance(n, ast.Call)
+                    and ast.unparse(n.func) == "chunk_plan"
+                    and ast.unparse(n.args[-1]) != "MC_BATCH"
+                )
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_monte_carlo_batch_size_lives_in_averages(path):
+    sizes = monte_carlo_batch_sizes((SRC / "commutator_bounds" / path).read_text(encoding="utf-8"))
+    assert sizes == (["MC_BATCH"] if path == "averages.py" else [])
+
+
+def test_batch_size_check_sees_each_kind():
+    source = (
+        "MC_BATCH = 1 << 16\n_CHUNK = 1 << 17\n_BATCH = 4096\n"
+        "def mc(sample, total):\n"
+        "    return [chunk_moments(sample, c) for c in chunk_plan(total, 1 << 15)]\n"
+        "def mc_ok(sample, total):\n"
+        "    return [chunk_moments(sample, c) for c in chunk_plan(total, MC_BATCH)]\n"
+        "def compare(total):\n"
+        "    return chunk_plan(total, _BATCH)\n"
+        "for MY_CHUNK in (): pass\n"
+    )
+    assert sorted(monte_carlo_batch_sizes(source)) == [
+        "MC_BATCH", "MY_CHUNK", "_CHUNK", "chunk_plan(total, 1 << 15)"
+    ]

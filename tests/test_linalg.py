@@ -168,11 +168,11 @@ ONE = np.array([[1.0 + 0j]])
 #: Every function that reads two eigenvalues, called at d = 1.
 ONE_LEVEL_CALLS = {
     "sample_density": lambda rng: sample_density(1, "hilbert-schmidt", rng),
-    "sphere_moment_check": lambda rng: sphere_moment_check(1, 10_000, rng),
+    "sphere_moment_check": lambda rng: sphere_moment_check(1, 10_000, SEED),
     "mub_lp_average": lambda rng: mub_lp_average([1.0]),
     "mub_b2_average": lambda rng: mub_b2_average([1.0]),
     "mub_pair": lambda rng: mub_pair(1, [[0.0]], [1.0], [1.0]),
-    "mc_mub_average": lambda rng: mc_mub_average(1, [1.0], 10_000, rng),
+    "mc_mub_average": lambda rng: mc_mub_average(1, [1.0], 10_000, SEED),
     **{
         fn.__name__: (lambda rng, fn=fn: fn(ONE, ONE, ONE))
         for fn in (bound_robertson, bound_schrodinger, bound_luo_park, bound_one, bound_two,

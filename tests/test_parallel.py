@@ -1,11 +1,14 @@
-"""Ordered parallel mapping: task order, a bounded window, failures and early close."""
+"""Seed streams and ordered parallel mapping: integer seeds, distinct stream tags, task
+order, a bounded window, failures and early close."""
 
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
-from commutator_bounds import _parallel
-from commutator_bounds._parallel import map_ordered
+from commutator_bounds import _parallel, mc_mub_average, monte_carlo_qubit_average
+from commutator_bounds import sphere_moment_check
+from commutator_bounds._parallel import Stream, map_ordered, task_rng
 
 
 def _square(x):
@@ -113,3 +116,37 @@ def test_closing_early_shuts_the_pool_down(counting_pool):
     results.close()
     assert pool.shutdown_args == (True, True)
     assert pool.submitted < 40
+
+
+@pytest.mark.parametrize(
+    "seed", [3.7, 3.0, np.random.default_rng(3)], ids=["float", "whole-float", "generator"]
+)
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(TypeError):
+        task_rng(seed, Stream.COMPARE)
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda seed: monte_carlo_qubit_average(0.75, 1000, seed),
+        lambda seed: mc_mub_average(2, [0.5, 0.5], 10_000, seed),
+        lambda seed: sphere_moment_check(2, 10_000, seed),
+    ],
+    ids=["qubit", "mub", "sphere"],
+)
+def test_estimators_take_an_integer_seed(estimate):
+    estimate(np.int64(5))
+    for seed in (5.0, np.random.default_rng(5)):
+        with pytest.raises(TypeError):
+            estimate(seed)
+
+
+def test_integer_types_key_the_same_stream():
+    want = task_rng(3, 1, 5).standard_normal(4).tolist()
+    assert task_rng(np.int64(3), Stream.COMPARE, np.int32(5)).standard_normal(4).tolist() == want
+
+
+def test_stream_tags_are_distinct():
+    # an IntEnum member given a used value would silently become an alias of it
+    assert len({int(tag) for tag in Stream}) == len(Stream.__members__)
