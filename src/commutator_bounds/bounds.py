@@ -272,10 +272,10 @@ def batch_bounds(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> dict[str, np.
     """Vectorized bound evaluation over stacked triples.
 
     ``a`` and ``b`` are (n, d, d) Hermitian arrays.  ``rho`` is either an
-    (n, d, d) array of valid states, or an (n, d) array of spectra standing
-    for the diagonal states diag(lam), with ``a`` and ``b`` already in that
-    eigenbasis ordered by ascending eigenvalue; each row is sorted here, so
-    its own order is ignored.  Validation is
+    (n, d, d) array of valid states, or an (n, d) array of spectra with ``a`` and
+    ``b`` in the state's eigenbasis by ascending eigenvalue: each row is sorted here,
+    so row and column j of ``a`` and ``b`` pair with its j-th smallest entry whatever
+    its order, the state diag(sorted row), not diag(row).  Validation is
     the caller's job on this hot path, except that a state eigenvalue below
     the round-off floor raises :class:`InvalidStateError`, and spectra whose
     width is not that of ``a`` raise :class:`DimensionMismatchError`.

@@ -232,15 +232,15 @@ def _estimate_rows(names, targets, moments) -> list[dict]:
 
 
 def _parse_spectrum(text: str | None, dim: int) -> np.ndarray:
-    """The ``--spectrum`` values (uniform when absent), checked and divided by their sum
-    as ``DensityMatrix.from_spectrum`` does; ValueError naming the flag unless a state."""
-    if text is None:
-        return np.full(dim, 1.0 / dim)
+    """The ``--spectrum`` values, or the uniform spectrum when absent, as given, for readers
+    that each divide them by their sum once in ``checked_spectrum`` as the library does;
+    ValueError naming the flag unless that call passes them."""
     try:
-        lam = checked_spectrum([float(tok) for tok in text.split(",")], dim)
+        values = np.full(dim, 1.0 / dim) if text is None else [float(t) for t in text.split(",")]
+        checked_spectrum(values, dim)
     except ValueError as err:
         raise ValueError(f"--spectrum: {err}") from err
-    return lam / lam.sum()
+    return np.asarray(values)
 
 
 def _cmd_mc_average(args) -> int:
@@ -248,7 +248,8 @@ def _cmd_mc_average(args) -> int:
         if args.samples < MIN_MUB_SAMPLES:
             raise ValueError(f"--mub averaging needs --samples >= {MIN_MUB_SAMPLES}")
         lams = _parse_spectrum(args.spectrum, args.dim)
-        moments = _mc_moments(partial(_mub_samples, args.dim, lams), Stream.MC_MUB, args)
+        samples = partial(_mub_samples, args.dim, checked_spectrum(lams))
+        moments = _mc_moments(samples, Stream.MC_MUB, args)
         names = MUB_COLUMN_NAMES
         targets = mub_column_averages(lams)
     else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -445,20 +445,15 @@ def matrix_from_pairs(obj) -> np.ndarray:
 
 
 def result_record(result: OptimizationResult) -> dict:
-    """JSON-ready record of an optimization run (matrices as [re, im] pairs)."""
-    return {
-        "dim": result.dim,
-        "spectrum": [float(x) for x in result.spectrum],
-        "achieved_ratio": result.achieved_ratio,
-        "conjectured_constant": result.conjectured_constant,
-        "loose_constant": result.loose_constant,
-        "relative_deviation": result.relative_deviation,
-        "witness_a": matrix_to_pairs(result.witness_a),
-        "witness_b": matrix_to_pairs(result.witness_b),
-        "iterations": result.iterations,
-        "restarts_used": result.restarts_used,
-        "converged": result.converged,
-        "mode": result.mode,
-        "exceeds_conjecture": result.exceeds_conjecture,
-        "trace": list(result.trace),
-    }
+    """JSON-ready record of an optimization run (matrices as [re, im] pairs): every field,
+    the arrays as lists, and the two properties."""
+    record = {field.name: getattr(result, field.name) for field in fields(result)}
+    record.update(
+        spectrum=[float(x) for x in result.spectrum],
+        witness_a=matrix_to_pairs(result.witness_a),
+        witness_b=matrix_to_pairs(result.witness_b),
+        trace=list(result.trace),
+        relative_deviation=result.relative_deviation,
+        exceeds_conjecture=result.exceeds_conjecture,
+    )
+    return record

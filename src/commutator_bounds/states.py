@@ -24,9 +24,10 @@ PAULIS = frozen(np.stack([PAULI_X, PAULI_Y, PAULI_Z]))
 
 
 def checked_spectrum(spectrum, dim: int | None = None) -> np.ndarray:
-    """``spectrum`` as floats in its order, round-off negatives set to 0; InvalidStateError
-    unless it is 1-d with ``dim`` entries (any number but 0 when ``dim`` is None), finite,
-    has no entry below ``linalg.ROUNDOFF_FLOOR`` and sums to 1 within ``TRACE_TOL``."""
+    """``spectrum`` as floats in its order, round-off negatives set to 0, over its sum (the one
+    place a spectrum is normalized); InvalidStateError unless it is 1-d with ``dim`` entries
+    (any number but 0 when ``dim`` is None), finite, has no entry below
+    ``linalg.ROUNDOFF_FLOOR`` and sums to 1 within ``TRACE_TOL``."""
     lam = np.asarray(spectrum, dtype=float)
     if lam.ndim != 1 or lam.shape[0] < 1:
         raise InvalidStateError(f"spectrum must be a 1-d sequence, got shape {lam.shape}")
@@ -38,7 +39,7 @@ def checked_spectrum(spectrum, dim: int | None = None) -> np.ndarray:
     total = float(lam.sum())
     if not abs(total - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"spectrum sums to {total!r}, expected 1")
-    return clipped
+    return clipped / clipped.sum()
 
 
 def checked_bloch(c) -> np.ndarray:
@@ -76,7 +77,6 @@ class DensityMatrix:
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"density matrix eigensolver did not converge: {exc}") from exc
         lam = checked_spectrum(lam)
-        lam /= lam.sum()
         mat = (vec * lam) @ vec.conj().T
         self._matrix = frozen((mat + mat.conj().T) / 2.0)
         self._spectrum = frozen(lam)
@@ -92,9 +92,8 @@ class DensityMatrix:
 
     @classmethod
     def from_spectrum(cls, spectrum) -> "DensityMatrix":
-        """Diagonal state with the given eigenvalues (order preserved in the matrix)."""
-        lam = checked_spectrum(spectrum)
-        return cls(np.diag(lam / lam.sum()).astype(complex))
+        """Diagonal state of ``checked_spectrum(spectrum)``, in its order in the matrix."""
+        return cls(np.diag(checked_spectrum(spectrum)).astype(complex))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -169,8 +168,10 @@ def sample_unit_vectors(dim: int, count: int, rng: np.random.Generator) -> np.nd
     """``count`` rows drawn uniformly (Haar) from the unit sphere in R^dim.
 
     Normalized standard Gaussian vectors; robust in any dimension, unlike
-    rejection sampling.
+    rejection sampling.  DimensionMismatchError unless ``dim`` >= 1 (R^0 has none).
     """
+    if dim < 1:
+        raise DimensionMismatchError(f"unit vectors need dimension >= 1, got {dim}")
     g = rng.standard_normal((count, dim))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     # A zero draw has probability zero but would poison the batch.

@@ -276,8 +276,8 @@ def _mub_estimate(dim: int, lams, samples: int, seed: int):
     return zip(MUB_COLUMN_NAMES, ests, mub_column_averages(lams))
 
 
-#: mc-average argv and the library call that must give its rows, bit for bit.  The
-#: spectra are the ones ``--spectrum`` parses to: divided by their sum, which is 1.
+#: mc-average argv and the library call that must give its rows, bit for bit.  The library
+#: and ``--spectrum`` both read ``checked_spectrum`` of the values, divided by their sum.
 LIBRARY_ESTIMATES = {
     "mub-d2": (
         ["--mub", "--dim", "2", "--samples", "150003", "--seed", "11"],
@@ -294,6 +294,11 @@ LIBRARY_ESTIMATES = {
     "mub-d3-spectrum": (
         ["--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5", "--samples", "70000", "--seed", "3"],
         lambda: _mub_estimate(3, [0.2, 0.3, 0.5], 70_000, 3),
+    ),
+    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 in floats, so the division by the sum shows
+    "mub-d3-spectrum-sum-below-1": (
+        ["--mub", "--dim", "3", "--spectrum", "0.7,0.2,0.1", "--samples", "20000", "--seed", "7"],
+        lambda: _mub_estimate(3, [0.7, 0.2, 0.1], 20_000, 7),
     ),
     "purity": (
         ["--purity", "0.75", "--samples", "300000", "--seed", "7"],
@@ -382,6 +387,22 @@ class TestMCAverage:
         assert rows["comm_norm"]["target"] == pytest.approx(4 / 27)
         for row in rows.values():
             assert abs(row["z"]) < 4.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("mc-average", "--mub", "--samples", "20000", "--seed", "4", "--workers", "1"),
+         ("mub-average",)],
+        ids=["mc-average", "mub-average"],
+    )
+    def test_default_spectrum_is_the_uniform_spectrum_spelled_out(self, argv, tmp_path):
+        # np.full(6, 1/6) sums to 0.9999999999999999, so the default must be divided by its
+        # sum as the spelled-out flag is, or the rows differ in their last digits
+        written = []
+        for extra in ([], ["--spectrum=" + ",".join([repr(1 / 6)] * 6)]):
+            out = tmp_path / f"out{len(written)}"
+            assert main([*argv, "--dim", "6", *extra, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_csv_format(self, tmp_path):
         proc = run_cli(

@@ -3,8 +3,9 @@ is used, every constant and private function or class in the package is read, sc
 stays off the import path of everything but the optimizer, the round-off floor, any
 imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone, the
 MUB column names in ``mub`` alone, the Monte Carlo batch size in ``averages`` alone, no
-clamp bypasses ``linalg.nonnegative``, and every seed stream is opened with a tag from
-``_parallel.Stream``."""
+clamp bypasses ``linalg.nonnegative``, every seed stream is opened with a tag from
+``_parallel.Stream``, and no spectrum is divided by its sum outside
+``states.checked_spectrum``."""
 
 import ast
 import fnmatch
@@ -224,6 +225,59 @@ def test_round_off_floor_is_written_once(path):
 def test_floor_check_sees_each_kind():
     source = "A_FLOOR = -1e-12\nb = 1e-12\nc = x - 1e-12\nd = -1e-12\nfor E_FLOOR in (): pass\n"
     assert floor_copies(source) == ["A_FLOOR", "-1e-12", "-1e-12", "E_FLOOR"]
+
+
+def _own_sum_divisor(node) -> str | None:
+    """``x`` if ``node`` is ``x / x.sum()`` or ``x /= x.sum()``, else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        numerator, divisor = node.left, node.right
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+        numerator, divisor = node.target, node.value
+    else:
+        return None
+    if (
+        isinstance(divisor, ast.Call)
+        and not divisor.args
+        and not divisor.keywords
+        and isinstance(divisor.func, ast.Attribute)
+        and divisor.func.attr == "sum"
+        and ast.unparse(divisor.func.value) == ast.unparse(numerator)
+    ):
+        return ast.unparse(numerator)
+    return None
+
+
+def sum_normalizations(source: str) -> list[str]:
+    """``function: x`` for each division of ``x`` by its own ``.sum()`` in ``source``,
+    named by the innermost function around it (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = _own_sum_divisor(child)
+            if name is not None:
+                found.append(f"{scope}: {name}")
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_spectrum_is_normalized_in_checked_spectrum_alone(path):
+    found = sum_normalizations((SRC / "commutator_bounds" / path).read_text(encoding="utf-8"))
+    assert found == (["checked_spectrum: clipped"] if path == "states.py" else [])
+
+
+def test_sum_normalization_check_sees_each_kind():
+    source = (
+        "a = x / x.sum()\n"
+        "def f(y):\n    y /= y.sum()\n    def g():\n        return s.t / s.t.sum()\n"
+        "    return y / (y.sum())\n"
+        "b = x / y.sum()\nc = x / x.sum(axis=0)\nd = x * x.sum()\ne = x.sum() / x\n"
+    )
+    assert sum_normalizations(source) == ["<module>: x", "f: y", "g: s.t", "f: y"]
 
 
 def imaginary_residue_tolerances(source: str) -> list[str]:

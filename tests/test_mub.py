@@ -3,6 +3,7 @@
 import math
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from commutator_bounds import (
     weighted_norm_sq,
 )
 from commutator_bounds.linalg import nonnegative
+from commutator_bounds.mub import MUB_COLUMN_NAMES
 from commutator_bounds.states import checked_spectrum
 
 SEED = 20240905
@@ -218,7 +220,9 @@ class TestColumnAverages:
     def test_within_4_ulp_of_50_digits(self):
         worst = 0.0
         for lam in near_pure_and_dirichlet_spectra():
-            for got, exact in zip(mub_column_averages(lam), fifty_digit_column_averages(lam)):
+            # the oracle reads the floats the function reads: the spectrum over its sum
+            exact_averages = fifty_digit_column_averages(checked_spectrum(lam))
+            for got, exact in zip(mub_column_averages(lam), exact_averages):
                 exact_ulp = Decimal(math.ulp(float(exact)))
                 worst = max(worst, float(abs(Decimal(got) - exact) / exact_ulp))
         assert worst <= 4.0, worst
@@ -502,14 +506,89 @@ class TestNonFourierPhaseTable:
         result = mc_mub_average(
             d, lam, 100_000, SEED + 14, phases=NON_FOURIER_TABLES[name]
         )
-        targets = {
-            "comm_norm": mub_commutator_norm_average(d),
-            "lp_term": mub_lp_average(lam),
-            "lp_factor_a": (1.0 - lam @ lam) / d,
-            "lp_factor_b": (np.sqrt(lam).sum() ** 2 - 1.0) / d**2,
-        }
-        for field, target in targets.items():
+        for field, target in zip(MUB_COLUMN_NAMES, mub_column_averages(lam)):
             assert abs(getattr(result, field).z_score(target)) <= 5.0, field
+
+
+def fifty_digit_sample_columns(theta, lam, a, b) -> list:
+    """The four :func:`mub_sample_columns` of one sample from their definitions, to 50
+    digits, on the floats given: rho = diag(lam), A = diag(a), B = U diag(b) U^dag with
+    u_jl = e^(i theta_jl) / sqrt(d), the norm Tr([A,B]^dag [A,B] rho), and
+    C(X) = Tr(sqrt(rho) X' sqrt(rho) X') = sum_jk sqrt(lam_j lam_k) |X'_jk|^2 for the
+    centered X' = X - Tr(rho X).  ``theta`` holds mpmath numbers or floats."""
+    with mpmath.workdps(50):
+        d = len(lam)
+        lam, a, b = ([mpmath.mpf(float(x)) for x in v] for v in (lam, a, b))
+        idx = range(d)
+
+        def product(x, y):
+            return [[mpmath.fsum(x[j][m] * y[m][k] for m in idx) for k in idx] for j in idx]
+
+        def classical(x):
+            mean = mpmath.fsum(lam[j] * x[j][j] for j in idx)
+            return mpmath.fsum(
+                mpmath.sqrt(lam[j] * lam[k]) * abs(x[j][k] - (mean if j == k else 0)) ** 2
+                for j in idx for k in idx
+            )
+
+        u = [[mpmath.expj(theta[j][l]) / mpmath.sqrt(d) for l in idx] for j in idx]
+        mat_a = [[a[j] if j == k else mpmath.mpf(0) for k in idx] for j in idx]
+        mat_b = product([[u[j][l] * b[l] for l in idx] for j in idx],
+                        [[mpmath.conj(u[k][l]) for k in idx] for l in idx])
+        ab, ba = product(mat_a, mat_b), product(mat_b, mat_a)
+        comm_norm = mpmath.fsum(
+            abs(ab[j][k] - ba[j][k]) ** 2 * lam[k] for j in idx for k in idx
+        )
+        factor_a, factor_b = classical(mat_a), classical(mat_b)
+        return [comm_norm, factor_a * factor_b, factor_a, factor_b]
+
+
+def oracle_spectra(rng, d):
+    """(name, spectrum): Dirichlet, rank-deficient, pure, and descending with a zero last entry."""
+    yield "dirichlet", rng.dirichlet(np.ones(d))
+    lam = rng.dirichlet(np.ones(d))
+    lam[rng.choice(d, d // 2, replace=False)] = 0.0
+    yield "rank-deficient", lam / lam.sum()
+    yield "pure", np.eye(d)[rng.integers(d)]
+    yield "descending-zero-last", np.r_[np.sort(rng.dirichlet(np.ones(d - 1)))[::-1], 0.0]
+
+
+def oracle_tables():
+    """(id, float table, 50-digit table): the Fourier table, whose circulant path reads
+    the exact angles 2 pi jk / d, a row- and column-shifted Fourier table and F4(0.7),
+    both read as the floats given."""
+    rng = np.random.default_rng(SEED + 40)
+    with mpmath.workdps(50):
+        for d in (3, 4, 5):
+            exact = [[2 * mpmath.pi * j * k / d for k in range(d)] for j in range(d)]
+            yield f"fourier-d{d}", fourier_phases(d), exact
+            shifted = shifted_fourier_phases(rng, d)
+            yield f"shifted-d{d}", shifted, shifted.tolist()
+    yield "f4", f4_phases(0.7), f4_phases(0.7).tolist()
+
+
+ORACLE_TABLES = list(oracle_tables())
+
+
+class TestSampleColumnsFiftyDigits:
+    @pytest.mark.parametrize(
+        "phases, theta", [t[1:] for t in ORACLE_TABLES], ids=[t[0] for t in ORACLE_TABLES]
+    )
+    def test_columns_within_1e14_relative(self, phases, theta):
+        d = phases.shape[0]
+        rng = np.random.default_rng(SEED + 41 + d)
+        for name, lam in oracle_spectra(rng, d):
+            a = sample_unit_vectors(d, 6, rng)
+            b = sample_unit_vectors(d, 6, rng)
+            cols = mub_sample_columns(phases, lam, a, b)
+            for row, sa, sb in zip(cols, a, b):
+                exact = fifty_digit_sample_columns(theta, lam, sa, sb)
+                if name == "pure":
+                    # V(A), C(B) and their product vanish on a pure state, exactly
+                    assert row[1:].tolist() == [0.0, 0.0, 0.0], name
+                    exact = exact[:1]
+                for got, want in zip(row, exact):
+                    assert abs(mpmath.mpf(float(got)) - want) <= 1e-14 * abs(want), (name, got)
 
 
 class TestMonteCarlo:

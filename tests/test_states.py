@@ -1,10 +1,16 @@
 """Quantum-state module: validation, spectral summaries, Bloch maps, sampling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from commutator_bounds import (
     DensityMatrix,
+    DimensionMismatchError,
     EigensolverError,
     InvalidStateError,
     Observable,
@@ -20,6 +26,8 @@ from commutator_bounds.optimizer import conjectured_constant
 from commutator_bounds.states import checked_spectrum
 
 SEED = 20240902
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestDensityFromBloch:
@@ -208,6 +216,31 @@ class TestSampling:
         se = prods.std(axis=0, ddof=1) / np.sqrt(n)
         target = np.eye(3) / 3.0
         assert np.all(np.abs(mean - target) <= 3.0 * se + 1e-12)
+
+    def test_zero_dimensional_unit_vectors_rejected(self):
+        # every row of an (n, 0) draw has norm 0, which the redraw loop would redraw for
+        # ever; the call runs in a child with a timeout, so such a hang fails the test
+        code = (
+            "import numpy as np\n"
+            "from commutator_bounds import DimensionMismatchError, sample_unit_vectors\n"
+            "try:\n"
+            "    sample_unit_vectors(0, 4, np.random.default_rng(0))\n"
+            "except DimensionMismatchError as err:\n"
+            "    print(err)\n"
+        )
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "unit vectors need dimension >= 1, got 0\n"
+
+    def test_unit_vectors_in_one_dimension_are_signs(self):
+        a = sample_unit_vectors(1, 64, np.random.default_rng(SEED + 11))
+        assert a.shape == (64, 1) and set(np.abs(a).ravel()) == {1.0}
+        with pytest.raises(DimensionMismatchError, match="got -1"):
+            sample_unit_vectors(-1, 4, np.random.default_rng(SEED + 11))
 
     def test_batch_samplers_produce_valid_ensembles(self):
         rng = np.random.default_rng(SEED + 9)
