@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -178,7 +178,7 @@ def _cmd_compare(args) -> int:
             hard_violations += hard
             conjecture_violations += len(counterexamples)
             for payload in counterexamples:
-                path = _write_counterexample(args.counterexample_dir, "compare", payload)
+                path = _write_counterexample(args, "compare", payload)
                 logger.warning("conjectured inequality violated; wrote %s", path)
     if conjecture_violations:
         return EXIT_CONJECTURE
@@ -204,17 +204,18 @@ def _cmd_figure(header: str, table, args) -> int:
 # Monte Carlo averages
 
 
-def _mub_samples(dim: int, lams: np.ndarray, count: int, rng) -> np.ndarray:
-    """mub.mub_samples on the Fourier table."""
-    a = sample_unit_vectors(dim, count, rng)
-    b = sample_unit_vectors(dim, count, rng)
-    return mub_sample_columns(fourier_phases(dim), lams, a, b)
+def _mub_samples(lams: np.ndarray, count: int, rng) -> np.ndarray:
+    """mub.mub_samples, line for line."""
+    d = lams.shape[0]
+    a = sample_unit_vectors(d, count, rng)
+    b = sample_unit_vectors(d, count, rng)
+    return mub_sample_columns(fourier_phases(d), lams, a, b)
 
 
 def _mc_moments(sample, tag: Stream, args) -> Moments:
     """averages.seeded_moments, its batches mapped over the workers.  This and _mub_samples
     repeat the library through this module's names, which perfbench's traced run wraps
-    (map_ordered, merge_moments, sample_unit_vectors, mub_sample_columns; ROADMAP item 5)."""
+    (map_ordered, merge_moments, sample_unit_vectors, mub_sample_columns; ROADMAP item 16)."""
     per_batch = partial(chunk_moments, sample, args.seed, tag)
     chunks = chunk_plan(args.samples, MC_BATCH)
     return merge_moments(list(map_ordered(per_batch, chunks, args.workers)))
@@ -248,7 +249,7 @@ def _cmd_mc_average(args) -> int:
         if args.samples < MIN_MUB_SAMPLES:
             raise ValueError(f"--mub averaging needs --samples >= {MIN_MUB_SAMPLES}")
         lams = _parse_spectrum(args.spectrum, args.dim)
-        samples = partial(_mub_samples, args.dim, checked_spectrum(lams))
+        samples = partial(_mub_samples, checked_spectrum(lams))
         moments = _mc_moments(samples, Stream.MC_MUB, args)
         names = MUB_COLUMN_NAMES
         targets = mub_column_averages(lams)
@@ -299,13 +300,20 @@ def _conjecture_task(seed: int, dim: int, trial: int, **options) -> dict:
     return record
 
 
-def _write_counterexample(dirpath: str, kind: str, payload: dict) -> Path:
-    directory = Path(dirpath)
+def _write_counterexample(args, kind: str, payload: dict) -> Path:
+    """Write ``payload`` to a new ``{kind}_d{dim}_s{seed}_{index or trial}.json`` in
+    ``--counterexample-dir``, or else to the first free ``..._1.json``, ``..._2.json``, ..."""
+    directory = Path(args.counterexample_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    tag = payload.get("trial", payload.get("index", 0))
-    path = directory / f"{kind}_d{payload['dim']}_{tag}.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return path
+    stem = f"{kind}_d{payload['dim']}_s{args.seed}_{payload.get('trial', payload.get('index'))}"
+    path, copies = directory / f"{stem}.json", 0
+    # mode "x" never writes over a recorded file: a taken name raises, and the next is tried
+    while True:
+        with suppress(FileExistsError), path.open("x", encoding="utf-8") as out:
+            out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            return path
+        copies += 1
+        path = directory / f"{stem}_{copies}.json"
 
 
 def _cmd_verify_conjecture(args) -> int:
@@ -334,7 +342,7 @@ def _cmd_verify_conjecture(args) -> int:
                 non_converged.append(record["trial"])
             if record["exceeds_conjecture"]:
                 counterexamples += 1
-                path = _write_counterexample(args.counterexample_dir, "conjecture", record)
+                path = _write_counterexample(args, "conjecture", record)
                 logger.warning("conjectured constant exceeded; wrote %s", path)
         summary = {
             "summary": True,

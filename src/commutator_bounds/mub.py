@@ -4,12 +4,9 @@ One observable is diagonal in the computational basis (sharing its eigenbasis
 with the state); its partner's eigenbasis is encoded by a phase table
 theta[j, k] with overlaps e^(i theta[j,k]) / sqrt(d).  The discrete Fourier
 phases give a valid pair in every dimension, and the averaged quantities are
-independent of which valid phase table is used.
-
-:func:`mub_sample_columns` has two paths.  On the Fourier table, the one the CLI
-uses, |<j|B|k>|^2 depends only on (j - k) mod d, and the columns are sums over
-those d - 1 shifts: O(d^2) per sample.  Any other table builds every <j|B|k>
-from a d x d^2 overlap table: O(d^3) per sample.
+independent of which valid phase table is used, so the sampled columns of
+:func:`mub_sample_columns` are those of the Fourier pair: O(d^2) per sample.
+A pair on any other table is read on the matrix path.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ import numpy as np
 
 from ._parallel import Stream
 from .averages import MCEstimate, checked_purity, seeded_moments
-from .bounds import _bound2_prefactor, _root_weighted_sum, _weighted_sum, bound_report
-from .linalg import checked_dim, checked_unit, frozen
+from .bounds import _bound2_prefactor, _weighted_sum, bound_report
+from .linalg import checked_dim, checked_unit, commutator, frozen, weighted_norm_sq
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
 FIG2_HEADER = "purity,luo_park_mub_avg,bound2_mub_avg"
@@ -37,18 +34,6 @@ BASIS_TOL = 1e-10
 def _overlaps(phases: np.ndarray) -> np.ndarray:
     """The overlap matrix e^(i theta[j,k]) / sqrt(d) of a d x d phase table."""
     return np.exp(1j * phases) / math.sqrt(phases.shape[0])
-
-
-def _checked_phases(d: int, phases) -> np.ndarray:
-    """``phases`` as floats; ValueError unless a d x d table with unitary overlaps."""
-    ph = np.asarray(phases, dtype=float)
-    if ph.shape != (d, d):
-        raise ValueError(f"phase table must have shape ({d}, {d}), got {ph.shape}")
-    u = _overlaps(ph)
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
-    if not defect <= BASIS_TOL:
-        raise ValueError(f"phases do not induce an orthonormal eigenbasis (defect {defect:.3e})")
-    return ph
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +70,13 @@ def mub_pair(dim, phases, spectrum_a, spectrum_b) -> MUBPair:
     throughout the sphere-averaging formulas.
     """
     d = checked_dim(dim)
-    ph = _checked_phases(d, phases)
+    ph = np.asarray(phases, dtype=float)
+    if ph.shape != (d, d):
+        raise ValueError(f"phase table must have shape ({d}, {d}), got {ph.shape}")
+    u = _overlaps(ph)
+    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(d)))
+    if not defect <= BASIS_TOL:
+        raise ValueError(f"phases do not induce an orthonormal eigenbasis (defect {defect:.3e})")
     sa = checked_unit(spectrum_a, "spectrum_a", d)
     sb = checked_unit(spectrum_b, "spectrum_b", d)
     return MUBPair(dim=d, phases=frozen(ph), spectrum_a=frozen(sa), spectrum_b=frozen(sb))
@@ -105,53 +96,21 @@ def fourier_mub_pair(dim, spectrum_a, spectrum_b) -> MUBPair:
 def mub_sample_columns(
     phases: np.ndarray, lams: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
-    """Per-sample bound-kernel columns for batches of spectra ``a``, ``b`` (rows).
+    """Per-sample bound-kernel columns of the Fourier pair for batches of spectra ``a``, ``b``.
 
-    Columns: weighted squared commutator norm, Luo-Park second term, and its
-    two classical factors.  In the diagonal state's eigenbasis A~ = diag(a) and
-    B~ = U diag(b) U^dag, u_jl = <j|b_l>, and every column is a sum of nonnegative
-    terms over the |B~'_jk|^2 of the centered B'.  On :func:`fourier_phases` those
-    depend only on (j - k) mod d and :func:`_circulant_sums` costs O(d^2) per sample;
-    any other table takes :func:`_table_sums`, O(d^3) per sample.
+    Columns: weighted squared commutator norm, Luo-Park second term, and its two classical
+    factors, each a sum of nonnegative terms (:func:`_circulant_sums`, O(d^2) per sample).
+    ValueError unless ``phases`` is :func:`fourier_phases` of the state's dimension; it stays
+    an argument while perfbench counts the items of a call from it (ROADMAP item 16).
     """
-    d = phases.shape[0]
-    if np.array_equal(phases, fourier_phases(d)):
-        comm_norm, factor_b = _circulant_sums(lams, a, b)
-    else:
-        comm_norm, factor_b = _table_sums(phases, lams, a, b)
+    d = lams.shape[0]
+    if not np.array_equal(phases, fourier_phases(d)):
+        raise ValueError(f"the sample columns read fourier_phases({d}) and no other table")
+    comm_norm, factor_b = _circulant_sums(lams, a, b)
     # A commutes with rho, so V(A) = C(A), and the table of the diagonal A~' is one row
     centered_a = a - (a @ lams)[:, None]
     factor_a = _weighted_sum(np.square(centered_a)[:, None, :], lams)
     return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
-
-
-def _table_sums(
-    phases: np.ndarray, lams: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The commutator norm and C(B) of :func:`mub_sample_columns` for any phase table.
-
-    b and the table u_jl conj(u_kl) give the (n, d, d) |B~'_jk|^2 tables, which the
-    bound kernel's reductions sum.
-    """
-    d = phases.shape[0]
-    u = _overlaps(phases).T[:, :, None]  # u[l, j, 0] = <j|b_l>
-    ut = u.swapaxes(1, 2)
-    # B~_jk = sum_l b_l u_jl conj(u_kl), one real product for each part; the imaginary
-    # part of u_jl conj(u_jl) is written as y x - x y, so B~_jj is exactly real
-    weights = b @ (u.real * ut.real + u.imag * ut.imag).reshape(d, d * d)
-    diag = weights[:, :: d + 1]
-    diag -= (diag @ lams)[:, None]  # centering B moves only the diagonal
-    np.square(weights, out=weights)
-    imag = b @ (u.imag * ut.real - u.real * ut.imag).reshape(d, d * d)
-    weights += np.square(imag, out=imag)
-    del imag  # peak memory: at most two (n, d^2) tables at once
-    weights = weights.reshape(-1, d, d)
-
-    factor_b = _root_weighted_sum(weights, np.sqrt(lams))
-    # |[A,B]~_jk|^2 = (a_j - a_k)^2 |B~_jk|^2: centering moved only the diagonal, where a_j = a_k
-    gaps = a[:, :, None] - a[:, None, :]
-    weights *= np.square(gaps, out=gaps)
-    return _weighted_sum(weights, lams), factor_b
 
 
 def _circulant_sums(
@@ -190,27 +149,20 @@ def _circulant_sums(
     return spread.sum(axis=0), factor_b
 
 
-def mub_samples(
-    phases: np.ndarray, lams: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
+def mub_samples(lams: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, 4) :func:`mub_sample_columns` for ``count`` uniform unit spectra pairs."""
-    d = phases.shape[0]
+    d = lams.shape[0]
     a = sample_unit_vectors(d, count, rng)
     b = sample_unit_vectors(d, count, rng)
-    return mub_sample_columns(phases, lams, a, b)
+    return mub_sample_columns(fourier_phases(d), lams, a, b)
 
 
 def mub_commutator_norm(pair: MUBPair, lams) -> float:
-    """State-weighted squared commutator norm, the first of :func:`mub_sample_columns`.
-
-    Agrees with the matrix path (building both observables and the diagonal
-    state explicitly) within 1e-9; ``lams`` is a state spectrum of the pair's dimension.
-    """
+    """State-weighted squared commutator norm of ``pair`` on the matrix path, any table,
+    for rho = diag(``lams``), a state spectrum of the pair's dimension.  On the Fourier pair
+    it is the first of :func:`mub_sample_columns`."""
     lam = checked_spectrum(lams, pair.dim)
-    cols = mub_sample_columns(
-        np.asarray(pair.phases), lam, pair.spectrum_a[None, :], pair.spectrum_b[None, :]
-    )
-    return float(cols[0, 0])
+    return weighted_norm_sq(commutator(pair.observable_a(), pair.observable_b()), np.diag(lam))
 
 
 def mub_vanishing_check(pair: MUBPair, rho_spectrum) -> tuple[float, float]:
@@ -274,19 +226,14 @@ class MubAverages:
 MUB_COLUMN_NAMES = tuple(field.name for field in fields(MubAverages))
 
 
-def mc_mub_average(
-    dim: int, lams, samples: int, seed: int, phases: np.ndarray | None = None
-) -> MubAverages:
-    """Monte Carlo averages over independent uniform unit spectra of both observables.
-
-    The four means match :func:`mub_column_averages`.  ``phases`` is checked as
-    in :func:`mub_pair`.  On the default table they are ``cbounds mc-average --mub`` rows.
-    """
+def mc_mub_average(dim: int, lams, samples: int, seed: int) -> MubAverages:
+    """Monte Carlo averages of the Fourier pair over independent uniform unit spectra of
+    both observables, the ``cbounds mc-average --mub`` rows.  The four means match
+    :func:`mub_column_averages`, which hold for every valid table."""
     if samples < MIN_MUB_SAMPLES:
         raise ValueError(f"need at least {MIN_MUB_SAMPLES} samples, got {samples}")
     lam = checked_spectrum(lams, checked_dim(dim))
-    ph = fourier_phases(dim) if phases is None else _checked_phases(dim, phases)
-    ests = seeded_moments(partial(mub_samples, ph, lam), samples, seed, Stream.MC_MUB).estimates()
+    ests = seeded_moments(partial(mub_samples, lam), samples, seed, Stream.MC_MUB).estimates()
     return MubAverages(*ests)
 
 

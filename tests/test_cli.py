@@ -21,7 +21,6 @@ from commutator_bounds import (
     FIG2_HEADER,
     averaged_bounds_qubit,
     batch_bounds,
-    fourier_phases,
     matrix_from_pairs,
     maximize_ratio,
     mc_mub_average,
@@ -169,16 +168,17 @@ class TestCompareViolations:
 
     Random triples never violate a bound, so ``violation_masks`` is patched to
     flag fixed global indices: row 7 and row 4100 sit in the first and second
-    batch of 4096, and row 4500 is the conjectured-bound row.
+    batch of 4096, and row 4500 is the conjectured-bound row.  Row 0 is flagged
+    by two campaigns writing into one directory.
     """
 
     HARD = {(7, "robertson"), (4100, "luo_park")}
     CONJECTURE = {(4500, "bound2")}
 
-    def run_flagged(self, flagged, monkeypatch, tmp_path):
-        from commutator_bounds import cli
+    def run_flagged(self, flagged, monkeypatch, tmp_path, seed=9):
+        from commutator_bounds import bounds, cli
 
-        real = cli.violation_masks
+        real = bounds.violation_masks  # unpatched, also on a second run in one test
         batches = iter(range(10))
 
         def flagging(cols):
@@ -192,7 +192,7 @@ class TestCompareViolations:
         monkeypatch.setattr(cli, "violation_masks", flagging)
         out = tmp_path / "compare.jsonl"
         code = cli.main([
-            "compare", "--dim", "4", "--samples", "5000", "--seed", "9", "--workers", "1",
+            "compare", "--dim", "4", "--samples", "5000", "--seed", str(seed), "--workers", "1",
             "--out", str(out), "--counterexample-dir", str(tmp_path / "cx"),
         ])
         records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
@@ -209,7 +209,7 @@ class TestCompareViolations:
     def test_bound2_row_exits_3_and_writes_its_counterexample(self, monkeypatch, tmp_path):
         assert self.run_flagged(self.HARD | self.CONJECTURE, monkeypatch, tmp_path) == 3
         files = sorted(p.name for p in (tmp_path / "cx").iterdir())
-        assert files == ["compare_d4_4500.json"]
+        assert files == ["compare_d4_s9_4500.json"]
         payload = json.loads((tmp_path / "cx" / files[0]).read_text(encoding="utf-8"))
         assert payload["index"] == 4500 and payload["dim"] == 4
         # rho is diag(spectrum): the triple as compare evaluated it, in the state's eigenbasis
@@ -222,6 +222,27 @@ class TestCompareViolations:
         cols = batch_bounds(a, b, rho[None])
         for name in ("product", "bound2"):
             assert cols[name][0] == pytest.approx(payload[name], rel=1e-12, abs=0.0)
+
+    ROW_ZERO = {(0, "bound2")}
+
+    def test_two_seeds_keep_two_records(self, monkeypatch, tmp_path):
+        for seed in (1, 2):
+            assert self.run_flagged(self.ROW_ZERO, monkeypatch, tmp_path, seed) == 3
+        files = sorted(p.name for p in (tmp_path / "cx").iterdir())
+        assert files == ["compare_d4_s1_0.json", "compare_d4_s2_0.json"]
+        spectra = [json.loads((tmp_path / "cx" / f).read_text())["spectrum"] for f in files]
+        assert spectra[0] != spectra[1]
+
+    def test_rerun_adds_a_suffix_and_leaves_the_record(self, monkeypatch, tmp_path):
+        first = tmp_path / "cx" / "compare_d4_s1_0.json"
+        assert self.run_flagged(self.ROW_ZERO, monkeypatch, tmp_path, 1) == 3
+        recorded = first.read_bytes()
+        assert self.run_flagged(self.ROW_ZERO, monkeypatch, tmp_path, 1) == 3
+        files = sorted(p.name for p in (tmp_path / "cx").iterdir())
+        assert files == ["compare_d4_s1_0.json", "compare_d4_s1_0_1.json"]
+        assert first.read_bytes() == recorded
+        # the same seed draws the same row, so the second record holds the same bytes
+        assert (tmp_path / "cx" / files[1]).read_bytes() == recorded
 
 
 class TestFigures:
@@ -431,8 +452,8 @@ class TestMCAverage:
         # cli copies mub.mub_samples so that perfbench's traced run, which wraps cli's
         # names, sees the sampler and the columns; the copy must not drift from it
         lams = np.random.default_rng(d).dirichlet(np.ones(d))
-        got = _mub_samples(d, lams, 1000, np.random.default_rng(d + 10))
-        want = mub_samples(fourier_phases(d), lams, 1000, np.random.default_rng(d + 10))
+        got = _mub_samples(lams, 1000, np.random.default_rng(d + 10))
+        want = mub_samples(lams, 1000, np.random.default_rng(d + 10))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -477,6 +498,17 @@ class TestVerifyConjecture:
         for record in lines[:-1]:
             assert record["converged"]
             assert not record["exceeds_conjecture"]
+
+    def test_counterexample_files_carry_the_seed_and_never_overwrite(self, tmp_path):
+        from commutator_bounds import cli
+
+        args = argparse.Namespace(counterexample_dir=str(tmp_path / "cx"), seed=7)
+        records = [{"dim": 3, "trial": 2, "copy": k} for k in range(3)]
+        paths = [cli._write_counterexample(args, "conjecture", record) for record in records]
+        assert [path.name for path in paths] == [
+            "conjecture_d3_s7_2.json", "conjecture_d3_s7_2_1.json", "conjecture_d3_s7_2_2.json"
+        ]
+        assert [json.loads(path.read_text())["copy"] for path in paths] == [0, 1, 2]
 
     def test_dim_range_enforced(self, tmp_path):
         assert_exit(run_cli("verify-conjecture", "--dim", "16", cwd=tmp_path), 2)

@@ -152,6 +152,54 @@ def test_unused_import_check_sees_each_kind():
     assert unused_imports(source) == ["b", "d", "js", "os"]
 
 
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter of a function or lambda in ``source``,
+    other than ``self`` and ``cls``, that its body never reads.
+
+    A read is a loaded ``Name`` or an augmented assignment anywhere in the body, nested
+    functions included; a default or an annotation is not the body.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set()
+        for child in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                read.add(child.id)
+            elif isinstance(child, ast.AugAssign) and isinstance(child.target, ast.Name):
+                read.add(child.target.id)
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            f"{name}.{p.arg}" for p in params
+            if p is not None and p.arg not in ("self", "cls", *read)
+        ]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
+def test_every_parameter_is_read(path):
+    source = (SRC / "commutator_bounds" / path).read_text(encoding="utf-8")
+    assert unread_parameters(source) == []
+
+
+def test_unread_parameter_check_sees_each_kind():
+    source = (
+        "def f(a, b, /, c, *rest, d, e=None, **extra):\n    return a + c\n"
+        "def g(x: int = y) -> int:\n    pass\n"
+        "async def h(total):\n    total += 1\n"
+        "class K:\n    def m(self, n):\n        def inner():\n            return n\n"
+        "    @classmethod\n    def make(cls, spare):\n        return cls\n"
+        "w = lambda seen, unseen: seen\n"
+    )
+    assert unread_parameters(source) == [
+        "<lambda>.unseen", "f.b", "f.d", "f.e", "f.extra", "f.rest", "g.x", "make.spare",
+    ]
+
+
 def unread_names(sources: list[str]) -> list[str]:
     """The module-level upper-case constants and the ``_private`` functions and classes
     that ``sources`` define and none of them reads.

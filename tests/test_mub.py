@@ -33,6 +33,8 @@ from commutator_bounds import (
     variance,
     weighted_norm_sq,
 )
+from commutator_bounds._parallel import Stream
+from commutator_bounds.averages import seeded_moments
 from commutator_bounds.linalg import nonnegative
 from commutator_bounds.mub import MUB_COLUMN_NAMES
 from commutator_bounds.states import checked_spectrum
@@ -269,7 +271,8 @@ class TestCommutatorNormPhaseSum:
             b = unit_spectrum(rng, d)
             lam = np.sort(rng.dirichlet(np.ones(d)))
             pair = fourier_mub_pair(d, a, b)
-            phase_sum = mub_commutator_norm(pair, lam)
+            cols = mub_sample_columns(fourier_phases(d), checked_spectrum(lam), a[None], b[None])
+            phase_sum = cols[0, 0]
             rho = DensityMatrix.from_spectrum(lam)
             matrix_path = weighted_norm_sq(
                 commutator(pair.observable_a(), pair.observable_b()), rho
@@ -296,7 +299,7 @@ class TestCommutatorNormPhaseSum:
 
 def shifted_fourier_phases(rng, d):
     """The Fourier table plus row phases alpha_j and column phases beta_k: the same
-    |B~_jk|^2, but no longer equal to :func:`fourier_phases`, so the general path runs."""
+    |B~_jk|^2, but no longer equal to :func:`fourier_phases`."""
     return fourier_phases(d) + rng.uniform(0.0, 2.0 * np.pi, (d, 1)) + rng.uniform(
         0.0, 2.0 * np.pi, (1, d)
     )
@@ -319,17 +322,26 @@ class TestSampleColumnsMatrixPath:
             lam /= lam.sum()
         a = sample_unit_vectors(d, 4, rng)
         b = sample_unit_vectors(d, 4, rng)
-        cols = mub_sample_columns(phases, lam, a, b)
-        rho = DensityMatrix.from_spectrum(lam)  # diagonal in the given order
-        for row, sa, sb in zip(cols, a, b):
-            pair = mub_pair(d, phases, sa, sb)
-            obs_a, obs_b = pair.observable_a(), pair.observable_b()
-            comm_norm = weighted_norm_sq(commutator(obs_a, obs_b), rho)
-            # A commutes with rho, so its classical uncertainty is its variance
-            factor_a = variance(obs_a, rho)
-            factor_b = classical_uncertainty(obs_b, rho)
-            want = [comm_norm, factor_a * factor_b, factor_a, factor_b]
-            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-12)
+        cols = reference_mub_sample_columns(phases, lam, a, b)
+        want = matrix_path_columns(phases, lam, a, b)
+        np.testing.assert_allclose(cols, want, rtol=0.0, atol=1e-12)
+
+
+def matrix_path_columns(phases, lam, a, b):
+    """The four :func:`mub_sample_columns` of each row of ``a``, ``b`` built from the pair's
+    matrices and the diagonal state: the matrix path, for any valid table."""
+    d = len(lam)
+    rho = DensityMatrix.from_spectrum(lam)  # diagonal in the given order
+    rows = []
+    for sa, sb in zip(a, b):
+        pair = mub_pair(d, phases, sa, sb)
+        obs_a, obs_b = pair.observable_a(), pair.observable_b()
+        comm_norm = weighted_norm_sq(commutator(obs_a, obs_b), rho)
+        # A commutes with rho, so its classical uncertainty is its variance
+        factor_a = variance(obs_a, rho)
+        factor_b = classical_uncertainty(obs_b, rho)
+        rows.append([comm_norm, factor_a * factor_b, factor_a, factor_b])
+    return np.array(rows)
 
 
 def f4_phases(a):
@@ -355,6 +367,19 @@ NON_FOURIER_TABLES = {
     "f4": f4_phases(0.7),
     "f4-permuted": f4_phases(0.7)[:, [2, 0, 3, 1]],
 }
+
+
+def reference_mub_average(phases, lams, samples, seed):
+    """The four column estimates of :func:`mc_mub_average` on any valid table, drawn as it
+    draws them but evaluated by :func:`reference_mub_sample_columns`."""
+    lam = checked_spectrum(lams)
+
+    def sample(count, rng):
+        a = sample_unit_vectors(len(lam), count, rng)
+        b = sample_unit_vectors(len(lam), count, rng)
+        return reference_mub_sample_columns(phases, lam, a, b)
+
+    return seeded_moments(sample, samples, seed, Stream.MC_MUB).estimates()
 
 
 def reference_mub_sample_columns(phases, lams, a, b):
@@ -402,7 +427,9 @@ class TestSampleColumnsReference:
         lam /= lam.sum()
         a = sample_unit_vectors(d, 16, rng)
         b = sample_unit_vectors(d, 16, rng)
-        cols = mub_sample_columns(phases, lam, a, b)
+        # the sample columns read the Fourier table alone; F4 is read on the matrix path
+        columns = matrix_path_columns if f4 else mub_sample_columns
+        cols = columns(phases, lam, a, b)
         want = reference_mub_sample_columns(phases, lam, a, b)
         # the former formulas subtract sums of size up to 1 for unit spectra, so near a pure
         # state their round-off is 1e-16, however small the column: hence max(1, column max)
@@ -447,7 +474,7 @@ class TestCirculantFourierPath:
         a = sample_unit_vectors(d, 16, rng)
         b = sample_unit_vectors(d, 16, rng)
         cols = mub_sample_columns(fourier_phases(d), lam, a, b)
-        want = mub_sample_columns(shifted_fourier_phases(rng, d), lam, a, b)
+        want = matrix_path_columns(shifted_fourier_phases(rng, d), lam, a, b)
         assert np.all(np.abs(cols - want) <= 1e-14 * np.abs(want).max(axis=0))
         assert np.all(cols >= 0.0)
 
@@ -472,7 +499,85 @@ class TestCirculantFourierPath:
         lam = np.array([0.1, 0.2, 0.3, 0.4])
         result = mc_mub_average(4, lam, 10_000, SEED + 21)
         assert result.comm_norm.samples == 10_000
-        assert cli._mub_samples(4, lam, 100, np.random.default_rng(SEED + 22)).shape == (100, 4)
+        assert cli._mub_samples(lam, 100, np.random.default_rng(SEED + 22)).shape == (100, 4)
+
+    @pytest.mark.parametrize(
+        "phases",
+        [shifted_fourier_phases(np.random.default_rng(SEED + 23), 4), f4_phases(0.7),
+         fourier_phases(3)],
+        ids=["shifted", "f4", "wrong-shape"],
+    )
+    def test_other_tables_rejected(self, phases):
+        lam = np.full(4, 0.25)
+        a = np.full((2, 4), 0.5)
+        with pytest.raises(ValueError, match=r"fourier_phases\(4\) and no other table"):
+            mub_sample_columns(phases, lam, a, a)
+
+
+def invariance_case(seed, d, state):
+    """(lam, a, b) for the invariance properties: a full, rank-deficient or pure state
+    and 8 pairs of unit spectra."""
+    rng = np.random.default_rng(seed)
+    lam = rng.dirichlet(np.ones(d))
+    if state == "rank-deficient":
+        lam[rng.choice(d, d // 2, replace=False)] = 0.0
+        lam /= lam.sum()
+    elif state == "pure":
+        lam = np.eye(d)[rng.integers(d)]
+    return lam, sample_unit_vectors(d, 8, rng), sample_unit_vectors(d, 8, rng)
+
+
+INVARIANCE_CASES = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d=st.integers(min_value=2, max_value=16),
+    state=st.sampled_from(["full", "rank-deficient", "pure"]),
+)
+
+
+def assert_same_columns(got, want):
+    """Each column within 1e-13 of that column's maximum."""
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
+
+
+class TestFourierPathInvariances:
+    @settings(max_examples=50, deadline=None)
+    @given(**INVARIANCE_CASES, shift=st.integers(min_value=1, max_value=15))
+    def test_rolling_the_state_and_a_together(self, seed, d, state, shift):
+        # the cyclic shift X commutes with the Fourier B, and X A X^dag, X rho X^dag roll
+        # the diagonals of A and rho: the same values
+        lam, a, b = invariance_case(seed, d, state)
+        cols = mub_sample_columns(fourier_phases(d), lam, a, b)
+        rolled = mub_sample_columns(
+            fourier_phases(d), np.roll(lam, shift), np.roll(a, shift, axis=1), b
+        )
+        assert_same_columns(rolled, cols)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**INVARIANCE_CASES, c=st.floats(min_value=-1.0, max_value=1.0))
+    def test_adding_a_constant_to_b(self, seed, d, state, c):
+        # B + c leaves the commutator and the centered B' as they were
+        lam, a, b = invariance_case(seed, d, state)
+        cols = mub_sample_columns(fourier_phases(d), lam, a, b)
+        assert_same_columns(mub_sample_columns(fourier_phases(d), lam, a, b + c), cols)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**INVARIANCE_CASES, c=st.floats(min_value=-1.0, max_value=1.0))
+    def test_adding_a_constant_to_a(self, seed, d, state, c):
+        # and so does A + c for the commutator and the centered A'
+        lam, a, b = invariance_case(seed, d, state)
+        cols = mub_sample_columns(fourier_phases(d), lam, a, b)
+        assert_same_columns(mub_sample_columns(fourier_phases(d), lam, a + c, b), cols)
+
+    @settings(max_examples=50, deadline=None)
+    @given(**INVARIANCE_CASES, k=st.integers(min_value=-20, max_value=20))
+    def test_scaling_a_by_a_power_of_two(self, seed, d, state, k):
+        # the norm, the Luo-Park term and V(A) are quadratic in A, C(B) does not read A,
+        # and a power of two scales every float exactly
+        lam, a, b = invariance_case(seed, d, state)
+        cols = mub_sample_columns(fourier_phases(d), lam, a, b)
+        scaled = mub_sample_columns(fourier_phases(d), lam, 2.0**k * a, b)
+        assert scaled[:, :3].tolist() == (4.0**k * cols[:, :3]).tolist()
+        assert scaled[:, 3].tolist() == cols[:, 3].tolist()
 
 
 @pytest.mark.parametrize("name", sorted(NON_FOURIER_TABLES))
@@ -484,30 +589,20 @@ class TestNonFourierPhaseTable:
         for lam in (np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.0, 0.3, 0.2])):
             a = sample_unit_vectors(d, 8, rng)
             b = sample_unit_vectors(d, 8, rng)
-            cols = mub_sample_columns(phases, lam, a, b)
-            rho = DensityMatrix.from_spectrum(lam)
-            for row, sa, sb in zip(cols, a, b):
-                pair = mub_pair(d, phases, sa, sb)
-                obs_a, obs_b = pair.observable_a(), pair.observable_b()
-                factor_a = variance(obs_a, rho)
-                factor_b = classical_uncertainty(obs_b, rho)
-                want = [
-                    weighted_norm_sq(commutator(obs_a, obs_b), rho),
-                    factor_a * factor_b,
-                    factor_a,
-                    factor_b,
-                ]
-                np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-12)
+            cols = reference_mub_sample_columns(phases, lam, a, b)
+            want = matrix_path_columns(phases, lam, a, b)
+            np.testing.assert_allclose(cols, want, rtol=0.0, atol=1e-12)
+            # mub_commutator_norm reads any pair on the matrix path
+            norms = [mub_commutator_norm(mub_pair(d, phases, sa, sb), lam) for sa, sb in zip(a, b)]
+            np.testing.assert_allclose(norms, cols[:, 0], rtol=0.0, atol=1e-12)
 
     def test_averages_meet_closed_forms(self, name):
         # the averages do not depend on which valid phase table is used
         d = 4
         lam = np.array([0.1, 0.2, 0.3, 0.4])
-        result = mc_mub_average(
-            d, lam, 100_000, SEED + 14, phases=NON_FOURIER_TABLES[name]
-        )
-        for field, target in zip(MUB_COLUMN_NAMES, mub_column_averages(lam)):
-            assert abs(getattr(result, field).z_score(target)) <= 5.0, field
+        result = reference_mub_average(NON_FOURIER_TABLES[name], lam, 100_000, SEED + 14)
+        for field, est, target in zip(MUB_COLUMN_NAMES, result, mub_column_averages(lam)):
+            assert abs(est.z_score(target)) <= 5.0, field
 
 
 def fifty_digit_sample_columns(theta, lam, a, b) -> list:
@@ -554,17 +649,17 @@ def oracle_spectra(rng, d):
 
 
 def oracle_tables():
-    """(id, float table, 50-digit table): the Fourier table, whose circulant path reads
-    the exact angles 2 pi jk / d, a row- and column-shifted Fourier table and F4(0.7),
-    both read as the floats given."""
+    """(id, float table, 50-digit table, columns): the Fourier table, whose circulant path
+    reads the exact angles 2 pi jk / d, then a row- and column-shifted Fourier table and
+    F4(0.7), both read as the floats given on the matrix path."""
     rng = np.random.default_rng(SEED + 40)
     with mpmath.workdps(50):
         for d in (3, 4, 5):
             exact = [[2 * mpmath.pi * j * k / d for k in range(d)] for j in range(d)]
-            yield f"fourier-d{d}", fourier_phases(d), exact
+            yield f"fourier-d{d}", fourier_phases(d), exact, mub_sample_columns
             shifted = shifted_fourier_phases(rng, d)
-            yield f"shifted-d{d}", shifted, shifted.tolist()
-    yield "f4", f4_phases(0.7), f4_phases(0.7).tolist()
+            yield f"shifted-d{d}", shifted, shifted.tolist(), matrix_path_columns
+    yield "f4", f4_phases(0.7), f4_phases(0.7).tolist(), matrix_path_columns
 
 
 ORACLE_TABLES = list(oracle_tables())
@@ -572,15 +667,16 @@ ORACLE_TABLES = list(oracle_tables())
 
 class TestSampleColumnsFiftyDigits:
     @pytest.mark.parametrize(
-        "phases, theta", [t[1:] for t in ORACLE_TABLES], ids=[t[0] for t in ORACLE_TABLES]
+        "phases, theta, columns", [t[1:] for t in ORACLE_TABLES],
+        ids=[t[0] for t in ORACLE_TABLES],
     )
-    def test_columns_within_1e14_relative(self, phases, theta):
+    def test_columns_within_1e14_relative(self, phases, theta, columns):
         d = phases.shape[0]
         rng = np.random.default_rng(SEED + 41 + d)
         for name, lam in oracle_spectra(rng, d):
             a = sample_unit_vectors(d, 6, rng)
             b = sample_unit_vectors(d, 6, rng)
-            cols = mub_sample_columns(phases, lam, a, b)
+            cols = columns(phases, lam, a, b)
             for row, sa, sb in zip(cols, a, b):
                 exact = fifty_digit_sample_columns(theta, lam, sa, sb)
                 if name == "pure":
@@ -620,12 +716,13 @@ class TestMonteCarlo:
         shifted = fourier_phases(d) + rng.uniform(0, 2 * np.pi, (d, 1)) + rng.uniform(
             0, 2 * np.pi, (1, d)
         )
-        other_phases = mc_mub_average(d, np.full(d, 1 / d), 50_000, SEED + 12, phases=shifted)
+        # the sample columns read the Fourier table alone, so the reference reads this one
+        other_phases = reference_mub_average(shifted, np.full(d, 1 / d), 50_000, SEED + 12)[0]
         target = mub_commutator_norm_average(d)
-        for result in (base, other_state, other_phases):
-            assert abs(result.comm_norm.z_score(target)) < 5.0
-        mutual = abs(base.comm_norm.mean - other_phases.comm_norm.mean)
-        scale = np.hypot(base.comm_norm.std_error, other_phases.comm_norm.std_error)
+        for est in (base.comm_norm, other_state.comm_norm, other_phases):
+            assert abs(est.z_score(target)) < 5.0
+        mutual = abs(base.comm_norm.mean - other_phases.mean)
+        scale = np.hypot(base.comm_norm.std_error, other_phases.std_error)
         assert mutual < 5.0 * scale
 
     @pytest.mark.parametrize(
@@ -658,8 +755,6 @@ class TestMonteCarlo:
     )
     def test_phase_table_checked_as_in_mub_pair(self, dim, phases, message):
         rng = np.random.default_rng(SEED)
-        with pytest.raises(ValueError, match=message):
-            mc_mub_average(dim, np.full(dim, 1.0 / dim), 10_000, SEED, phases=phases)
         with pytest.raises(ValueError, match=message):
             mub_pair(dim, phases, unit_spectrum(rng, dim), unit_spectrum(rng, dim))
 
