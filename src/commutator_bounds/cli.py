@@ -68,7 +68,7 @@ EXIT_CONJECTURE = 3
 EXIT_IO = 4
 EXIT_COUNTEREXAMPLE = 5
 
-_BATCH = 4096
+_BATCH = 4096  # the most triples in one compare task
 # verify-conjecture's defaults are the optimizer's, read before anything can rebind the name
 _OPT_DEFAULTS = maximize_ratio.__kwdefaults__
 
@@ -134,11 +134,21 @@ def _compare_lines(dim: int, start: int, cols: dict, masks: dict) -> list[str]:
     return pieces
 
 
+def _compare_batch(dim: int) -> int:
+    """Triples per compare task at dimension ``dim``: ``_BATCH`` up to d = 4, then
+    floor(2^16 / d^2), at least 1.  It reads ``dim`` alone, so the tasks, their random
+    streams and the output bytes are the same at every worker count."""
+    # 2^16 complex entries (1 MiB) per (n, d, d) stack: neither --samples nor --dim grows a worker
+    return min(_BATCH, max(1, (1 << 16) // (dim * dim)))
+
+
 def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
-    """One batch of compare: its output lines in pieces, its count of hard-inequality
-    violations and the counterexample payloads of its ``bound2`` violations."""
+    """Task ``chunk = (batch_index, count)`` of compare: ``count`` triples, the first
+    being row ``batch_index * _compare_batch(dim)``.  Returns its output lines in
+    pieces, its count of hard-inequality violations and the counterexample payloads
+    of its ``bound2`` violations."""
     batch_index, count = chunk
-    start = batch_index * _BATCH
+    start = batch_index * _compare_batch(dim)
     rng = task_rng(seed, Stream.COMPARE, dim, batch_index)
     a = sample_hermitian_batch(dim, count, rng)
     b = sample_hermitian_batch(dim, count, rng)
@@ -172,7 +182,7 @@ def _cmd_compare(args) -> int:
     conjecture_violations = 0
     with _output(args.out) as out:
         for lines, hard, counterexamples in map_ordered(
-            task, chunk_plan(args.samples, _BATCH), args.workers
+            task, chunk_plan(args.samples, _compare_batch(args.dim)), args.workers
         ):
             out.writelines(lines)
             hard_violations += hard
@@ -393,6 +403,14 @@ _SPECTRUM_HELP = (
 _SAMPLES_HELP = f"integer >= {MIN_QUBIT_SAMPLES} ({MIN_MUB_SAMPLES} with --mub)"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one
+    (so ``taskset`` and container CPU sets count), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -401,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers",
         type=_count(1),
-        default=os.cpu_count() or 1,
+        default=_usable_cpus(),
         help="worker processes, integer >= 1 (default: available parallelism)",
     )
     common.add_argument("--out", default="-", help="output path (default stdout)")

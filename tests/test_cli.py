@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,82 @@ class TestCompareViolations:
         assert first.read_bytes() == recorded
         # the same seed draws the same row, so the second record holds the same bytes
         assert (tmp_path / "cx" / files[1]).read_bytes() == recorded
+
+
+class TestCompareTasks:
+    """compare's task layout.  Above d = 4 a task holds floor(2^16 / d^2) triples, so
+    its (n, d, d) stacks stay at 2^16 entries and a worker's memory does not grow with
+    ``--dim``; each task's first row index follows from that size alone."""
+
+    def planned(self, dim, samples, monkeypatch, tmp_path):
+        """The task function and the chunks that compare maps over its workers."""
+        from commutator_bounds import cli
+
+        plans = []
+
+        def capture(fn, tasks, workers):
+            plans.append((fn, list(tasks)))
+            return iter(())
+
+        monkeypatch.setattr(cli, "map_ordered", capture)
+        argv = ["compare", "--dim", str(dim), "--samples", str(samples), "--workers", "1",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        ((fn, tasks),) = plans
+        return fn, tasks
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32])
+    def test_one_task_peaks_under_10_mib(self, dim, monkeypatch, tmp_path):
+        fn, tasks = self.planned(dim, 100_000, monkeypatch, tmp_path)
+        tracemalloc.start()
+        try:
+            fn(tasks[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_worker_count_does_not_change_small_tasks(self, monkeypatch, tmp_path):
+        base = ("compare", "--dim", "32", "--samples", "300", "--seed", "3")
+        assert len(self.planned(32, 300, monkeypatch, tmp_path)[1]) == 5
+        one = run_cli(*base, "--workers", "1", cwd=tmp_path)
+        two = run_cli(*base, "--workers", "2", cwd=tmp_path)
+        assert ok_stdout(one) == ok_stdout(two)
+
+    def test_counterexample_index_names_its_line(self, monkeypatch, tmp_path):
+        """Each task flags its largest product: the file's index must be that row's line."""
+        from commutator_bounds import bounds, cli
+
+        real = bounds.violation_masks
+
+        def flag_largest(cols):
+            masks = real(cols)
+            masks["bound2"][np.argmax(cols["product"])] = True
+            return masks
+
+        monkeypatch.setattr(cli, "violation_masks", flag_largest)
+        out = tmp_path / "compare.jsonl"
+        code = main(["compare", "--dim", "16", "--samples", "600", "--seed", "4", "--workers", "1",
+                     "--out", str(out), "--counterexample-dir", str(tmp_path / "cx")])
+        assert code == 3
+        lines = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        payloads = [json.loads(p.read_text(encoding="utf-8")) for p in (tmp_path / "cx").iterdir()]
+        assert len(payloads) == 3  # tasks of 256, 256 and 88 triples
+        for payload in payloads:
+            line = lines[payload["index"]]
+            assert line["product"] == payload["product"] and line["pass_bound2"] is False
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_mean_purity_is_hilbert_schmidt(self, dim, tmp_path):
+        """E[Tr rho^2] = 2d / (d^2 + 1) under the Hilbert-Schmidt measure, to |z| <= 4."""
+        out = tmp_path / "compare.jsonl"
+        assert main(["compare", "--dim", str(dim), "--samples", "4000", "--seed", "11",
+                     "--workers", "1", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        purity = np.array([json.loads(line)["purity"] for line in lines])
+        std_error = purity.std(ddof=1) / math.sqrt(purity.size)
+        z = (purity.mean() - 2 * dim / (dim**2 + 1)) / std_error
+        assert abs(z) <= 4.0, z
 
 
 class TestFigures:
@@ -682,7 +759,9 @@ COMMON_OPTIONS = {
     "-h": argparse.SUPPRESS,
     "--help": argparse.SUPPRESS,
     "--seed": 42,
-    "--workers": os.cpu_count() or 1,
+    "--workers": (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    ),
     "--out": "-",
     "--counterexample-dir": "counterexamples",
 }
@@ -765,6 +844,11 @@ class TestParser:
         }
         assert got == {name: COMMON_OPTIONS | own for name, own in SUBCOMMAND_OPTIONS.items()}
 
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        args = build_parser().parse_args(["compare", "--dim", "2", "--samples", "1"])
+        assert args.workers == 1
+
     def test_verify_conjecture_defaults_are_the_optimizers(self):
         args = build_parser().parse_args(["verify-conjecture", "--dim", "2"])
         defaults = maximize_ratio.__kwdefaults__
@@ -840,8 +924,11 @@ class TestChunkedGoldenBytes:
     shifts (j - k) mod d (means moved by at most 4 ulp).  The three compare digests were re-recorded when compare began to read
     each triple in its state's eigenbasis, as (eigvalsh(rho), A, B) with no
     rotation: each row is another draw from the same law, so the values moved
-    while the row counts, keys and pass flags held.  Every sample count leaves a
-    ragged last batch, and the worker count must not change a byte.
+    while the row counts, keys and pass flags held.  compare-d16 was re-recorded
+    again when a task above d = 4 came to hold floor(2^16 / d^2) triples, not 4096:
+    at d = 16 its 300 rows are tasks of 256 and 44, each row a new draw from the same
+    law, with the row count, keys, index run and pass flags unchanged.  Every sample
+    count leaves a ragged last batch, and the worker count must not change a byte.
     """
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -876,7 +963,7 @@ class TestChunkedGoldenBytes:
             ),
             (
                 ("compare", "--dim", "16", "--samples", "300", "--seed", "5"),
-                "bb8994eacf402b450920db5997e9c656bcb6dd33d7a538be60e1b80880a241b7",
+                "119db3268c36dfc3d5746a56b81fdc8308eb1ba0801b91228b3c5ffdf6867b7e",
             ),
         ],
         ids=["purity-json", "purity-csv", "mub-d4", "mub-d3-spectrum", "compare-d4",
