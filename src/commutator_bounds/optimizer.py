@@ -30,13 +30,13 @@ from .errors import EigensolverError, InvalidStateError, NumericalConsistencyErr
 from .linalg import (
     as_matrix,
     checked_dim,
+    commutator,
     frobenius_norm_sq,
     frozen,
     nonnegative,
-    require_same_dim,
     weighted_norm_sq,
 )
-from .states import DensityMatrix, Observable, as_state
+from .states import DensityMatrix, Observable, as_state, sample_hermitian_batch
 
 logger = logging.getLogger(__name__)
 
@@ -105,12 +105,11 @@ def ratio(a, b, rho) -> float:
     """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
-    require_same_dim(am, bm)
     na = weighted_norm_sq(am, rho)
     nb = weighted_norm_sq(bm, rho)
     if not all(n > NULL_NORM_TOL * frobenius_norm_sq(m) for n, m in ((na, am), (nb, bm))):
         raise ValueError("ratio undefined: an argument is annihilated by the seminorm")
-    return weighted_norm_sq(am @ bm - bm @ am, rho) / (na * nb)
+    return weighted_norm_sq(commutator(am, bm), rho) / (na * nb)
 
 
 def equality_witness(rho: DensityMatrix | np.ndarray) -> tuple[Observable, Observable]:
@@ -196,15 +195,18 @@ class _RatioProblem:
     Tr(X^dag X rho) = sum_jk |X_jk|^2 lam_k is a diagonal form D in the
     coordinates: lam_k on E_jk in complex mode, and lam_j on E_jj and
     (lam_j + lam_k)/2 on both off-diagonal elements of the Hermitian basis.
-    With B fixed, the commutator is a linear map G of A's coordinates, and
-    each entry of G is a signed sum of entries of B.  In complex mode G is
-    the row-major vectorization K = I ox B^T - B ox I.  In Hermitian mode G
-    maps to the real coordinates of the Hermitian matrix i[A, B]:
-    G_rc = Tr(H_r i[H_c, B]) = -2 Im Tr(H_r H_c B), real arithmetic
-    throughout.  In both modes G is assembled by one ``bincount`` over index
-    arrays fixed per state, already scaled to D^(1/2) G D^(-1/2), so that a
-    half step is the top eigenpair of the standard form G^dag G.  The same form
-    serves both sides, since [A, B] = -[B, A].
+    With B fixed, the commutator is a linear map G of A's coordinates, taken
+    scaled to D^(1/2) G D^(-1/2), so that a half step is the top eigenpair of
+    the standard form G^dag G.  In complex mode G is the row-major
+    vectorization K = I ox B^T - B ox I.  There D = I ox L^2 with
+    L = diag(lam)^(1/2) commutes with B ox I, so the scaled map is
+    I ox (L B^T L^-1) - B ox I, and each half step writes its two terms into
+    the diagonal blocks and the diagonal entries of the blocks of a zero
+    array.  In Hermitian mode G maps to the real coordinates of the Hermitian
+    matrix i[A, B]: G_rc = Tr(H_r i[H_c, B]) = -2 Im Tr(H_r H_c B), real
+    arithmetic throughout.  Each of its entries is a signed sum of entries of
+    B, assembled by one ``bincount`` over index arrays fixed per state.  The
+    same form serves both sides, since [A, B] = -[B, A].
     """
 
     def __init__(self, rho: DensityMatrix, mode: str) -> None:
@@ -226,29 +228,18 @@ class _RatioProblem:
             # Im(prod B_ea) reads Im B_ea for a real product and Re B_ea otherwise.
             src = 2 * (b[partner] * d + a[:, None]) + real
             val = -2.0 * np.where(real, prod.real, prod.imag)
-            dst = row * n + col
             pair = (lam[:, None] + lam[None, :])[np.triu_indices(d, 1)] / 2.0
-            weight = np.concatenate([lam, pair, pair])
-            self.slots = n * n
+            root = np.sqrt(np.concatenate([lam, pair, pair]))
+            self.dst = (row * n + col).ravel()
+            self.src = src.ravel()
+            self.coef = (val * root[row] / root[col]).ravel()
             # Coordinate, slot in the real view of a d x d matrix, and value of
             # each basis entry, to rebuild a matrix from its coordinates.
             self.entries = (r, 2 * (a * d + b) + (h.imag != 0.0), h.real + h.imag)
         else:
-            x, y, z = np.indices((d, d, d)).reshape(3, -1)
-            # [A, B]_xz = sum_y A_xy B_yz - B_xy A_yz, for the real and imaginary parts.
-            row = np.tile(x * d + z, 4)
-            col = np.tile(np.concatenate([x * d + y, y * d + z]), 2)
-            part = np.repeat([0, 1], 2 * x.size)
-            src = 2 * np.tile(np.concatenate([y * d + z, x * d + y]), 2) + part
-            val = np.tile(np.repeat([1.0, -1.0], x.size), 2)
-            dst = 2 * (row * n + col) + part
-            weight = np.tile(lam, d)
-            self.slots = 2 * n * n
-        root = np.sqrt(weight)
+            root = np.sqrt(np.tile(lam, d))
+            self.scale = root[:d, None] / root[None, :d]
         self.inv_root = 1.0 / root
-        self.dst = dst.ravel()
-        self.src = src.ravel()
-        self.coef = (val * root[row] / root[col]).ravel()
 
     def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
         return self.vectors.conj().T @ m @ self.vectors
@@ -265,13 +256,17 @@ class _RatioProblem:
         """
         d = self.dim
         n = d * d
-        entries = other.view(float).ravel()
-        g = np.bincount(self.dst, self.coef * entries[self.src], minlength=self.slots)
         if self.mode == "hermitian":
-            g = g.reshape(n, n)
+            entries = other.view(float).ravel()
+            g = np.bincount(self.dst, self.coef * entries[self.src], minlength=n * n).reshape(n, n)
             form = g.T @ g
         else:
-            g = g.view(complex).reshape(n, n)
+            # G[(x, z), (w, y)]: I ox (L B^T L^-1) where x = w, minus B ox I where z = y.
+            k = np.arange(d)
+            g = np.zeros((d, d, d, d), dtype=complex)
+            g[k, :, k, :] = other.T * self.scale
+            g[:, k, :, k] -= other
+            g = g.reshape(n, n)
             form = g.conj().T @ g
         # Imported here so that only the optimizer pays for scipy; the call goes
         # through the module attribute, where a profiler may have wrapped it.
@@ -291,10 +286,9 @@ class _RatioProblem:
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         d = self.dim
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         if self.mode == "hermitian":
-            g = (g + g.conj().T) / 2.0
-        return g
+            return sample_hermitian_batch(d, 1, rng)[0]
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 def _ascend(

@@ -14,6 +14,7 @@ from commutator_bounds import (
     averaged_bounds_qubit,
     crossover_purities,
     fig1_rows,
+    fig2_rows,
     merge_moments,
     monte_carlo_qubit_average,
     qubit_bound_samples,
@@ -211,8 +212,9 @@ class TestFig1Rows:
         assert np.all(schrodinger >= robertson - 1e-15)
 
     def test_point_count_validated(self):
-        with pytest.raises(ValueError):
-            fig1_rows(1)
+        for rows in (fig1_rows, fig2_rows):
+            with pytest.raises(ValueError, match="need at least 2 grid points"):
+                rows(1)
 
     def test_rows_are_averaged_bounds_qubit(self):
         rows = fig1_rows(2001)

@@ -516,6 +516,16 @@ class TestBatchKernelOnSpectra:
         for name in COLUMNS:
             np.testing.assert_array_equal(got[name], want[name])
 
+    def test_overflowing_column_raises(self):
+        # finite inputs whose squared entries overflow: the column check is the last guard
+        rng = np.random.default_rng(SEED + 153)
+        a = sample_hermitian_batch(3, 4, rng) * 1e200
+        b = sample_hermitian_batch(3, 4, rng) * 1e200
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalConsistencyError, match="batch column product has non-finite"):
+                batch_bounds(a, b, _spectra(3, 1, rng))
+
     def test_empty_batch(self):
         cols = batch_bounds(np.zeros((0, 3, 3), dtype=complex), np.zeros((0, 3, 3)), np.zeros((0, 3)))
         assert sorted(cols) == sorted(COLUMNS)
@@ -918,6 +928,10 @@ class TestCommutatorNormIdentity:
     def test_parallel_axes(self):
         a = [0.0, 0.6, 0.8]
         assert qubit_commutator_norm_identity(a, a) == pytest.approx(0.0, abs=1e-15)
+
+    def test_axes_of_wrong_shape_raise(self):
+        with pytest.raises(ValueError, match="axes must have 3 components"):
+            qubit_commutator_norm_identity([1.0, 0.0], [0.0, 1.0, 0.0])
 
     def test_state_independence_against_matrix_path(self):
         rng = np.random.default_rng(SEED + 14)

@@ -28,6 +28,7 @@ from commutator_bounds import (
     mub_b2_average,
     mub_lp_average,
     mub_pair,
+    qubit_bounds_closed_form,
     sample_density,
     sample_density_batch,
     sample_hermitian,
@@ -195,6 +196,16 @@ class TestCheckedDim:
     def test_one_level_raises_one_error(self, name):
         with pytest.raises(DimensionMismatchError, match="dimension must be >= 2, got 1"):
             ONE_LEVEL_CALLS[name](np.random.default_rng(SEED))
+
+
+class TestShapeChecks:
+    def test_non_square_matrix_raises(self):
+        with pytest.raises(DimensionMismatchError, match="must be a square matrix, got shape"):
+            commutator(np.ones((2, 3)), np.eye(2))
+
+    def test_unit_vector_of_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="a must have 3 components, got shape"):
+            qubit_bounds_closed_form([1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0])
 
 
 class TestHermitianEigensystem:

@@ -10,6 +10,7 @@ import scipy.linalg
 from commutator_bounds import (
     DensityMatrix,
     DimensionMismatchError,
+    EigensolverError,
     InvalidStateError,
     NumericalConsistencyError,
     PAULI_X,
@@ -374,6 +375,45 @@ class TestHalfStep:
         rho = sample_density(4, "hilbert-schmidt", np.random.default_rng(SEED + 40))
         with pytest.raises(NumericalConsistencyError, match="disagrees"):
             maximize_ratio(rho, restarts=1, rng=np.random.default_rng(SEED + 41))
+
+
+class TestEigensolverFailure:
+    """A start whose half-step eigensolver fails is logged and dropped; with none left,
+    ``maximize_ratio`` raises."""
+
+    @staticmethod
+    def fail_calls(monkeypatch, failing):
+        """Make ``scipy.linalg.eigh`` raise on the 1-based calls that ``failing`` accepts."""
+        eigh = scipy.linalg.eigh
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(None)
+            if failing(len(calls)):
+                raise np.linalg.LinAlgError("forced failure")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", flaky)
+
+    def test_failed_witness_start_is_discarded(self, monkeypatch, caplog):
+        rho = sample_density(3, "hilbert-schmidt", np.random.default_rng(SEED + 45))
+        want = maximize_ratio(
+            rho, restarts=2, max_iters=20, rng=np.random.default_rng(SEED + 46), seed_witness=False
+        )
+        # the witness start runs first, and its first half step is the first call
+        self.fail_calls(monkeypatch, lambda call: call == 1)
+        with caplog.at_level("WARNING", logger="commutator_bounds.optimizer"):
+            got = maximize_ratio(rho, restarts=2, max_iters=20, rng=np.random.default_rng(SEED + 46))
+        assert "start 0 discarded: half-step eigenproblem failed: forced failure" in caplog.text
+        assert got.restarts_used == 2
+        assert got.achieved_ratio == want.achieved_ratio
+        assert got.trace == want.trace
+
+    def test_every_start_failing_raises(self, monkeypatch):
+        rho = sample_density(3, "hilbert-schmidt", np.random.default_rng(SEED + 47))
+        self.fail_calls(monkeypatch, lambda call: True)
+        with pytest.raises(EigensolverError, match="every start failed"):
+            maximize_ratio(rho, restarts=2, rng=np.random.default_rng(SEED + 48))
 
 
 class TestIllConditionedSpectra:

@@ -150,3 +150,8 @@ def test_integer_types_key_the_same_stream():
 def test_stream_tags_are_distinct():
     # an IntEnum member given a used value would silently become an alias of it
     assert len({int(tag) for tag in Stream}) == len(Stream.__members__)
+
+
+def test_empty_reduction_raises():
+    with pytest.raises(ValueError, match="cannot reduce an empty sequence"):
+        _parallel.pairwise_reduce([], lambda x, y: x + y)

@@ -51,6 +51,14 @@ class TestDensityFromBloch:
         with pytest.raises(InvalidStateError):
             DensityMatrix.from_bloch([0.8, 0.8, 0.8])
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(InvalidStateError, match="3 components, got shape"):
+            DensityMatrix.from_bloch([0.0, 0.5])
+
+    def test_bloch_vector_is_for_qubits_only(self):
+        with pytest.raises(DimensionMismatchError, match="dim 2, not 3"):
+            DensityMatrix.maximally_mixed(3).bloch_vector()
+
     def test_round_trip(self):
         rng = np.random.default_rng(SEED)
         for _ in range(1000):
@@ -174,7 +182,28 @@ class TestSpectralSummary:
         np.testing.assert_array_equal(vec.real.T @ np.diagonal(rho.matrix).real, rho.spectrum)
 
 
+class _ZeroFirstRow:
+    """A generator whose first draw has an all-zero second row."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        if not self.shapes:
+            out[1] = 0.0
+        self.shapes.append(shape)
+        return out
+
+
 class TestSampling:
+    def test_zero_unit_vector_draw_is_redrawn(self):
+        rng = _ZeroFirstRow(np.random.default_rng(SEED + 20))
+        rows = sample_unit_vectors(3, 4, rng)
+        assert rng.shapes == [(4, 3), (1, 3)]
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=1e-15)
+
     def test_hilbert_schmidt_statistics(self):
         rng = np.random.default_rng(SEED + 4)
         purities = []
@@ -298,6 +327,10 @@ class TestObservable:
 
         with pytest.raises(NotHermitianError, match="non-finite"):
             Observable([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_axis_of_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="axis must have 3 components"):
+            Observable.from_bloch([1.0, 0.0])
 
     def test_pauli_x_from_bloch(self):
         np.testing.assert_allclose(Observable.from_bloch([1, 0, 0]).matrix, PAULI_X, atol=0)
