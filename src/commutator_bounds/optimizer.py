@@ -163,50 +163,34 @@ class OptimizationResult:
         return abs(self.achieved_ratio / self.conjectured_constant - 1.0)
 
 
-def _hermitian_entries(dim: int) -> tuple[np.ndarray, ...]:
-    """Nonzero entries H_r[a, b] = h of the orthonormal Hermitian basis.
-
-    The basis is E_jj, then (E_jk + E_kj)/sqrt 2, then i(E_kj - E_jk)/sqrt 2
-    for j < k.  Returns the arrays (r, a, b, h).
-    """
-    j, k = np.triu_indices(dim, 1)
-    diag = np.arange(dim)
-    sym = dim + np.arange(j.size)
-    skew = sym + j.size
-    half = math.sqrt(0.5)
-    r = np.concatenate([diag, sym, sym, skew, skew])
-    a = np.concatenate([diag, j, k, j, k])
-    b = np.concatenate([diag, k, j, k, j])
-    h = np.concatenate(
-        [
-            np.ones(dim),
-            np.full(2 * j.size, half),
-            np.full(j.size, -1j * half),
-            np.full(j.size, 1j * half),
-        ]
-    )
-    return r, a, b, h
-
-
 class _RatioProblem:
     """Quadratic-form machinery shared by all restarts for one state.
 
     Everything happens in rho's eigenbasis, where the weighted norm
     Tr(X^dag X rho) = sum_jk |X_jk|^2 lam_k is a diagonal form D in the
-    coordinates: lam_k on E_jk in complex mode, and lam_j on E_jj and
-    (lam_j + lam_k)/2 on both off-diagonal elements of the Hermitian basis.
-    With B fixed, the commutator is a linear map G of A's coordinates, taken
-    scaled to D^(1/2) G D^(-1/2), so that a half step is the top eigenpair of
-    the standard form G^dag G.  In complex mode G is the row-major
-    vectorization K = I ox B^T - B ox I.  There D = I ox L^2 with
-    L = diag(lam)^(1/2) commutes with B ox I, so the scaled map is
-    I ox (L B^T L^-1) - B ox I, and each half step writes its two terms into
-    the diagonal blocks and the diagonal entries of the blocks of a zero
-    array.  In Hermitian mode G maps to the real coordinates of the Hermitian
-    matrix i[A, B]: G_rc = Tr(H_r i[H_c, B]) = -2 Im Tr(H_r H_c B), real
-    arithmetic throughout.  Each of its entries is a signed sum of entries of
-    B, assembled by one ``bincount`` over index arrays fixed per state.  The
+    coordinates.  With B fixed, the commutator is a linear map G of A's
+    coordinates, taken scaled to D^(1/2) G D^(-1/2), so that a half step is
+    the top eigenpair of the standard form G^dag G.  Both modes read G from
+    the row-major vectorization K = I ox B^T - B ox I of A -> [A, B], and the
     same form serves both sides, since [A, B] = -[B, A].
+
+    In complex mode the coordinates are A's entries, with weight lam_k on
+    A_jk, and G = K.  There D = I ox L^2 with L = diag(lam)^(1/2) commutes
+    with B ox I, so the scaled map is I ox (L B^T L^-1) - B ox I, and each
+    half step writes its two terms into the diagonal blocks and the diagonal
+    entries of the blocks of a zero array.
+
+    In Hermitian mode write A = S + iQ, with S real symmetric and Q real
+    antisymmetric.  The coordinates are the real matrix M = Re A + Im A = S + Q,
+    an isometry from Hermitian matrices onto all real d x d matrices, with
+    inverse A = ((1+i)/2) M + ((1-i)/2) M^T and weight (lam_j + lam_k)/2 on
+    M_jk.  G maps M to the coordinates of the Hermitian matrix i[A, B], so
+    G = Re(iK + K T), with T the transposition of M's entries:
+
+        G[(x, z), (w, y)] = d_xy Re B_wz - d_zw Re B_xy - d_xw Im B_yz + d_zy Im B_xw,
+
+    real arithmetic throughout, assembled by one ``bincount`` over index
+    arrays fixed per state.
     """
 
     def __init__(self, rho: DensityMatrix, mode: str) -> None:
@@ -218,24 +202,17 @@ class _RatioProblem:
         self.vectors = rho.eigenvectors
         lam = rho.spectrum
         if mode == "hermitian":
-            r, a, b, h = _hermitian_entries(d)
-            # Each H_r[a, b] pairs with the 2d - 1 entries H_c[b, e] in row b.
-            partner = np.argsort(a, kind="stable").reshape(d, 2 * d - 1)[b]
-            prod = h[:, None] * h[partner]
-            real = prod.imag == 0.0
-            row = np.broadcast_to(r[:, None], partner.shape)
-            col = r[partner]
-            # Im(prod B_ea) reads Im B_ea for a real product and Re B_ea otherwise.
-            src = 2 * (b[partner] * d + a[:, None]) + real
-            val = -2.0 * np.where(real, prod.real, prod.imag)
-            pair = (lam[:, None] + lam[None, :])[np.triu_indices(d, 1)] / 2.0
-            root = np.sqrt(np.concatenate([lam, pair, pair]))
-            self.dst = (row * n + col).ravel()
-            self.src = src.ravel()
-            self.coef = (val * root[row] / root[col]).ravel()
-            # Coordinate, slot in the real view of a d x d matrix, and value of
-            # each basis entry, to rebuild a matrix from its coordinates.
-            self.entries = (r, 2 * (a * d + b) + (h.imag != 0.0), h.real + h.imag)
+            # G's four terms in blocks of d^3 entries over (x, z, t), with t for w in
+            # the first and last term and for y in the other two; each reads the
+            # slot of Re B_tz, Re B_xt, Im B_tz or Im B_xt in B's real view.
+            x, z, t = np.indices((d, d, d)).reshape(3, -1)
+            row = np.tile(x * d + z, 4)
+            col = np.concatenate([t * d + x, z * d + t, x * d + t, t * d + z])
+            src = np.concatenate([2 * (t * d + z), 2 * (x * d + t)] * 2)
+            root = np.sqrt((lam[:, None] + lam[None, :]) / 2.0).ravel()
+            self.dst = row * n + col
+            self.src = src + np.repeat([0, 1], 2 * t.size)
+            self.coef = np.repeat([1.0, -1.0, -1.0, 1.0], t.size) * root[row] / root[col]
         else:
             root = np.sqrt(np.tile(lam, d))
             self.scale = root[:d, None] / root[None, :d]
@@ -276,13 +253,11 @@ class _RatioProblem:
             mu, v = scipy.linalg.eigh(form, subset_by_index=[n - 1, n - 1])
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"half-step eigenproblem failed: {exc}") from exc
-        x = v[:, 0] * self.inv_root
+        new = (v[:, 0] * self.inv_root).reshape(d, d)
         if self.mode == "hermitian":
-            coord, slot, h = self.entries
-            new = np.bincount(slot, x[coord] * h, minlength=2 * n).view(complex)
-        else:
-            new = x
-        return new.reshape(d, d), float(mu[0])
+            # A = S + iQ from M = S + Q, exactly Hermitian in floating point.
+            new = new * (0.5 + 0.5j) + new.T * (0.5 - 0.5j)
+        return new, float(mu[0])
 
     def random_start(self, rng: np.random.Generator) -> np.ndarray:
         d = self.dim

@@ -1006,7 +1006,13 @@ class TestReportGoldenBytes:
     @pytest.mark.parametrize(
         "mode, digest",
         [
-            ("hermitian", "8d8b3c9ee9720731c4f23a58389cd08f5f379e6db1f6dd30b2a72832acf1928f"),
+            # Re-recorded when Hermitian pairs came to be searched in the real
+            # coordinates M = Re A + Im A: a witness start's B half step has a
+            # degenerate top eigenvalue, and the new coordinates return another member
+            # of that eigenspace as witness_b.  Both pairs give the same ratio; the
+            # ratios and traces moved by at most 4 ulp, and the row count, keys,
+            # iterations and exit code held.
+            ("hermitian", "a16d67390c6d5109f422b4a836e63c61114f322ea4b1ed09c16c706a5131786c"),
             ("complex", "8dde038b4cde5cc66598aeb8e66883d0f5a064cd9faa9d450620063d5a5df05d"),
         ],
     )

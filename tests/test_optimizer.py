@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commutator_bounds import (
     DensityMatrix,
@@ -375,6 +377,44 @@ class TestHalfStep:
         rho = sample_density(4, "hilbert-schmidt", np.random.default_rng(SEED + 40))
         with pytest.raises(NumericalConsistencyError, match="disagrees"):
             maximize_ratio(rho, restarts=1, rng=np.random.default_rng(SEED + 41))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (d, mode, ensemble)
+        for d in (2, 3, 4, 5)
+        for mode in ("hermitian", "complex")
+        for ensemble in ("spectrum", "hilbert-schmidt")
+    ],
+    ids=lambda p: "-".join(map(str, p)),
+)
+def reported_pair(request):
+    """A state and the result ``maximize_ratio`` reports for it."""
+    d, mode, ensemble = request.param
+    rng = np.random.default_rng(SEED + 60 + d)
+    if ensemble == "spectrum":
+        rho = DensityMatrix.from_spectrum(np.sort(rng.dirichlet(np.ones(d))))
+    else:
+        rho = sample_density(d, "hilbert-schmidt", rng)
+    return rho, maximize_ratio(rho, restarts=2, mode=mode, rng=rng)
+
+
+class TestCommutingUnitaries:
+    """Conjugating a pair by a unitary that commutes with rho leaves R unchanged.
+
+    These are zero modes of R, so the reported pair is one maximiser of a family,
+    and another half-step basis may report another member of it.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(phases=st.lists(st.floats(-math.pi, math.pi), min_size=5, max_size=5))
+    def test_ratio_is_unchanged(self, reported_pair, phases):
+        rho, result = reported_pair
+        v = rho.eigenvectors
+        u = v @ np.diag(np.exp(1j * np.array(phases[: rho.dim]))) @ v.conj().T
+        a, b = (u @ m @ u.conj().T for m in (result.witness_a, result.witness_b))
+        assert ratio(a, b, rho) == pytest.approx(result.achieved_ratio, rel=1e-12)
 
 
 class TestEigensolverFailure:
