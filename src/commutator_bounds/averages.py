@@ -7,7 +7,10 @@ direction along z without bias.
 
 Every Monte Carlo average here, in ``mub`` and in the CLI, merges in order batch i of
 :data:`MC_BATCH` samples drawn from ``task_rng(seed, tag, i)`` (:func:`seeded_moments`),
-so an estimator and ``cbounds mc-average`` with the same seed agree bit for bit.
+so an estimator and ``cbounds mc-average`` with the same seed agree bit for bit.  A
+batch is drawn and reduced :data:`MC_SUB_BATCH` samples at a time from its one stream
+(:func:`chunk_moments`), so the memory a batch holds does not grow with the sample
+count, and grows with the dimension only through the rows of one sub-batch.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .states import sample_unit_vectors
 FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
 
 MC_BATCH = 1 << 16
+MC_SUB_BATCH = 4096
 MIN_QUBIT_SAMPLES = 1000
 MIN_MOMENT_SAMPLES = 10_000
 
@@ -93,13 +97,17 @@ def chunk_plan(total: int, size: int) -> list[tuple[int, int]]:
 
 
 def chunk_moments(sample, seed: int, tag: Stream, chunk: tuple[int, int]) -> Moments:
-    """Moments of one chunk: ``sample(count, task_rng(seed, tag, index))``, a (count, k) array."""
+    """Moments of one chunk of ``count`` rows drawn from ``task_rng(seed, tag, index)``:
+    ``sample(n, rng)``, an (n, k) array, is drawn and reduced :data:`MC_SUB_BATCH` rows
+    at a time from that one stream, and the parts merge in order."""
     index, count = chunk
-    return Moments.of(sample(count, task_rng(seed, tag, index)))
+    rng = task_rng(seed, tag, index)
+    return merge_moments([Moments.of(sample(n, rng)) for _, n in chunk_plan(count, MC_SUB_BATCH)])
 
 
 def seeded_moments(sample, total: int, seed: int, tag: Stream) -> Moments:
-    """Moments of ``total`` draws of ``sample`` in :data:`MC_BATCH` chunks, merged in order."""
+    """Moments of ``total`` draws of ``sample`` in :data:`MC_BATCH` chunks, merged in order;
+    each chunk is drawn and reduced :data:`MC_SUB_BATCH` samples at a time."""
     chunks = chunk_plan(total, MC_BATCH)
     return merge_moments([chunk_moments(sample, seed, tag, chunk) for chunk in chunks])
 

@@ -698,13 +698,15 @@ class TestMubAverage:
     def test_monte_carlo_row_lives_on_in_mc_average(self, tmp_path):
         # the comm_norm_mc row of `mub-average --dim 3 --samples 20000 --seed 42`, recorded
         # before that option was deleted: mc-average --mub drew the same samples.  Re-recorded
-        # when the Fourier columns became circulant sums: the mean moved by 3 ulp
+        # when the Fourier columns became circulant sums: the mean moved by 3 ulp.  Re-recorded
+        # when a batch came to be drawn 4096 samples at a time: sample_unit_vectors draws a
+        # and b in turn for each sub-batch, so each sample pair is a new draw from the same law
         recorded = {
-            "mean": 0.14791291208411564,
-            "std_error": 0.0006933790745374145,
+            "mean": 0.1484321841577155,
+            "std_error": 0.0006963029828866154,
             "samples": 20000,
             "target": 0.14814814814814814,
-            "z": -0.3392604026728644,
+            "z": 0.40792013900307256,
         }
         proc = run_cli(
             "mc-average", "--mub", "--dim", "3", "--samples", "20000", "--seed", "42",
@@ -927,8 +929,13 @@ class TestChunkedGoldenBytes:
     while the row counts, keys and pass flags held.  compare-d16 was re-recorded
     again when a task above d = 4 came to hold floor(2^16 / d^2) triples, not 4096:
     at d = 16 its 300 rows are tasks of 256 and 44, each row a new draw from the same
-    law, with the row count, keys, index run and pass flags unchanged.  Every sample
-    count leaves a ragged last batch, and the worker count must not change a byte.
+    law, with the row count, keys, index run and pass flags unchanged.  The four
+    mc-average digests were re-recorded when a batch came to be drawn and reduced 4096
+    samples at a time from its one stream: the samplers draw the two axes a and b in
+    turn for each sub-batch, so each sample pair is a new draw from the same law, and
+    the row names, counts and targets held (largest |z| 1.98, at mub-d3-spectrum).
+    Every sample count leaves a ragged last batch, and the worker count must not change
+    a byte.
     """
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -937,21 +944,21 @@ class TestChunkedGoldenBytes:
         [
             (
                 ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7"),
-                "044623c35111281970b17ed2d1c551fb135318acc86db873251b22be20fd8495",
+                "37d4b9d3418f601448ef4cd27396148250670bd35cccb159b51bc1db4f4e7eba",
             ),
             (
                 ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7",
                  "--format", "csv"),
-                "ceedd31124fa61e4116ced5e57aa6b42354dcb4ef5bf5668dc5b70fc453cf152",
+                "5c1543b05cc520bfddc444b2ddeda43e23e45a8a2c653e003ae2e3bd8a48e9f7",
             ),
             (
                 ("mc-average", "--mub", "--dim", "4", "--samples", "300000", "--seed", "101"),
-                "87a0501fcfb4266bf9691aa6f002c42339b84c2268f0239d14416a97c1dfa460",
+                "53d93c68eae2502d2c79a96e8d88c404f8746094aec4ee51d021cdf600a44d7e",
             ),
             (
                 ("mc-average", "--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5",
                  "--samples", "70000", "--seed", "3"),
-                "221b131aeb141363b17b11f282496ba983c62bc7d6673eccb760e6dd08a74ff0",
+                "a80b68fb1de220f422bef512d02ababbc60736331e8525b482c0b11fcfa34f8a",
             ),
             (
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),

@@ -505,14 +505,17 @@ def test_stream_tag_check_sees_each_kind():
     ]
 
 
+MC_SIZES = ("MC_BATCH", "MC_SUB_BATCH")
+
+
 def monte_carlo_batch_sizes(source: str) -> list[str]:
-    """Each name that ``source`` assigns and that names a Monte Carlo batch size
-    (``MC_BATCH``, or any name holding ``CHUNK``), and each ``chunk_plan`` size, in a
-    function that reads ``chunk_moments``, other than ``MC_BATCH``."""
+    """Each name that ``source`` assigns and that names a Monte Carlo batch or sub-batch
+    size (one of ``MC_SIZES``, or any name holding ``CHUNK``), and each ``chunk_plan``
+    size, in a function that reads ``chunk_moments``, other than ``MC_BATCH``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            if node.id == "MC_BATCH" or "CHUNK" in node.id:
+            if node.id in MC_SIZES or "CHUNK" in node.id:
                 found.append(node.id)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = list(ast.walk(node))
@@ -530,12 +533,12 @@ def monte_carlo_batch_sizes(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "commutator_bounds").glob("*.py")))
 def test_monte_carlo_batch_size_lives_in_averages(path):
     sizes = monte_carlo_batch_sizes((SRC / "commutator_bounds" / path).read_text(encoding="utf-8"))
-    assert sizes == (["MC_BATCH"] if path == "averages.py" else [])
+    assert sizes == (list(MC_SIZES) if path == "averages.py" else [])
 
 
 def test_batch_size_check_sees_each_kind():
     source = (
-        "MC_BATCH = 1 << 16\n_CHUNK = 1 << 17\n_BATCH = 4096\n"
+        "MC_BATCH = 1 << 16\nMC_SUB_BATCH = 4096\n_CHUNK = 1 << 17\n_BATCH = 4096\n"
         "def mc(sample, total):\n"
         "    return [chunk_moments(sample, c) for c in chunk_plan(total, 1 << 15)]\n"
         "def mc_ok(sample, total):\n"
@@ -545,5 +548,5 @@ def test_batch_size_check_sees_each_kind():
         "for MY_CHUNK in (): pass\n"
     )
     assert sorted(monte_carlo_batch_sizes(source)) == [
-        "MC_BATCH", "MY_CHUNK", "_CHUNK", "chunk_plan(total, 1 << 15)"
+        "MC_BATCH", "MC_SUB_BATCH", "MY_CHUNK", "_CHUNK", "chunk_plan(total, 1 << 15)"
     ]
