@@ -8,9 +8,9 @@ direction along z without bias.
 Every Monte Carlo average here, in ``mub`` and in the CLI, merges in order batch i of
 :data:`MC_BATCH` samples drawn from ``task_rng(seed, tag, i)`` (:func:`seeded_moments`),
 so an estimator and ``cbounds mc-average`` with the same seed agree bit for bit.  A
-batch is drawn and reduced :data:`MC_SUB_BATCH` samples at a time from its one stream
-(:func:`chunk_moments`), so the memory a batch holds does not grow with the sample
-count, and grows with the dimension only through the rows of one sub-batch.
+batch is drawn and reduced :func:`chunk_rows` rows at a time from its one stream
+(:func:`chunk_moments`), the same rule that sizes a ``compare`` task, so neither the
+sample count nor the dimension grows the memory a batch holds.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .states import sample_unit_vectors
 FIG1_HEADER = ",".join(("purity", *BOUND_NAMES))
 
 MC_BATCH = 1 << 16
-MC_SUB_BATCH = 4096
+CHUNK_ROWS = 4096
+CHUNK_ENTRIES = 1 << 16
 MIN_QUBIT_SAMPLES = 1000
 MIN_MOMENT_SAMPLES = 10_000
 
@@ -96,20 +97,26 @@ def chunk_plan(total: int, size: int) -> list[tuple[int, int]]:
     return [(index, min(size, total - start)) for index, start in enumerate(range(0, total, size))]
 
 
-def chunk_moments(sample, seed: int, tag: Stream, chunk: tuple[int, int]) -> Moments:
-    """Moments of one chunk of ``count`` rows drawn from ``task_rng(seed, tag, index)``:
-    ``sample(n, rng)``, an (n, k) array, is drawn and reduced :data:`MC_SUB_BATCH` rows
-    at a time from that one stream, and the parts merge in order."""
+def chunk_rows(entries: int) -> int:
+    """Rows per chunk: :data:`CHUNK_ROWS`, or fewer so that a table of ``entries`` per row
+    holds at most :data:`CHUNK_ENTRIES` (1 MiB of complex values), but at least 1."""
+    return min(CHUNK_ROWS, max(1, CHUNK_ENTRIES // entries))
+
+
+def chunk_moments(sample, entries: int, seed: int, tag: Stream, chunk) -> Moments:
+    """Moments of chunk ``(index, count)``: ``count`` rows of ``sample(n, rng)`` drawn from
+    ``task_rng(seed, tag, index)`` and reduced ``chunk_rows(entries)`` rows at a time, in order."""
     index, count = chunk
     rng = task_rng(seed, tag, index)
-    return merge_moments([Moments.of(sample(n, rng)) for _, n in chunk_plan(count, MC_SUB_BATCH)])
+    parts = chunk_plan(count, chunk_rows(entries))
+    return merge_moments([Moments.of(sample(n, rng)) for _, n in parts])
 
 
-def seeded_moments(sample, total: int, seed: int, tag: Stream) -> Moments:
+def seeded_moments(sample, entries: int, total: int, seed: int, tag: Stream) -> Moments:
     """Moments of ``total`` draws of ``sample`` in :data:`MC_BATCH` chunks, merged in order;
-    each chunk is drawn and reduced :data:`MC_SUB_BATCH` samples at a time."""
+    each chunk is drawn and reduced ``chunk_rows(entries)`` rows at a time."""
     chunks = chunk_plan(total, MC_BATCH)
-    return merge_moments([chunk_moments(sample, seed, tag, chunk) for chunk in chunks])
+    return merge_moments([chunk_moments(sample, entries, seed, tag, chunk) for chunk in chunks])
 
 
 def checked_purity(purity: float) -> float:
@@ -178,7 +185,7 @@ def monte_carlo_qubit_average(purity: float, samples: int, seed: int) -> tuple[M
     if samples < MIN_QUBIT_SAMPLES:
         raise ValueError(f"need at least {MIN_QUBIT_SAMPLES} samples, got {samples}")
     sample = partial(qubit_bound_samples, purity)
-    return seeded_moments(sample, samples, seed, Stream.MC_PURITY).estimates()
+    return seeded_moments(sample, len(BOUND_NAMES), samples, seed, Stream.MC_PURITY).estimates()
 
 
 def crossover_purities() -> tuple[float, float]:
@@ -216,7 +223,7 @@ def sphere_moment_check(dim: int, samples: int, seed: int) -> MomentMatrixEstima
         x = sample_unit_vectors(dim, count, chunk_rng)
         return np.einsum("ni,nj->nij", x, x).reshape(count, dim * dim)
 
-    merged = seeded_moments(outer_products, samples, seed, Stream.SPHERE_MOMENTS)
+    merged = seeded_moments(outer_products, dim * dim, samples, seed, Stream.SPHERE_MOMENTS)
     pairs = np.array([(e.mean, e.std_error) for e in merged.estimates()])
     mean, se = pairs.T.reshape(2, dim, dim)
     return MomentMatrixEstimate(mean=mean, std_error=se, samples=merged.count)

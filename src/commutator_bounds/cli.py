@@ -35,6 +35,7 @@ from .averages import (
     averaged_bounds_qubit,
     chunk_moments,
     chunk_plan,
+    chunk_rows,
     fig1_rows,
     merge_moments,
     qubit_bound_samples,
@@ -68,7 +69,6 @@ EXIT_CONJECTURE = 3
 EXIT_IO = 4
 EXIT_COUNTEREXAMPLE = 5
 
-_BATCH = 4096  # the most triples in one compare task
 # verify-conjecture's defaults are the optimizer's, read before anything can rebind the name
 _OPT_DEFAULTS = maximize_ratio.__kwdefaults__
 
@@ -134,21 +134,13 @@ def _compare_lines(dim: int, start: int, cols: dict, masks: dict) -> list[str]:
     return pieces
 
 
-def _compare_batch(dim: int) -> int:
-    """Triples per compare task at dimension ``dim``: ``_BATCH`` up to d = 4, then
-    floor(2^16 / d^2), at least 1.  It reads ``dim`` alone, so the tasks, their random
-    streams and the output bytes are the same at every worker count."""
-    # 2^16 complex entries (1 MiB) per (n, d, d) stack: neither --samples nor --dim grows a worker
-    return min(_BATCH, max(1, (1 << 16) // (dim * dim)))
-
-
 def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
     """Task ``chunk = (batch_index, count)`` of compare: ``count`` triples, the first
-    being row ``batch_index * _compare_batch(dim)``.  Returns its output lines in
+    being row ``batch_index * chunk_rows(dim * dim)``.  Returns its output lines in
     pieces, its count of hard-inequality violations and the counterexample payloads
     of its ``bound2`` violations."""
     batch_index, count = chunk
-    start = batch_index * _compare_batch(dim)
+    start = batch_index * chunk_rows(dim * dim)
     rng = task_rng(seed, Stream.COMPARE, dim, batch_index)
     a = sample_hermitian_batch(dim, count, rng)
     b = sample_hermitian_batch(dim, count, rng)
@@ -182,7 +174,7 @@ def _cmd_compare(args) -> int:
     conjecture_violations = 0
     with _output(args.out) as out:
         for lines, hard, counterexamples in map_ordered(
-            task, chunk_plan(args.samples, _compare_batch(args.dim)), args.workers
+            task, chunk_plan(args.samples, chunk_rows(args.dim * args.dim)), args.workers
         ):
             out.writelines(lines)
             hard_violations += hard
@@ -222,11 +214,11 @@ def _mub_samples(lams: np.ndarray, count: int, rng) -> np.ndarray:
     return mub_sample_columns(fourier_phases(d), lams, a, b)
 
 
-def _mc_moments(sample, tag: Stream, args) -> Moments:
+def _mc_moments(sample, entries: int, tag: Stream, args) -> Moments:
     """averages.seeded_moments, its batches mapped over the workers.  This and _mub_samples
     repeat the library through this module's names, which perfbench's traced run wraps
     (map_ordered, merge_moments, sample_unit_vectors, mub_sample_columns; ROADMAP item 16)."""
-    per_batch = partial(chunk_moments, sample, args.seed, tag)
+    per_batch = partial(chunk_moments, sample, entries, args.seed, tag)
     chunks = chunk_plan(args.samples, MC_BATCH)
     return merge_moments(list(map_ordered(per_batch, chunks, args.workers)))
 
@@ -260,13 +252,14 @@ def _cmd_mc_average(args) -> int:
             raise ValueError(f"--mub averaging needs --samples >= {MIN_MUB_SAMPLES}")
         lams = _parse_spectrum(args.spectrum, args.dim)
         samples = partial(_mub_samples, checked_spectrum(lams))
-        moments = _mc_moments(samples, Stream.MC_MUB, args)
+        moments = _mc_moments(samples, 2 * args.dim, Stream.MC_MUB, args)
         names = MUB_COLUMN_NAMES
         targets = mub_column_averages(lams)
     else:
         if args.dim != 2 or args.spectrum is not None:
             raise ValueError("--dim and --spectrum need --mub; the --purity average is over qubits")
-        moments = _mc_moments(partial(qubit_bound_samples, args.purity), Stream.MC_PURITY, args)
+        sample = partial(qubit_bound_samples, args.purity)
+        moments = _mc_moments(sample, len(BOUND_NAMES), Stream.MC_PURITY, args)
         names = BOUND_NAMES
         targets = averaged_bounds_qubit(args.purity).as_array()
     with _output(args.out) as out:

@@ -233,8 +233,8 @@ def mc_mub_average(dim: int, lams, samples: int, seed: int) -> MubAverages:
     if samples < MIN_MUB_SAMPLES:
         raise ValueError(f"need at least {MIN_MUB_SAMPLES} samples, got {samples}")
     lam = checked_spectrum(lams, checked_dim(dim))
-    ests = seeded_moments(partial(mub_samples, lam), samples, seed, Stream.MC_MUB).estimates()
-    return MubAverages(*ests)
+    sample = partial(mub_samples, lam)  # widest table per row: 2 (d - 1) cosines and sines
+    return MubAverages(*seeded_moments(sample, 2 * dim, samples, seed, Stream.MC_MUB).estimates())
 
 
 def qubit_mub_theta_lp(purity: float, theta: float) -> float:

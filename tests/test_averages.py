@@ -23,7 +23,7 @@ from commutator_bounds import (
     sphere_moment_check,
 )
 from commutator_bounds._parallel import Stream, task_rng
-from commutator_bounds.averages import MC_BATCH, MC_SUB_BATCH, chunk_moments
+from commutator_bounds.averages import CHUNK_ROWS, MC_BATCH, chunk_moments, chunk_rows
 from commutator_bounds.mub import mub_samples
 
 SEED = 20240904
@@ -128,25 +128,33 @@ class TestMonteCarlo:
 
 
 class TestChunkMemory:
-    """One task of ``MC_BATCH`` samples is drawn and reduced ``MC_SUB_BATCH`` rows at a
-    time, so its peak allocation does not grow with the batch or with the dimension."""
+    """One task of ``MC_BATCH`` samples is drawn and reduced ``chunk_rows(entries)`` rows
+    at a time, so its peak allocation does not grow with the batch or with the dimension."""
 
     @staticmethod
-    def peak_mib(sample) -> float:
-        chunk_moments(sample, SEED, Stream.MC_MUB, (0, 100))  # first-call allocations
+    def peak_mib(sample, entries) -> float:
+        chunk_moments(sample, entries, SEED, Stream.MC_MUB, (0, 100))  # first-call allocations
         tracemalloc.start()
         try:
-            chunk_moments(sample, SEED, Stream.MC_MUB, (0, MC_BATCH))
+            chunk_moments(sample, entries, SEED, Stream.MC_MUB, (0, MC_BATCH))
             return tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("dim", [4, 16, 32])
+    @pytest.mark.parametrize("dim", [4, 16, 32, 64])
     def test_mub_task_peak(self, dim):
-        assert self.peak_mib(partial(mub_samples, np.full(dim, 1.0 / dim))) < 8.0
+        assert self.peak_mib(partial(mub_samples, np.full(dim, 1.0 / dim)), 2 * dim) < 8.0
 
     def test_qubit_task_peak(self):
-        assert self.peak_mib(partial(qubit_bound_samples, 0.75)) < 2.0
+        assert self.peak_mib(partial(qubit_bound_samples, 0.75), len(BOUND_NAMES)) < 2.0
+
+    def test_chunk_rows(self):
+        # every Monte Carlo sampler at d <= 4 keeps CHUNK_ROWS rows, so no pin moves there
+        assert [chunk_rows(d * d) for d in (2, 3, 4)] == [4096] * 3
+        assert chunk_rows(16 * 16) == 256  # the compare task size at d = 16
+        assert [chunk_rows(2 * d) for d in range(2, 9)] == [4096] * 7
+        assert chunk_rows(2 * 64) == 512
+        assert chunk_rows(1 << 20) == 1 and chunk_rows(1) == CHUNK_ROWS
 
     def test_sub_batches_come_in_order_from_one_stream(self):
         calls = []
@@ -155,8 +163,8 @@ class TestChunkMemory:
             calls.append(count)
             return rng.standard_normal((count, 2))
 
-        got = chunk_moments(sample, SEED, Stream.MC_MUB, (3, 2 * MC_SUB_BATCH + 5))
-        assert calls == [MC_SUB_BATCH, MC_SUB_BATCH, 5]
+        got = chunk_moments(sample, 2, SEED, Stream.MC_MUB, (3, 2 * CHUNK_ROWS + 5))
+        assert calls == [CHUNK_ROWS, CHUNK_ROWS, 5]
         whole = Moments.of(task_rng(SEED, Stream.MC_MUB, 3).standard_normal((sum(calls), 2)))
         assert got.count == sum(calls)
         np.testing.assert_allclose(got.total, whole.total, rtol=1e-12)

@@ -334,6 +334,24 @@ class TestViolationVerdict:
             BOUND_NAMES, slacks > 1.0
         )
 
+    @pytest.mark.parametrize(
+        "name, value, flagged",
+        [("robertson", 1.0 + 1e-8, True), ("bound2", 1.0 + 1e-6, True),
+         ("bound2", 1.0 + 1e-10, False)],
+    )
+    def test_slacks_in_absolute_numbers(self, name, value, flagged):
+        # product 1: a proven bound flags above 1 + 1e-10, bound2 above 1 + 1e-9
+        row = {key: np.array([0.0]) for key in BOUND_NAMES}
+        row.update(product=np.array([1.0]), **{name: np.array([value])})
+        masks = violation_masks(row)
+        assert {key: bool(mask[0]) for key, mask in masks.items()} == {
+            key: flagged and key == name for key in BOUND_NAMES
+        }
+
+    def test_zero_row_flags_nothing(self):
+        masks = violation_masks(_verdict_row(0.0, 0.0, 0.0))
+        assert not any(mask.any() for mask in masks.values())
+
 
 def reference_batch_bounds(a, b, rho):
     """The batch columns from the defining traces, computed with dense einsums."""

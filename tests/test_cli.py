@@ -1,7 +1,10 @@
 """CLI contract: exit codes, output schemas, byte-level determinism."""
 
 import argparse
+import ctypes
+import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -28,6 +31,7 @@ from commutator_bounds import (
     monte_carlo_qubit_average,
     mub_column_averages,
 )
+from commutator_bounds.averages import chunk_rows
 from commutator_bounds.cli import _compare_lines, _mub_samples, build_parser, main
 from commutator_bounds.mub import MUB_COLUMN_NAMES, mub_samples
 
@@ -184,7 +188,7 @@ class TestCompareViolations:
 
         def flagging(cols):
             masks = real(cols)
-            start = next(batches) * cli._BATCH
+            start = next(batches) * chunk_rows(4 * 4)
             for index, name in flagged:
                 if start <= index < start + len(masks[name]):
                     masks[name][index - start] = True
@@ -247,9 +251,10 @@ class TestCompareViolations:
 
 
 class TestCompareTasks:
-    """compare's task layout.  Above d = 4 a task holds floor(2^16 / d^2) triples, so
-    its (n, d, d) stacks stay at 2^16 entries and a worker's memory does not grow with
-    ``--dim``; each task's first row index follows from that size alone."""
+    """compare's task layout.  A task holds ``averages.chunk_rows(d * d)`` triples,
+    floor(2^16 / d^2) above d = 4, so its (n, d, d) stacks stay at 2^16 entries and a
+    worker's memory does not grow with ``--dim``; each task's first row index follows
+    from that size alone."""
 
     def planned(self, dim, samples, monkeypatch, tmp_path):
         """The task function and the chunks that compare maps over its workers."""
@@ -586,6 +591,31 @@ class TestVerifyConjecture:
             "conjecture_d3_s7_2.json", "conjecture_d3_s7_2_1.json", "conjecture_d3_s7_2_2.json"
         ]
         assert [json.loads(path.read_text())["copy"] for path in paths] == [0, 1, 2]
+
+    def test_exceeding_trial_exits_5_and_writes_its_record(self, monkeypatch, tmp_path):
+        from commutator_bounds import cli
+
+        real = cli.maximize_ratio
+
+        def exceeding(rho, **options):
+            result = real(rho, **options)
+            ratio = result.conjectured_constant * (1.0 + 1e-4)
+            return dataclasses.replace(result, achieved_ratio=ratio)
+
+        monkeypatch.setattr(cli, "maximize_ratio", exceeding)
+        out, cx = tmp_path / "campaign.jsonl", tmp_path / "cx"
+        code = main(["verify-conjecture", "--dim", "3", "--trials", "2", "--restarts", "1",
+                     "--seed", "19", "--workers", "1", "--out", str(out),
+                     "--counterexample-dir", str(cx)])
+        assert code == 5
+        assert sorted(p.name for p in cx.iterdir()) == [
+            "conjecture_d3_s19_0.json", "conjecture_d3_s19_1.json"
+        ]
+        for trial in (0, 1):
+            record = json.loads((cx / f"conjecture_d3_s19_{trial}.json").read_text())
+            assert record["exceeds_conjecture"] is True and record["trial"] == trial
+        summary = json.loads(out.read_text(encoding="utf-8").splitlines()[-1])
+        assert summary["summary"] is True and summary["counterexamples"] == 2
 
     def test_dim_range_enforced(self, tmp_path):
         assert_exit(run_cli("verify-conjecture", "--dim", "16", cwd=tmp_path), 2)
@@ -934,8 +964,11 @@ class TestChunkedGoldenBytes:
     samples at a time from its one stream: the samplers draw the two axes a and b in
     turn for each sub-batch, so each sample pair is a new draw from the same law, and
     the row names, counts and targets held (largest |z| 1.98, at mub-d3-spectrum).
-    Every sample count leaves a ragged last batch, and the worker count must not change
-    a byte.
+    The three compare digests were re-recorded once more when ``tests/conftest.py``
+    pinned OpenBLAS to its Haswell kernel: the triples are the same, and the kernel's
+    matmuls and eigvalsh moved each float by at most 3.3e-11 relative, with the row
+    counts, keys and pass flags unchanged.  Every sample count leaves a ragged last
+    batch, and the worker count must not change a byte.
     """
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -962,15 +995,15 @@ class TestChunkedGoldenBytes:
             ),
             (
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),
-                "be7bb80fd5cda85176469c9f9eaf495deea707285143468aed9567b49e77242d",
+                "f2ca236b7b6dbd43bec3d32f20f72277a60dc2992731c205f496047f8f31d8c9",
             ),
             (
                 ("compare", "--dim", "2", "--samples", "5000", "--seed", "3"),
-                "e77bedf082fb09771943bbeedf29e130e28519b93e358fa1d1bd65b1e4cb72bf",
+                "3c60c81df1d59df5b6bc39724ab3bb56e5975a2b791e270d7ca0ab9c0a8fe157",
             ),
             (
                 ("compare", "--dim", "16", "--samples", "300", "--seed", "5"),
-                "119db3268c36dfc3d5746a56b81fdc8308eb1ba0801b91228b3c5ffdf6867b7e",
+                "1dec5006fa3fc7fc2df86d981b331add50ca34869bd88a57a1cd46a5e43fc45a",
             ),
         ],
         ids=["purity-json", "purity-csv", "mub-d4", "mub-d3-spectrum", "compare-d4",
@@ -979,6 +1012,14 @@ class TestChunkedGoldenBytes:
     def test_golden_bytes(self, args, digest, workers, tmp_path):
         out = ok_stdout(run_cli(*args, "--workers", workers, cwd=tmp_path))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_blas_kernel_is_pinned(self):
+        """tests/conftest.py pins the kernel the compare digests were recorded on."""
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        assert corename() == b"Haswell"
+        assert os.environ["OPENBLAS_CORETYPE"] == "Haswell"  # the CLI runs inherit it
 
 
 class TestReportGoldenBytes:

@@ -505,28 +505,23 @@ def test_stream_tag_check_sees_each_kind():
     ]
 
 
-MC_SIZES = ("MC_BATCH", "MC_SUB_BATCH")
+MC_SIZES = ("MC_BATCH", "CHUNK_ROWS", "CHUNK_ENTRIES")
 
 
 def monte_carlo_batch_sizes(source: str) -> list[str]:
-    """Each name that ``source`` assigns and that names a Monte Carlo batch or sub-batch
-    size (one of ``MC_SIZES``, or any name holding ``CHUNK``), and each ``chunk_plan``
-    size, in a function that reads ``chunk_moments``, other than ``MC_BATCH``."""
+    """Each name that ``source`` assigns and that names a Monte Carlo batch or chunk size
+    (one of ``MC_SIZES``, or any name holding ``CHUNK``), and each ``chunk_plan`` size
+    other than ``MC_BATCH`` or a ``chunk_rows`` call, so that one rule sizes every chunk."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             if node.id in MC_SIZES or "CHUNK" in node.id:
                 found.append(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = list(ast.walk(node))
-            if any(isinstance(n, ast.Name) and n.id == "chunk_moments" for n in inner):
-                found.extend(
-                    ast.unparse(n)
-                    for n in inner
-                    if isinstance(n, ast.Call)
-                    and ast.unparse(n.func) == "chunk_plan"
-                    and ast.unparse(n.args[-1]) != "MC_BATCH"
-                )
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "chunk_plan":
+            size = node.args[-1]
+            sized = isinstance(size, ast.Call) and ast.unparse(size.func) == "chunk_rows"
+            if not sized and ast.unparse(size) != "MC_BATCH":
+                found.append(ast.unparse(node))
     return found
 
 
@@ -538,15 +533,19 @@ def test_monte_carlo_batch_size_lives_in_averages(path):
 
 def test_batch_size_check_sees_each_kind():
     source = (
-        "MC_BATCH = 1 << 16\nMC_SUB_BATCH = 4096\n_CHUNK = 1 << 17\n_BATCH = 4096\n"
+        "MC_BATCH = 1 << 16\nCHUNK_ROWS = 4096\nCHUNK_ENTRIES = 1 << 16\n"
+        "_CHUNK = 1 << 17\n_BATCH = 4096\n"
         "def mc(sample, total):\n"
         "    return [chunk_moments(sample, c) for c in chunk_plan(total, 1 << 15)]\n"
         "def mc_ok(sample, total):\n"
         "    return [chunk_moments(sample, c) for c in chunk_plan(total, MC_BATCH)]\n"
         "def compare(total):\n"
         "    return chunk_plan(total, _BATCH)\n"
+        "def compare_ok(dim, total):\n"
+        "    return chunk_plan(total, chunk_rows(dim * dim))\n"
         "for MY_CHUNK in (): pass\n"
     )
     assert sorted(monte_carlo_batch_sizes(source)) == [
-        "MC_BATCH", "MC_SUB_BATCH", "MY_CHUNK", "_CHUNK", "chunk_plan(total, 1 << 15)"
+        "CHUNK_ENTRIES", "CHUNK_ROWS", "MC_BATCH", "MY_CHUNK", "_CHUNK",
+        "chunk_plan(total, 1 << 15)", "chunk_plan(total, _BATCH)",
     ]

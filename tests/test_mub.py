@@ -379,7 +379,7 @@ def reference_mub_average(phases, lams, samples, seed):
         b = sample_unit_vectors(len(lam), count, rng)
         return reference_mub_sample_columns(phases, lam, a, b)
 
-    return seeded_moments(sample, samples, seed, Stream.MC_MUB).estimates()
+    return seeded_moments(sample, 2 * len(lam), samples, seed, Stream.MC_MUB).estimates()
 
 
 def reference_mub_sample_columns(phases, lams, a, b):

@@ -1,5 +1,6 @@
 """Conjecture optimizer: constants, witnesses, ratio, alternating maximization."""
 
+import dataclasses
 import json
 import math
 
@@ -488,6 +489,17 @@ class TestIllConditionedSpectra:
             seed_witness=False,
         )
         assert result.relative_deviation <= 1e-9
+
+
+class TestExceedance:
+    @pytest.mark.parametrize("excess, exceeds", [(1e-4, True), (1e-7, False)])
+    def test_exceeds_conjecture_above_its_slack(self, excess, exceeds):
+        result = maximize_ratio(RHO123, restarts=0, rng=np.random.default_rng(SEED + 15))
+        above = dataclasses.replace(
+            result, achieved_ratio=result.conjectured_constant * (1.0 + excess)
+        )
+        assert above.exceeds_conjecture is exceeds
+        assert result_record(above)["exceeds_conjecture"] is exceeds
 
 
 class TestSerialization:
