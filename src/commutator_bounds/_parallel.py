@@ -8,7 +8,9 @@ a fixed seed.
 
 from __future__ import annotations
 
+import ctypes
 import operator
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from enum import IntEnum
@@ -37,6 +39,43 @@ def task_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+#: The variables by which a caller sets the BLAS thread count; a pool worker that finds
+#: none of them set takes its share of the CPUs (:func:`_share_blas_threads`).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one
+    (so ``taskset`` and container CPU sets count), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_blas_threads(threads: int) -> None:
+    """Pool initializer: give this worker ``threads`` BLAS threads, unless the caller set
+    one of :data:`BLAS_THREAD_VARS`.  Otherwise each worker's OpenBLAS would start one
+    thread per CPU, and the workers together would oversubscribe the CPUs.
+
+    numpy's OpenBLAS is loaded already and is set through its own symbol, skipped where
+    that numpy has none, since the thread count changes no result.  scipy's loads later,
+    in the optimizer's lazy import, and reads the variable set here.
+    """
+    if any(name in os.environ for name in BLAS_THREAD_VARS):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x, not built on scipy-openblas
+        return
+    umath = ctypes.CDLL(_multiarray_umath.__file__)
+    set_threads = getattr(umath, "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(threads)
+
+
 def map_ordered(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> Iterator[R]:
     """Yield ``fn(task)`` for each of ``tasks``, in task order.
 
@@ -44,15 +83,22 @@ def map_ordered(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> Itera
     Otherwise the tasks run in a process pool, and at most 2 x ``workers`` of
     them are submitted but not yet yielded, so a caller that consumes results
     as they come holds a bounded number of them; ``fn`` and the task payloads
-    must then be picklable.  Closing the iterator early, or a task raising,
-    cancels the tasks not yet started and shuts the pool down.
+    must then be picklable.  Each pool worker gets an even share of the usable
+    CPUs as BLAS threads (:func:`_share_blas_threads`).  Closing the iterator
+    early, or a task raising, cancels the tasks not yet started and shuts the
+    pool down.
     """
     tasks = list(tasks)
     if workers <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
     window = 2 * workers
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)))
+    size = min(workers, len(tasks))
+    pool = ProcessPoolExecutor(
+        max_workers=size,
+        initializer=_share_blas_threads,
+        initargs=(max(1, usable_cpus() // size),),
+    )
     try:
         pending = deque()
         for task in tasks:

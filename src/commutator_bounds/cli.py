@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._parallel import Stream, map_ordered, task_rng
+from ._parallel import Stream, map_ordered, task_rng, usable_cpus
 from .averages import (
     FIG1_HEADER,
     MC_BATCH,
@@ -396,14 +396,6 @@ _SPECTRUM_HELP = (
 _SAMPLES_HELP = f"integer >= {MIN_QUBIT_SAMPLES} ({MIN_MUB_SAMPLES} with --mub)"
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one
-    (so ``taskset`` and container CPU sets count), else ``os.cpu_count()``."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -412,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--workers",
         type=_count(1),
-        default=_usable_cpus(),
+        default=usable_cpus(),
         help="worker processes, integer >= 1 (default: available parallelism)",
     )
     common.add_argument("--out", default="-", help="output path (default stdout)")

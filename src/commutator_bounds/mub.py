@@ -102,6 +102,7 @@ def mub_sample_columns(
     factors, each a sum of nonnegative terms (:func:`_circulant_sums`, O(d^2) per sample).
     ValueError unless ``phases`` is :func:`fourier_phases` of the state's dimension; it stays
     an argument while perfbench counts the items of a call from it (ROADMAP item 16).
+    The (n, 4) table is column-major, the layout :meth:`averages.Moments.of` reduces fastest.
     """
     d = lams.shape[0]
     if not np.array_equal(phases, fourier_phases(d)):
@@ -110,7 +111,7 @@ def mub_sample_columns(
     # A commutes with rho, so V(A) = C(A), and the table of the diagonal A~' is one row
     centered_a = a - (a @ lams)[:, None]
     factor_a = _weighted_sum(np.square(centered_a)[:, None, :], lams)
-    return np.column_stack([comm_norm, factor_a * factor_b, factor_a, factor_b])
+    return np.stack([comm_norm, factor_a * factor_b, factor_a, factor_b]).T
 
 
 def _circulant_sums(

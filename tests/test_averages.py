@@ -20,10 +20,12 @@ from commutator_bounds import (
     merge_moments,
     monte_carlo_qubit_average,
     qubit_bound_samples,
+    sample_unit_vectors,
     sphere_moment_check,
 )
 from commutator_bounds._parallel import Stream, task_rng
 from commutator_bounds.averages import CHUNK_ROWS, MC_BATCH, chunk_moments, chunk_rows
+from commutator_bounds.bounds import qubit_closed_form_batch
 from commutator_bounds.mub import mub_samples
 
 SEED = 20240904
@@ -125,6 +127,36 @@ class TestMonteCarlo:
         est = MCEstimate(mean=1.0, std_error=0.0, samples=10)
         assert est.z_score(1.0) == 0.0
         assert est.z_score(0.9) == np.inf
+
+
+class TestTableLayout:
+    """The samplers hand ``Moments.of`` column-major tables, whose columns it sums along
+    memory; the values are those of the row-major ``np.column_stack`` they replaced."""
+
+    def test_qubit_table_is_column_major(self):
+        got = qubit_bound_samples(0.8, 1000, np.random.default_rng(SEED + 7))
+        rng = np.random.default_rng(SEED + 7)
+        a = sample_unit_vectors(3, 1000, rng)
+        b = sample_unit_vectors(3, 1000, rng)
+        cols = qubit_closed_form_batch(a, b, np.array([0.0, 0.0, math.sqrt(2.0 * 0.8 - 1.0)]))
+        assert got.flags.f_contiguous
+        np.testing.assert_array_equal(got, np.column_stack([cols[name] for name in BOUND_NAMES]))
+
+    @pytest.mark.parametrize("sampler", ["mub", "qubit"])
+    def test_moments_of_either_layout_agree(self, sampler):
+        rng = np.random.default_rng(SEED + 8)
+        if sampler == "mub":
+            table = mub_samples(rng.dirichlet(np.ones(4)), CHUNK_ROWS, rng)
+        else:
+            table = qubit_bound_samples(0.8, CHUNK_ROWS, rng)
+        rows = np.ascontiguousarray(table)
+        assert table.flags.f_contiguous and rows.flags.c_contiguous
+        # nonnegative columns summed in two orders: within (n - 1) u of each other each
+        tol = CHUNK_ROWS * np.finfo(float).eps
+        got, want = Moments.of(table), Moments.of(rows)
+        assert got.count == want.count == CHUNK_ROWS
+        np.testing.assert_allclose(got.total, want.total, rtol=tol, atol=0.0)
+        np.testing.assert_allclose(got.total_sq, want.total_sq, rtol=tol, atol=0.0)
 
 
 class TestChunkMemory:

@@ -537,6 +537,7 @@ class TestMCAverage:
         got = _mub_samples(lams, 1000, np.random.default_rng(d + 10))
         want = mub_samples(lams, 1000, np.random.default_rng(d + 10))
         assert got.tobytes() == want.tobytes()
+        assert got.flags.f_contiguous and want.flags.f_contiguous
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("case", sorted(LIBRARY_ESTIMATES))
@@ -730,13 +731,15 @@ class TestMubAverage:
         # before that option was deleted: mc-average --mub drew the same samples.  Re-recorded
         # when the Fourier columns became circulant sums: the mean moved by 3 ulp.  Re-recorded
         # when a batch came to be drawn 4096 samples at a time: sample_unit_vectors draws a
-        # and b in turn for each sub-batch, so each sample pair is a new draw from the same law
+        # and b in turn for each sub-batch, so each sample pair is a new draw from the same law.
+        # Re-recorded when the sample table became column-major and its moments came to be
+        # summed pairwise down each column: mean 1 ulp, std_error 2.0e-15 and z 3.9e-13 relative
         recorded = {
-            "mean": 0.1484321841577155,
-            "std_error": 0.0006963029828866154,
+            "mean": 0.1484321841577156,
+            "std_error": 0.000696302982886614,
             "samples": 20000,
             "target": 0.14814814814814814,
-            "z": 0.40792013900307256,
+            "z": 0.4079201390032328,
         }
         proc = run_cli(
             "mc-average", "--mub", "--dim", "3", "--samples", "20000", "--seed", "42",
@@ -967,7 +970,11 @@ class TestChunkedGoldenBytes:
     The three compare digests were re-recorded once more when ``tests/conftest.py``
     pinned OpenBLAS to its Haswell kernel: the triples are the same, and the kernel's
     matmuls and eigvalsh moved each float by at most 3.3e-11 relative, with the row
-    counts, keys and pass flags unchanged.  Every sample count leaves a ragged last
+    counts, keys and pass flags unchanged.  The four mc-average digests were
+    re-recorded once more when the samplers came to return column-major tables, which
+    ``Moments.of`` sums pairwise down each column rather than row by row: the samples
+    are the same, and means moved by at most 2 ulp, standard errors by at most 9.3e-16
+    relative and z by at most 9.6e-13 relative.  Every sample count leaves a ragged last
     batch, and the worker count must not change a byte.
     """
 
@@ -977,21 +984,21 @@ class TestChunkedGoldenBytes:
         [
             (
                 ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7"),
-                "37d4b9d3418f601448ef4cd27396148250670bd35cccb159b51bc1db4f4e7eba",
+                "d2344c93238ad9cfa586ccc7115615a0e6808a35af806dee6a9c1197a456053f",
             ),
             (
                 ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7",
                  "--format", "csv"),
-                "5c1543b05cc520bfddc444b2ddeda43e23e45a8a2c653e003ae2e3bd8a48e9f7",
+                "bcff4f8010da3894d8546676086142857da4f5a596adbc770b8929d50abc6fbb",
             ),
             (
                 ("mc-average", "--mub", "--dim", "4", "--samples", "300000", "--seed", "101"),
-                "53d93c68eae2502d2c79a96e8d88c404f8746094aec4ee51d021cdf600a44d7e",
+                "ace3372d49eccce82497809a45f1ef90c70c08836057a55ff56ead079d07170a",
             ),
             (
                 ("mc-average", "--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5",
                  "--samples", "70000", "--seed", "3"),
-                "a80b68fb1de220f422bef512d02ababbc60736331e8525b482c0b11fcfa34f8a",
+                "5df485ac3721d4310d25dcc3d93bf9e2f9338d77804f2d50c6d1f138b5fb6ce4",
             ),
             (
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),

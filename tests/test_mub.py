@@ -36,7 +36,7 @@ from commutator_bounds import (
 from commutator_bounds._parallel import Stream
 from commutator_bounds.averages import seeded_moments
 from commutator_bounds.linalg import nonnegative
-from commutator_bounds.mub import MUB_COLUMN_NAMES
+from commutator_bounds.mub import MUB_COLUMN_NAMES, mub_samples
 from commutator_bounds.states import checked_spectrum
 
 SEED = 20240905
@@ -435,6 +435,20 @@ class TestSampleColumnsReference:
         # state their round-off is 1e-16, however small the column: hence max(1, column max)
         assert np.all(np.abs(cols - want) <= 1e-14 * np.maximum(np.abs(want).max(axis=0), 1.0))
         assert np.all(cols >= 0.0)
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_samples_are_a_column_major_table(self, d):
+        # the table Moments.of sums along memory; its values are the former column_stack's
+        rng = np.random.default_rng(SEED + d)
+        lam = rng.dirichlet(np.ones(d))
+        got = mub_samples(lam, 500, np.random.default_rng(SEED))
+        draws = np.random.default_rng(SEED)
+        a = sample_unit_vectors(d, 500, draws)
+        b = sample_unit_vectors(d, 500, draws)
+        want = reference_mub_sample_columns(fourier_phases(d), lam, a, b)
+        assert got.shape == (500, 4) and got.flags.f_contiguous
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want).max(axis=0), 1.0))
+        np.testing.assert_array_equal(got[:, 1], got[:, 2] * got[:, 3])
 
     @pytest.mark.parametrize(
         "d, lam, a, b",

@@ -502,6 +502,37 @@ class TestExceedance:
         assert result_record(above)["exceeds_conjecture"] is exceeds
 
 
+class TestAscentChecks:
+    """The ascent's monotonicity and consistency checks catch gaps far below the slacks
+    they could be loosened to (1e-3 and 1e-2)."""
+
+    def test_dip_across_a_half_step_raises(self, monkeypatch):
+        step = _RatioProblem.half_step
+        values = []
+
+        def dipping(self, other):
+            new, value = step(self, other)
+            if values:
+                value = values[-1] * (1.0 - 1e-9)
+            values.append(value)
+            return new, value
+
+        monkeypatch.setattr(_RatioProblem, "half_step", dipping)
+        with pytest.raises(NumericalConsistencyError, match="ratio decreased across a half step"):
+            maximize_ratio(RHO123, restarts=1, seed_witness=False,
+                           rng=np.random.default_rng(SEED + 16))
+        assert len(values) == 2
+
+    def test_reported_pair_off_the_ascent_by_1e_6_raises(self, monkeypatch):
+        # without the witness start the ratio is evaluated once, on the reported pair
+        monkeypatch.setattr(
+            "commutator_bounds.optimizer.ratio", lambda a, b, rho: ratio(a, b, rho) * (1 + 1e-6)
+        )
+        with pytest.raises(NumericalConsistencyError, match="disagrees with the ascent"):
+            maximize_ratio(RHO123, restarts=1, seed_witness=False,
+                           rng=np.random.default_rng(SEED + 17))
+
+
 class TestSerialization:
     def test_matrix_pairs_round_trip(self):
         rng = np.random.default_rng(SEED + 13)

@@ -1,6 +1,9 @@
 """Seed streams and ordered parallel mapping: integer seeds, distinct stream tags, task
-order, a bounded window, failures and early close."""
+order, a bounded window, failures and early close, and each worker's BLAS threads."""
 
+import ctypes
+import os
+import types
 from concurrent.futures import Future
 
 import numpy as np
@@ -21,6 +24,15 @@ def _square_unless_7(x):
     return x * x
 
 
+def _blas_threads(_task):
+    """The OpenBLAS thread variable and numpy's OpenBLAS thread count in this process."""
+    from numpy._core import _multiarray_umath
+
+    count = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    count.restype = ctypes.c_int
+    return os.environ.get("OPENBLAS_NUM_THREADS"), count()
+
+
 class CountingPool:
     """In-process stand-in for ProcessPoolExecutor.
 
@@ -30,8 +42,10 @@ class CountingPool:
 
     last = None
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.max_workers = max_workers
+        if initializer is not None:
+            initializer(*initargs)
         self.outstanding = 0
         self.peak = 0
         self.submitted = 0
@@ -63,6 +77,9 @@ class CountingPool:
 @pytest.fixture
 def counting_pool(monkeypatch):
     monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
+    # the pool runs its initializer in this process, whose BLAS threads it must not set
+    CountingPool.shares = []
+    monkeypatch.setattr(_parallel, "_share_blas_threads", CountingPool.shares.append)
     return CountingPool
 
 
@@ -116,6 +133,42 @@ def test_closing_early_shuts_the_pool_down(counting_pool):
     results.close()
     assert pool.shutdown_args == (True, True)
     assert pool.submitted < 40
+
+
+@pytest.mark.parametrize("workers, tasks, share", [(2, 40, 4), (3, 40, 2), (16, 40, 1), (4, 2, 4)])
+def test_pool_initializer_gets_each_worker_its_share(counting_pool, monkeypatch, workers,
+                                                     tasks, share):
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 8)
+    list(map_ordered(_square, range(tasks), workers))
+    assert counting_pool.shares == [share]  # 8 CPUs over the pool's min(workers, tasks)
+
+
+def _without_thread_variables(monkeypatch):
+    for name in _parallel.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+
+
+def test_workers_take_their_share_when_no_thread_variable_is_set(monkeypatch):
+    # forked workers inherit this environment and the patched CPU count; 4 threads each
+    # is more than this machine may have, which OpenBLAS allows and a count can show
+    _without_thread_variables(monkeypatch)
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 8)
+    assert set(map_ordered(_blas_threads, range(4), 2)) == {("4", 4)}
+
+
+def test_a_thread_variable_set_by_the_caller_wins(monkeypatch):
+    _without_thread_variables(monkeypatch)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setattr(_parallel, "usable_cpus", lambda: 8)
+    here = _blas_threads(None)[1]
+    assert set(map_ordered(_blas_threads, range(4), 2)) == {(None, here)}
+
+
+def test_a_numpy_without_the_thread_symbol_is_skipped(monkeypatch):
+    monkeypatch.setattr(os, "environ", {})  # the initializer writes the variable here
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    _parallel._share_blas_threads(3)
+    assert os.environ == {"OPENBLAS_NUM_THREADS": "3"}
 
 
 @pytest.mark.parametrize(

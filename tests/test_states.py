@@ -121,6 +121,13 @@ class TestDensityValidation:
         with pytest.raises(InvalidStateError, match="non-finite"):
             DensityMatrix(mat)
 
+    def test_spectrum_off_unit_trace_by_1e_8_rejected(self):
+        with pytest.raises(InvalidStateError, match="sums to"):
+            checked_spectrum([0.25, 0.75 + 1e-8])
+        with pytest.raises(InvalidStateError, match="sums to"):
+            DensityMatrix.from_spectrum([0.25, 0.75 - 1e-8])
+        np.testing.assert_allclose(checked_spectrum([0.25, 0.75 + 1e-12]), [0.25, 0.75])
+
     def test_spectrum_length_is_checked_when_given(self):
         np.testing.assert_array_equal(checked_spectrum([0.5, 0.5], 2), [0.5, 0.5])
         with pytest.raises(InvalidStateError, match="must have 3 entries"):
@@ -203,6 +210,19 @@ class TestSampling:
         rows = sample_unit_vectors(3, 4, rng)
         assert rng.shapes == [(4, 3), (1, 3)]
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("d", [*range(1, 8), 8, 16, 64])
+    def test_unit_vectors_are_the_gaussian_draws_over_their_numpy_norms(self, d):
+        # a row's squares are added column by column, the order np.linalg.norm uses up to
+        # 7 columns; from 8 it sums them pairwise, so the two agree within the bound on
+        # summing d terms in any order
+        got = sample_unit_vectors(d, 4096, np.random.Generator(np.random.Philox(SEED + d)))
+        g = np.random.Generator(np.random.Philox(SEED + d)).standard_normal((4096, d))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        if d <= 7:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=d * np.finfo(float).eps, atol=0.0)
 
     def test_hilbert_schmidt_statistics(self):
         rng = np.random.default_rng(SEED + 4)
