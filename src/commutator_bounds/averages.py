@@ -55,10 +55,8 @@ class MCEstimate:
 class Moments:
     """Running (count, sum, sum of squares) per column; mergeable.
 
-    :meth:`of` sums down each column, so a sampler hands it a column-major table
-    (``np.stack(columns).T``): numpy reduces a 4-wide row-major (4096, 4) table several
-    times slower than one whose columns lie along memory (this method took 166 against
-    18 us), and sums a contiguous column pairwise, not row by row.
+    :meth:`of` sums down each column: pairwise along memory when, as every sampler
+    gives it, the table is a column-major view (``np.stack(columns).T``).
     """
 
     count: int

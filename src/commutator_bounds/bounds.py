@@ -210,7 +210,7 @@ def _eigenbasis_columns(at: np.ndarray, bt: np.ndarray, lam: np.ndarray) -> dict
     * |[A,B]|_rho^2 = sum_jk lam_k |C_jk|^2 with C = A~B~ - (A~B~)^dag,
       taken before centering since the commutator ignores identity shifts.
 
-    :func:`_weighted_sum` and :func:`_root_weighted_sum` sum the tables, for the MUB path too.
+    :func:`_weighted_sum` and :func:`_root_weighted_sum` sum the tables.
 
     With lam >= 0, the variances and classical uncertainties are sums of
     nonnegative terms, robertson <= schrodinger and robertson <= luo_park add

@@ -8,7 +8,7 @@ diagnostic level.
 
 Exit codes: 0 success; 1 hard-inequality violation or non-converged trials;
 2 usage error; 3 conjectured-inequality violation recorded; 4 I/O error;
-5 counterexample file written.
+5 counterexample file written; 6 numerical failure (consistency check or eigensolver).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .averages import (
     qubit_bound_samples,
 )
 from .bounds import BOUND_NAMES, HARD_BOUND_NAMES, batch_bounds, violation_masks
+from .errors import EigensolverError, NumericalConsistencyError
 from .mub import (
     FIG2_HEADER,
     MIN_MUB_SAMPLES,
@@ -68,6 +69,7 @@ EXIT_USAGE = 2
 EXIT_CONJECTURE = 3
 EXIT_IO = 4
 EXIT_COUNTEREXAMPLE = 5
+EXIT_NUMERICAL = 6
 
 # verify-conjecture's defaults are the optimizer's, read before anything can rebind the name
 _OPT_DEFAULTS = maximize_ratio.__kwdefaults__
@@ -505,6 +507,9 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (NumericalConsistencyError, EigensolverError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def run() -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._parallel import Stream
 from .averages import MCEstimate, checked_purity, seeded_moments
-from .bounds import _bound2_prefactor, _weighted_sum, bound_report
+from .bounds import _bound2_prefactor, bound_report
 from .linalg import checked_dim, checked_unit, commutator, frozen, weighted_norm_sq
 from .states import DensityMatrix, Observable, checked_spectrum, sample_unit_vectors
 
@@ -102,22 +102,23 @@ def mub_sample_columns(
     factors, each a sum of nonnegative terms (:func:`_circulant_sums`, O(d^2) per sample).
     ValueError unless ``phases`` is :func:`fourier_phases` of the state's dimension; it stays
     an argument while perfbench counts the items of a call from it (ROADMAP item 16).
-    The (n, 4) table is column-major, the layout :meth:`averages.Moments.of` reduces fastest.
+    The (n, d) spectra ``a``, ``b`` are read level by level from their transposes, which
+    :func:`states.sample_unit_vectors` gives with no copy.  The (n, 4) table is column-major.
     """
     d = lams.shape[0]
     if not np.array_equal(phases, fourier_phases(d)):
         raise ValueError(f"the sample columns read fourier_phases({d}) and no other table")
-    comm_norm, factor_b = _circulant_sums(lams, a, b)
-    # A commutes with rho, so V(A) = C(A), and the table of the diagonal A~' is one row
-    centered_a = a - (a @ lams)[:, None]
-    factor_a = _weighted_sum(np.square(centered_a)[:, None, :], lams)
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)  # one row per level
+    comm_norm, factor_b = _circulant_sums(lams, at, bt)
+    # A commutes with rho, so V(A) = C(A) = sum_k lam_k (a_k - <A>)^2, <A> = sum_k lam_k a_k
+    factor_a = lams @ np.square(at - lams @ at)
     return np.stack([comm_norm, factor_a * factor_b, factor_a, factor_b]).T
 
 
 def _circulant_sums(
-    lams: np.ndarray, a: np.ndarray, b: np.ndarray
+    lams: np.ndarray, at: np.ndarray, bt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The commutator norm and C(B) of :func:`mub_sample_columns` on the Fourier table.
+    """The commutator norm and C(B) of :func:`mub_sample_columns` from (d, n) ``at``, ``bt``.
 
     There B~_jk = g_((j - k) mod d) with g = ifft(b), so with c_s = |g_s|^2 the two
     columns are sum_{s>=1} c_s sum_k lam_k (a_(k+s) - a_k)^2 and sum_{s>=1} c_s R_s,
@@ -131,7 +132,7 @@ def _circulant_sums(
     # rows s = 1..d-1 of ifft: g_s = sum_l b_l e^(2 pi i s l / d) / d, angles reduced mod d
     angles = (2.0 * np.pi / d) * (shifts * k % d)
     waves = np.concatenate([np.cos(angles), np.sin(angles)]) / d
-    parts = waves @ b.T  # (2 (d - 1), n): real parts of g_s, then imaginary parts
+    parts = waves @ bt  # (2 (d - 1), n): real parts of g_s, then imaginary parts
     np.square(parts, out=parts)
     overlap = parts[: d - 1]  # (d - 1, n) table of c_s
     overlap += parts[d - 1 :]
@@ -139,7 +140,6 @@ def _circulant_sums(
     pair_roots = root[(shifts + k) % d] @ root  # R_s
     factor_b = pair_roots @ overlap
 
-    at = np.ascontiguousarray(a.T)  # (d, n): one contiguous row per level
     gap = np.empty_like(at)
     spread = parts[d - 1 :]  # the spent sine rows take sum_k lam_k gap_k^2, one per shift
     for s in range(1, d):

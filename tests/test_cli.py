@@ -23,6 +23,7 @@ from commutator_bounds import (
     BOUND_NAMES,
     FIG1_HEADER,
     FIG2_HEADER,
+    NumericalConsistencyError,
     averaged_bounds_qubit,
     batch_bounds,
     matrix_from_pairs,
@@ -248,6 +249,23 @@ class TestCompareViolations:
         assert first.read_bytes() == recorded
         # the same seed draws the same row, so the second record holds the same bytes
         assert (tmp_path / "cx" / files[1]).read_bytes() == recorded
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_numerical_failure_exits_6_not_1(self, workers, monkeypatch, tmp_path, capsys):
+        # exit 1 means a hard inequality failed; a failed check of the kernel's own
+        # arithmetic is no such verdict.  Three tasks of 4096, so 2 workers use the pool,
+        # whose forked workers see the patch.
+        from commutator_bounds import cli
+
+        def failing(a, b, lam):
+            raise NumericalConsistencyError("variance of A is below its round-off floor")
+
+        monkeypatch.setattr(cli, "batch_bounds", failing)
+        code = cli.main(["compare", "--dim", "2", "--samples", "9000", "--seed", "1",
+                         "--workers", workers, "--out", str(tmp_path / "out.jsonl")])
+        assert code == cli.EXIT_NUMERICAL == 6
+        assert capsys.readouterr().err == "error: variance of A is below its round-off floor\n"
+        assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == ""
 
 
 class TestCompareTasks:
@@ -558,6 +576,22 @@ class TestMCAverage:
 
 
 class TestVerifyConjecture:
+    def test_every_start_failing_exits_6(self, monkeypatch, tmp_path, capsys):
+        import scipy.linalg
+
+        from commutator_bounds import cli
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        code = main(["verify-conjecture", "--dim", "3", "--trials", "2", "--restarts", "1",
+                     "--seed", "19", "--workers", "1", "--out", str(tmp_path / "out.jsonl")])
+        assert code == cli.EXIT_NUMERICAL
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert errors == ["error: every start failed in the half-step eigensolver"]
+        assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == ""
+
     def test_small_campaign_converges(self, tmp_path):
         proc = run_cli(
             "verify-conjecture",
@@ -733,13 +767,15 @@ class TestMubAverage:
         # when a batch came to be drawn 4096 samples at a time: sample_unit_vectors draws a
         # and b in turn for each sub-batch, so each sample pair is a new draw from the same law.
         # Re-recorded when the sample table became column-major and its moments came to be
-        # summed pairwise down each column: mean 1 ulp, std_error 2.0e-15 and z 3.9e-13 relative
+        # summed pairwise down each column: mean 1 ulp, std_error 2.0e-15 and z 3.9e-13 relative.
+        # Re-recorded when unit vectors came to be drawn level-major, (dim, count): each
+        # sample pair is a new draw from the same law, and z went from 0.408 to 0.056
         recorded = {
-            "mean": 0.1484321841577156,
-            "std_error": 0.000696302982886614,
+            "mean": 0.14818752638369176,
+            "std_error": 0.0006971921982508573,
             "samples": 20000,
             "target": 0.14814814814814814,
-            "z": 0.4079201390032328,
+            "z": 0.05648117641363831,
         }
         proc = run_cli(
             "mc-average", "--mub", "--dim", "3", "--samples", "20000", "--seed", "42",
@@ -974,8 +1010,11 @@ class TestChunkedGoldenBytes:
     re-recorded once more when the samplers came to return column-major tables, which
     ``Moments.of`` sums pairwise down each column rather than row by row: the samples
     are the same, and means moved by at most 2 ulp, standard errors by at most 9.3e-16
-    relative and z by at most 9.6e-13 relative.  Every sample count leaves a ragged last
-    batch, and the worker count must not change a byte.
+    relative and z by at most 9.6e-13 relative.  The four mc-average digests were
+    re-recorded again when unit vectors came to be drawn level-major, (dim, count), so
+    that each sample is a new draw from the same law: the row names, counts and targets
+    held, and the largest |z| went from 1.98 to 1.78 (at mub-d4).  Every sample count
+    leaves a ragged last batch, and the worker count must not change a byte.
     """
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -984,21 +1023,21 @@ class TestChunkedGoldenBytes:
         [
             (
                 ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7"),
-                "d2344c93238ad9cfa586ccc7115615a0e6808a35af806dee6a9c1197a456053f",
+                "2aa179224c878cd0f69c284a0f185ce0ca642be73c184b95ec57eaac517fe973",
             ),
             (
                 ("mc-average", "--purity", "0.75", "--samples", "300000", "--seed", "7",
                  "--format", "csv"),
-                "bcff4f8010da3894d8546676086142857da4f5a596adbc770b8929d50abc6fbb",
+                "87e048d63338acba5607fbc8053e015df89e53222648f3e0dfd826e81df3948d",
             ),
             (
                 ("mc-average", "--mub", "--dim", "4", "--samples", "300000", "--seed", "101"),
-                "ace3372d49eccce82497809a45f1ef90c70c08836057a55ff56ead079d07170a",
+                "a299e64e2d095b1d54e5e835bc3faa8af5d2250a9abe8684f32f130d473e3ab2",
             ),
             (
                 ("mc-average", "--mub", "--dim", "3", "--spectrum", "0.2,0.3,0.5",
                  "--samples", "70000", "--seed", "3"),
-                "5df485ac3721d4310d25dcc3d93bf9e2f9338d77804f2d50c6d1f138b5fb6ce4",
+                "89d2051572143a8c9a93393fb5f7e277776ec1e429a7660c44199eb77d48ff3e",
             ),
             (
                 ("compare", "--dim", "4", "--samples", "9000", "--seed", "101"),

@@ -492,6 +492,24 @@ class TestCirculantFourierPath:
         assert np.all(np.abs(cols - want) <= 1e-14 * np.abs(want).max(axis=0))
         assert np.all(cols >= 0.0)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 9, 64])
+    def test_row_major_and_level_major_spectra_give_the_same_bits(self, d):
+        # the sampler's level-major views are read with no copy, a row-major copy of the
+        # same vectors through one, and neither is written to
+        rng = np.random.default_rng(SEED + 30 + d)
+        lam = rng.dirichlet(np.ones(d))
+        a = sample_unit_vectors(d, 300, rng)
+        b = sample_unit_vectors(d, 300, rng)
+        rows_a, rows_b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+        assert a.flags.f_contiguous and rows_a.flags.c_contiguous
+        kept = a.copy(), b.copy()
+        phases = fourier_phases(d)
+        got = mub_sample_columns(phases, lam, a, b)
+        np.testing.assert_array_equal(mub_sample_columns(phases, lam, rows_a, rows_b), got)
+        np.testing.assert_array_equal(mub_sample_columns(phases, lam, a, rows_b), got)
+        np.testing.assert_array_equal(a, kept[0])
+        np.testing.assert_array_equal(b, kept[1])
+
     @pytest.mark.parametrize("d", [2, 3, 4, 7, 16])
     def test_a_proportional_to_identity_commutes_exactly(self, d):
         # every gap a_(k+s) - a_k is an exact 0, so no round-off can leave a negative norm

@@ -31,7 +31,8 @@ from commutator_bounds import (
     sample_unitary,
     weighted_norm_sq,
 )
-from commutator_bounds.optimizer import _RatioProblem
+from commutator_bounds import optimizer
+from commutator_bounds.optimizer import _RatioProblem, _ascend
 
 SEED = 20240906
 
@@ -531,6 +532,57 @@ class TestAscentChecks:
         with pytest.raises(NumericalConsistencyError, match="disagrees with the ascent"):
             maximize_ratio(RHO123, restarts=1, seed_witness=False,
                            rng=np.random.default_rng(SEED + 17))
+
+
+class TestVerdictChecks:
+    """The ceiling check, the convergence test and the choice of the best start, each on a
+    case just past the line it draws."""
+
+    def test_ratio_above_the_proven_ceiling_raises(self, monkeypatch):
+        # a ceiling 1e-6 below the achieved ratio is far above CEILING_SLACK's 1e-9
+        achieved = maximize_ratio(RHO123, restarts=1, rng=np.random.default_rng(SEED + 18))
+        ceiling = achieved.achieved_ratio / (1.0 + 1e-6)
+        monkeypatch.setattr(optimizer, "loose_constant", lambda rho: ceiling)
+        with pytest.raises(NumericalConsistencyError, match="exceeds the proven ceiling"):
+            maximize_ratio(RHO123, restarts=1, rng=np.random.default_rng(SEED + 18))
+
+    class CreepingProblem:
+        """A stand-in for ``_RatioProblem`` whose k-th half step returns 1 + k * ``step``:
+        a relative gain of about 2 * ``step`` per sweep, for ever."""
+
+        def __init__(self, step):
+            self.rho, self.step, self.calls = RHO123, step, 0
+
+        def to_eigenbasis(self, m):
+            return m
+
+        from_eigenbasis = to_eigenbasis
+
+        def half_step(self, other):
+            self.calls += 1
+            return other, 1.0 + self.calls * self.step
+
+    @pytest.mark.parametrize("step, converged", [(2.5e-10, False), (2.5e-11, True)])
+    def test_convergence_is_a_relative_gain_below_tol(self, step, converged):
+        b0 = np.eye(3, dtype=complex)
+        *_, iterations, got = _ascend(self.CreepingProblem(step), None, b0, 10, 1e-10)
+        assert got is converged
+        assert iterations == (2 if converged else 10)
+
+    def test_tied_starts_report_the_first(self, monkeypatch):
+        # every start returns the witness pair at one ratio, with its own iteration count
+        wa, wb = (np.array(m.matrix) for m in equality_witness(RHO123))
+        value = ratio(wa, wb, RHO123)
+        counts = []
+
+        def tied(problem, a0, b0, max_iters, tol):
+            counts.append(len(counts) + 1)
+            return wa, wb, value, [value], counts[-1], True
+
+        monkeypatch.setattr(optimizer, "_ascend", tied)
+        result = maximize_ratio(RHO123, restarts=3, rng=np.random.default_rng(SEED + 19))
+        assert counts == [1, 2, 3, 4]
+        assert result.iterations == 1
 
 
 class TestSerialization:

@@ -190,7 +190,8 @@ class TestSpectralSummary:
 
 
 class _ZeroFirstRow:
-    """A generator whose first draw has an all-zero second row."""
+    """A generator whose first draw has an all-zero second sample, the column ``[:, 1]``
+    of the level-major draws."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -199,7 +200,7 @@ class _ZeroFirstRow:
     def standard_normal(self, shape):
         out = self.rng.standard_normal(shape)
         if not self.shapes:
-            out[1] = 0.0
+            out[:, 1] = 0.0
         self.shapes.append(shape)
         return out
 
@@ -208,21 +209,17 @@ class TestSampling:
     def test_zero_unit_vector_draw_is_redrawn(self):
         rng = _ZeroFirstRow(np.random.default_rng(SEED + 20))
         rows = sample_unit_vectors(3, 4, rng)
-        assert rng.shapes == [(4, 3), (1, 3)]
+        assert rng.shapes == [(3, 4), (3, 1)]
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("d", [*range(1, 8), 8, 16, 64])
     def test_unit_vectors_are_the_gaussian_draws_over_their_numpy_norms(self, d):
-        # a row's squares are added column by column, the order np.linalg.norm uses up to
-        # 7 columns; from 8 it sums them pairwise, so the two agree within the bound on
-        # summing d terms in any order
+        # the draws are level-major, (d, count), and a sample's squares are added row by
+        # row, the order np.linalg.norm(axis=0) uses across 4096 columns in every dimension
         got = sample_unit_vectors(d, 4096, np.random.Generator(np.random.Philox(SEED + d)))
-        g = np.random.Generator(np.random.Philox(SEED + d)).standard_normal((4096, d))
-        want = g / np.linalg.norm(g, axis=1, keepdims=True)
-        if d <= 7:
-            np.testing.assert_array_equal(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=d * np.finfo(float).eps, atol=0.0)
+        g = np.random.Generator(np.random.Philox(SEED + d)).standard_normal((d, 4096))
+        assert got.shape == (4096, d) and got.flags.f_contiguous
+        np.testing.assert_array_equal(got, (g / np.linalg.norm(g, axis=0)).T)
 
     def test_hilbert_schmidt_statistics(self):
         rng = np.random.default_rng(SEED + 4)
