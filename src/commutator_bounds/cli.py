@@ -139,8 +139,8 @@ def _compare_lines(dim: int, start: int, cols: dict, masks: dict) -> list[str]:
 def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
     """Task ``chunk = (batch_index, count)`` of compare: ``count`` triples, the first
     being row ``batch_index * chunk_rows(dim * dim)``.  Returns its output lines in
-    pieces, its count of hard-inequality violations and the counterexample payloads
-    of its ``bound2`` violations."""
+    pieces, its violation count of each hard inequality in ``HARD_BOUND_NAMES`` order
+    and the counterexample payloads of its ``bound2`` violations."""
     batch_index, count = chunk
     start = batch_index * chunk_rows(dim * dim)
     rng = task_rng(seed, Stream.COMPARE, dim, batch_index)
@@ -166,13 +166,13 @@ def _compare_task(seed: int, dim: int, chunk: tuple[int, int]):
                 "bound2": float(cols["bound2"][i]),
             }
         )
-    hard = int(sum(masks[name].sum() for name in HARD_BOUND_NAMES))
+    hard = [int(masks[name].sum()) for name in HARD_BOUND_NAMES]
     return _compare_lines(dim, start, cols, masks), hard, counterexamples
 
 
 def _cmd_compare(args) -> int:
     task = partial(_compare_task, args.seed, args.dim)
-    hard_violations = 0
+    hard_violations = np.zeros(len(HARD_BOUND_NAMES), dtype=int)
     conjecture_violations = 0
     with _output(args.out) as out:
         for lines, hard, counterexamples in map_ordered(
@@ -184,9 +184,12 @@ def _cmd_compare(args) -> int:
             for payload in counterexamples:
                 path = _write_counterexample(args, "compare", payload)
                 logger.warning("conjectured inequality violated; wrote %s", path)
+    violated = [f"{name} {n}" for name, n in zip(HARD_BOUND_NAMES, hard_violations) if n]
+    if violated:
+        logger.warning("proven bounds violated: %s", ", ".join(violated))
     if conjecture_violations:
         return EXIT_CONJECTURE
-    if hard_violations:
+    if violated:
         return EXIT_FAILURE
     return EXIT_OK
 

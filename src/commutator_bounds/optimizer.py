@@ -175,10 +175,7 @@ class _RatioProblem:
     same form serves both sides, since [A, B] = -[B, A].
 
     In complex mode the coordinates are A's entries, with weight lam_k on
-    A_jk, and G = K.  There D = I ox L^2 with L = diag(lam)^(1/2) commutes
-    with B ox I, so the scaled map is I ox (L B^T L^-1) - B ox I, and each
-    half step writes its two terms into the diagonal blocks and the diagonal
-    entries of the blocks of a zero array.
+    A_jk, and G = K.
 
     In Hermitian mode write A = S + iQ, with S real symmetric and Q real
     antisymmetric.  The coordinates are the real matrix M = Re A + Im A = S + Q,
@@ -189,8 +186,13 @@ class _RatioProblem:
 
         G[(x, z), (w, y)] = d_xy Re B_wz - d_zw Re B_xy - d_xw Im B_yz + d_zy Im B_xw,
 
-    real arithmetic throughout, assembled by one ``bincount`` over index
-    arrays fixed per state.
+    real arithmetic throughout.
+
+    Both modes assemble the scaled G by one ``bincount`` over a table fixed per
+    state: four blocks of d^3 entries over (x, z, t) read the slots of Re B_tz,
+    Re B_xt, Im B_tz and Im B_xt in B's real view into row (x, z), times sign *
+    root[row] / root[col], with root^2 the diagonal of D.  The columns, signs and
+    destinations, in G or in the real view of a complex G, depend on the mode.
     """
 
     def __init__(self, rho: DensityMatrix, mode: str) -> None:
@@ -201,21 +203,23 @@ class _RatioProblem:
         self.dim = d
         self.vectors = rho.eigenvectors
         lam = rho.spectrum
+        x, z, t = np.indices((d, d, d)).reshape(3, -1)
+        row = np.tile(x * d + z, 4)
+        part = np.repeat([0, 1], 2 * t.size)
+        self.src = np.concatenate([2 * (t * d + z), 2 * (x * d + t)] * 2) + part
         if mode == "hermitian":
-            # G's four terms in blocks of d^3 entries over (x, z, t), with t for w in
-            # the first and last term and for y in the other two; each reads the
-            # slot of Re B_tz, Re B_xt, Im B_tz or Im B_xt in B's real view.
-            x, z, t = np.indices((d, d, d)).reshape(3, -1)
-            row = np.tile(x * d + z, 4)
+            # t is w in the first and last term of G and y in the other two
             col = np.concatenate([t * d + x, z * d + t, x * d + t, t * d + z])
-            src = np.concatenate([2 * (t * d + z), 2 * (x * d + t)] * 2)
+            signs = [1.0, -1.0, -1.0, 1.0]
             root = np.sqrt((lam[:, None] + lam[None, :]) / 2.0).ravel()
-            self.dst = row * n + col
-            self.src = src + np.repeat([0, 1], 2 * t.size)
-            self.coef = np.repeat([1.0, -1.0, -1.0, 1.0], t.size) * root[row] / root[col]
+            self.field, self.size, self.dst = float, n * n, row * n + col
         else:
+            # t is y in I ox B^T and w in B ox I
+            col = np.tile(np.concatenate([x * d + t, t * d + z]), 2)
+            signs = [1.0, -1.0, 1.0, -1.0]
             root = np.sqrt(np.tile(lam, d))
-            self.scale = root[:d, None] / root[None, :d]
+            self.field, self.size, self.dst = complex, 2 * n * n, 2 * (row * n + col) + part
+        self.coef = np.repeat(signs, t.size) * root[row] / root[col]
         self.inv_root = 1.0 / root
 
     def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
@@ -233,18 +237,10 @@ class _RatioProblem:
         """
         d = self.dim
         n = d * d
-        if self.mode == "hermitian":
-            entries = other.view(float).ravel()
-            g = np.bincount(self.dst, self.coef * entries[self.src], minlength=n * n).reshape(n, n)
-            form = g.T @ g
-        else:
-            # G[(x, z), (w, y)]: I ox (L B^T L^-1) where x = w, minus B ox I where z = y.
-            k = np.arange(d)
-            g = np.zeros((d, d, d, d), dtype=complex)
-            g[k, :, k, :] = other.T * self.scale
-            g[:, k, :, k] -= other
-            g = g.reshape(n, n)
-            form = g.conj().T @ g
+        values = self.coef * other.view(float).ravel()[self.src]
+        g = np.bincount(self.dst, values, minlength=self.size).view(self.field).reshape(n, n)
+        # g.conj() is g itself when g is real
+        form = g.conj().T @ g
         # Imported here so that only the optimizer pays for scipy; the call goes
         # through the module attribute, where a profiler may have wrapped it.
         import scipy.linalg

@@ -170,7 +170,7 @@ class TestCompareLines:
 
 
 class TestCompareViolations:
-    """Exit codes, pass flags and counterexample files of flagged rows.
+    """Exit codes, pass flags, counterexample files and warnings of flagged rows.
 
     Random triples never violate a bound, so ``violation_masks`` is patched to
     flag fixed global indices: row 7 and row 4100 sit in the first and second
@@ -228,6 +228,22 @@ class TestCompareViolations:
         cols = batch_bounds(a, b, rho[None])
         for name in ("product", "bound2"):
             assert cols[name][0] == pytest.approx(payload[name], rel=1e-12, abs=0.0)
+
+    PROVEN = "proven bounds violated: robertson 1, luo_park 1"
+
+    @pytest.mark.parametrize(
+        "flagged, code, logged",
+        [(HARD, 1, [PROVEN]), (HARD | CONJECTURE, 3, [PROVEN]), (set(), 0, [])],
+        ids=["hard", "hard-and-conjecture", "none"],
+    )
+    def test_proven_bound_violations_are_logged(
+        self, flagged, code, logged, monkeypatch, tmp_path, caplog
+    ):
+        with caplog.at_level("WARNING", logger="commutator_bounds.cli"):
+            assert self.run_flagged(flagged, monkeypatch, tmp_path) == code
+        proven = [r for r in caplog.records if r.getMessage().startswith("proven")]
+        assert [r.getMessage() for r in proven] == logged
+        assert all(r.levelname == "WARNING" for r in proven)
 
     ROW_ZERO = {(0, "bound2")}
 

@@ -381,6 +381,55 @@ class TestHalfStep:
             maximize_ratio(rho, restarts=1, rng=np.random.default_rng(SEED + 41))
 
 
+class TestAssembledForm:
+    """The form a half step hands to the eigensolver, against G built densely from
+    K = I ox B^T - B ox I and scaled by root[row] / root[col]: K itself in complex
+    mode, Re(iK + K T) = K.real with transposed columns minus K.imag in Hermitian mode."""
+
+    @staticmethod
+    def dense_form(rho, mode, b):
+        d = rho.dim
+        lam = rho.spectrum
+        eye = np.eye(d)
+        k = np.kron(eye, b.T) - np.kron(b, eye)
+        if mode == "hermitian":
+            transposed = np.arange(d * d).reshape(d, d).T.ravel()
+            g = k.real[:, transposed] - k.imag
+            root = np.sqrt((lam[:, None] + lam[None, :]) / 2.0).ravel()
+        else:
+            g = k
+            root = np.sqrt(np.tile(lam, d))
+        g = g * (root[:, None] / root[None, :])
+        return g.conj().T @ g
+
+    @pytest.mark.parametrize("mode", ["hermitian", "complex"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 15])
+    def test_form_matches_the_kronecker_reference(self, d, mode, monkeypatch):
+        eigh = scipy.linalg.eigh
+        forms = []
+
+        def capturing(form, *args, **kwargs):
+            forms.append(form.copy())
+            return eigh(form, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", capturing)
+        rng = np.random.default_rng(SEED + 50 + d)
+        rho = sample_density(d, "hilbert-schmidt", rng)
+        problem = _RatioProblem(rho, mode)
+        for _ in range(3):
+            b = problem.random_start(rng)
+            forms.clear()
+            problem.half_step(b)
+            assert len(forms) == 1
+            want = self.dense_form(rho, mode, b)
+            if mode == "complex":
+                # bit for bit, signed zeros included
+                assert forms[0].tobytes() == want.tobytes()
+            else:
+                scale = np.abs(want).max()
+                np.testing.assert_allclose(forms[0], want, rtol=0.0, atol=1e-15 * scale)
+
+
 @pytest.fixture(
     scope="module",
     params=[
