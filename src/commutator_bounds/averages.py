@@ -9,8 +9,9 @@ Every Monte Carlo average here, in ``mub`` and in the CLI, merges in order batch
 :data:`MC_BATCH` samples drawn from ``task_rng(seed, tag, i)`` (:func:`seeded_moments`),
 so an estimator and ``cbounds mc-average`` with the same seed agree bit for bit.  A
 batch is drawn and reduced :func:`chunk_rows` rows at a time from its one stream
-(:func:`chunk_moments`), the same rule that sizes a ``compare`` task, so neither the
-sample count nor the dimension grows the memory a batch holds.
+(:func:`chunk_moments`), by the rule that sizes a ``compare`` task.  So the sample count
+does not grow a batch's memory, and d grows it only through ``mub``'s (2(d - 1), d) phase
+table, rebuilt per chunk: 1.4 MiB at d = 64, 4.0 at d = 256, 13 at d = 512 (tracemalloc).
 """
 
 from __future__ import annotations

@@ -112,6 +112,19 @@ def ratio(a, b, rho) -> float:
     return weighted_norm_sq(commutator(am, bm), rho) / (na * nb)
 
 
+def _witness_pair(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The equality witness in rho's eigenbasis: A = lam2 E_00 - lam1 E_11, B = E_01 + E_10."""
+    a, b = np.zeros((2, lam.size, lam.size), dtype=complex)
+    a[0, 0], a[1, 1] = lam[1], -lam[0]
+    b[0, 1] = b[1, 0] = 1.0
+    return a, b
+
+
+def _from_eigenbasis(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """V X V^dag: the matrix X written in the eigenbasis ``vectors``, in the original basis."""
+    return vectors @ m @ vectors.conj().T
+
+
 def equality_witness(rho: DensityMatrix | np.ndarray) -> tuple[Observable, Observable]:
     """The explicit Hermitian pair attaining the conjectured constant.
 
@@ -119,20 +132,14 @@ def equality_witness(rho: DensityMatrix | np.ndarray) -> tuple[Observable, Obser
     A = lam2 |1><1| - lam1 |2><2| and B = |1><2| + |2><1| give
     |[A,B]|_rho^2 = (lam1 + lam2)^3, |A|_rho^2 = lam1 lam2 (lam1 + lam2),
     and |B|_rho^2 = lam1 + lam2, hence R = (lam1 + lam2)/(lam1 lam2).
+    It is the eigenbasis start of :func:`maximize_ratio`, rotated back by V.
     Undefined for rank-deficient states.  A raw matrix ``rho`` goes through ``states.as_state``.
     """
     rho = as_state(rho)
     lam = _spectrum_of(rho)
     if float(lam[0]) <= 0.0:
         raise InvalidStateError("equality witness undefined for rank-deficient states")
-    v1 = rho.eigenvectors[:, 0]
-    v2 = rho.eigenvectors[:, 1]
-    p1 = np.outer(v1, v1.conj())
-    p2 = np.outer(v2, v2.conj())
-    cross = np.outer(v1, v2.conj())
-    a = float(lam[1]) * p1 - float(lam[0]) * p2
-    b = cross + cross.conj().T
-    return Observable(a), Observable(b)
+    return tuple(Observable(_from_eigenbasis(rho.eigenvectors, m)) for m in _witness_pair(lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +171,10 @@ class OptimizationResult:
 
 
 class _RatioProblem:
-    """Quadratic-form machinery shared by all restarts for one state.
+    """Quadratic-form machinery shared by all restarts for one spectrum.
 
-    Everything happens in rho's eigenbasis, where the weighted norm
+    Everything happens in rho's eigenbasis, so only the ascending spectrum ``lam``
+    is read: there rho is ``weight`` = diag(lam), and the weighted norm
     Tr(X^dag X rho) = sum_jk |X_jk|^2 lam_k is a diagonal form D in the
     coordinates.  With B fixed, the commutator is a linear map G of A's
     coordinates, taken scaled to D^(1/2) G D^(-1/2), so that a half step is
@@ -195,14 +203,12 @@ class _RatioProblem:
     destinations, in G or in the real view of a complex G, depend on the mode.
     """
 
-    def __init__(self, rho: DensityMatrix, mode: str) -> None:
-        self.rho = rho
+    def __init__(self, lam: np.ndarray, mode: str) -> None:
         self.mode = mode
-        d = rho.dim
+        d = lam.size
         n = d * d
         self.dim = d
-        self.vectors = rho.eigenvectors
-        lam = rho.spectrum
+        self.weight = np.diag(lam)
         x, z, t = np.indices((d, d, d)).reshape(3, -1)
         row = np.tile(x * d + z, 4)
         part = np.repeat([0, 1], 2 * t.size)
@@ -221,12 +227,6 @@ class _RatioProblem:
             self.field, self.size, self.dst = complex, 2 * n * n, 2 * (row * n + col) + part
         self.coef = np.repeat(signs, t.size) * root[row] / root[col]
         self.inv_root = 1.0 / root
-
-    def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        return self.vectors.conj().T @ m @ self.vectors
-
-    def from_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        return self.vectors @ m @ self.vectors.conj().T
 
     def half_step(self, other: np.ndarray) -> tuple[np.ndarray, float]:
         """Globally maximize the ratio over one argument, the other fixed.
@@ -269,13 +269,13 @@ def _ascend(
     max_iters: int,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, float, list[float], int, bool]:
-    rho = problem.rho
-    b = b0 / math.sqrt(weighted_norm_sq(b0, rho))
+    """Half steps from one start, all in rho's eigenbasis: the last pair, its ratio, the
+    trace, the sweeps run and whether the last sweep's relative gain was at most ``tol``."""
+    b = b0 / math.sqrt(weighted_norm_sq(b0, problem.weight))
     trace: list[float] = []
     if a0 is not None:
-        a = a0 / math.sqrt(weighted_norm_sq(a0, rho))
-        trace.append(ratio(a, b, rho))
-    b = problem.to_eigenbasis(b)
+        a = a0 / math.sqrt(weighted_norm_sq(a0, problem.weight))
+        trace.append(ratio(a, b, problem.weight))
 
     def record(value: float) -> None:
         if trace and value < trace[-1] - MONOTONE_SLACK * max(1.0, abs(trace[-1])):
@@ -297,8 +297,6 @@ def _ascend(
             converged = True
             break
         previous = current
-    a = problem.from_eigenbasis(a)
-    b = problem.from_eigenbasis(b)
     return a, b, trace[-1], trace, iterations, converged
 
 
@@ -318,9 +316,10 @@ def maximize_ratio(
     equality witness; the best run (ties to the earliest start) is reported.
     ``converged`` reflects whether that run's relative gain fell below ``tol``
     before ``max_iters``.  ``rho`` is a :class:`DensityMatrix` or a raw matrix
-    that ``states.as_state`` validates, and must have full rank, since the ratio
-    is unbounded otherwise.  The achieved ratio is re-evaluated from the
-    reported matrices and always checked against the proven ceiling.
+    that ``states.as_state`` validates once, and must have full rank.  The ascent reads
+    only the spectrum: the witness and the random starts (GUE or Ginibre, both unitarily
+    invariant) are written in rho's eigenbasis, and only the best pair is rotated back,
+    once, then re-evaluated and checked against the proven ceiling.
 
     ``seed_witness=False`` drops the analytic start so the constant must be
     found from random starts alone, which costs more iterations but gives an
@@ -329,7 +328,8 @@ def maximize_ratio(
     if mode not in ("hermitian", "complex"):
         raise ValueError(f"mode must be 'hermitian' or 'complex', got {mode!r}")
     rho = as_state(rho)
-    if float(_spectrum_of(rho)[0]) <= 0.0:
+    lam = _spectrum_of(rho)
+    if float(lam[0]) <= 0.0:
         raise InvalidStateError("ratio is unbounded for rank-deficient states")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -342,13 +342,9 @@ def maximize_ratio(
     if rng is None:
         rng = np.random.default_rng()
 
-    problem = _RatioProblem(rho, mode)
-    starts: list[tuple[np.ndarray | None, np.ndarray]] = []
-    if seed_witness:
-        wa, wb = equality_witness(rho)
-        starts.append((np.array(wa.matrix), np.array(wb.matrix)))
-    for _ in range(restarts):
-        starts.append((None, problem.random_start(rng)))
+    problem = _RatioProblem(lam, mode)
+    starts = [_witness_pair(lam)] if seed_witness else []
+    starts += [(None, problem.random_start(rng)) for _ in range(restarts)]
 
     best: tuple | None = None
     restarts_used = 0
@@ -365,6 +361,7 @@ def maximize_ratio(
         raise EigensolverError("every start failed in the half-step eigensolver")
 
     a, b, last, trace, iterations, converged = best
+    a, b = (_from_eigenbasis(rho.eigenvectors, m) for m in (a, b))
     achieved = ratio(a, b, rho)
     if abs(achieved - last) > CONSISTENCY_SLACK * abs(last):
         raise NumericalConsistencyError(

@@ -24,7 +24,14 @@ from commutator_bounds import (
     sphere_moment_check,
 )
 from commutator_bounds._parallel import Stream, task_rng
-from commutator_bounds.averages import CHUNK_ROWS, MC_BATCH, chunk_moments, chunk_rows
+from commutator_bounds.averages import (
+    CHUNK_ENTRIES,
+    CHUNK_ROWS,
+    MC_BATCH,
+    _qubit_averages,
+    chunk_moments,
+    chunk_rows,
+)
 from commutator_bounds.bounds import qubit_closed_form_batch
 from commutator_bounds.mub import mub_samples
 
@@ -80,6 +87,28 @@ class TestClosedForms:
         for p in grid:
             av = averaged_bounds_qubit(float(p))
             assert av.bound1 <= av.bound2 + 1e-15
+
+
+class TestOctahedronCubature:
+    """Each qubit bound column is a polynomial of degree at most 2 in each unit axis, and the
+    octahedron +-e_k is a spherical 3-design, so the mean over its 36 axis pairs is the pair
+    average itself, up to round-off."""
+
+    def test_octahedron_pairs_average_to_the_closed_forms(self):
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        a, b = np.repeat(axes, 6, axis=0), np.tile(axes, (6, 1))
+        grid = np.linspace(0.5, 1.0, 201)
+        for purity, want in zip(grid, _qubit_averages(grid)):
+            r = math.sqrt(2.0 * purity - 1.0)
+            # the Bloch vector qubit_bound_samples gives the state
+            cols = qubit_closed_form_batch(a, b, np.array([0.0, 0.0, r]))
+            got = [cols[name].mean() for name in BOUND_NAMES]
+            # The axes are exact, so a sample's round-off is that of r and of at most 16 steps
+            # after it, amplified by at most 1/(1 - r) where 1 - r and 1 - r^2 cancel (both
+            # are exactly 0 at r = 1); the mean adds a sum of 36.
+            amplified = 16.0 / (1.0 - r) if r < 1.0 else 0.0
+            rtol = (36.0 + amplified) * np.finfo(float).eps
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0, err_msg=f"P = {purity}")
 
 
 class TestMonteCarlo:
@@ -200,6 +229,28 @@ class TestChunkMemory:
         whole = Moments.of(task_rng(SEED, Stream.MC_MUB, 3).standard_normal((sum(calls), 2)))
         assert got.count == sum(calls)
         np.testing.assert_allclose(got.total, whole.total, rtol=1e-12)
+
+
+class TestPhaseTableMemory:
+    """Above d = 64 a ``mub_samples`` task's peak is set by the (2(d - 1), d) cosine and sine
+    table of ``_circulant_sums``, which each sub-batch rebuilds, not by its rows."""
+
+    def test_peak_at_d_256_is_bounded_by_the_table(self):
+        d = 256
+        sample = partial(mub_samples, np.full(d, 1.0 / d))
+        count = 8 * chunk_rows(2 * d)  # eight sub-batches: the peak is one sub-batch's
+        chunk_moments(sample, 2 * d, SEED, Stream.MC_MUB, (0, 100))  # first-call allocations
+        tracemalloc.start()
+        try:
+            chunk_moments(sample, 2 * d, SEED, Stream.MC_MUB, (0, count))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 2 * (d - 1) * d * 8
+        # The build holds at most 2.5 tables at once (the angles, their cosines and sines,
+        # the concatenation and its scaled copy); the rows of a sub-batch hold under four
+        # float tables of CHUNK_ENTRIES entries.  That is 5.0 MiB; 4.0 MiB was measured.
+        assert peak < 3 * table + 4 * CHUNK_ENTRIES * 8
 
 
 class TestCrossovers:

@@ -262,6 +262,25 @@ class TestColumnAverages:
             assert type(info.value) is error and str(info.value) == message
 
 
+class TestBasisCubature:
+    """Each :func:`mub_sample_columns` column is a homogeneous quadratic form in each unit
+    spectrum, and the basis vectors average such a form exactly: E[a^T Q a] = tr Q / d.  So
+    the mean over the d^2 pairs (e_j, e_k) is the sphere average, up to round-off."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 16, 33])
+    def test_basis_pairs_average_to_the_closed_forms(self, d):
+        rng = np.random.default_rng(SEED + 90 + d)
+        eye = np.eye(d)
+        a, b = np.repeat(eye, d, axis=0), np.tile(eye, (d, 1))  # row j d + k is (e_j, e_k)
+        # A sample's column nests sums of nonnegative terms under 4d deep, each term within
+        # 32 eps (trigonometric table, square roots, products); the mean adds a sum of d^2.
+        rtol = (d * d + 4 * d + 32) * np.finfo(float).eps
+        for _ in range(5):
+            lam = checked_spectrum(rng.dirichlet(np.ones(d)))
+            got = mub_sample_columns(fourier_phases(d), lam, a, b).mean(axis=0)
+            np.testing.assert_allclose(got, mub_column_averages(lam), rtol=rtol, atol=0.0)
+
+
 class TestCommutatorNormPhaseSum:
     @pytest.mark.parametrize("d", range(2, 7))
     def test_agrees_with_matrix_path(self, d):

@@ -331,6 +331,16 @@ class TestSampling:
         np.testing.assert_allclose(rho.matrix, row.matrix, rtol=0.0, atol=1e-14)
         assert rng.bit_generator.state == batch_rng.bit_generator.state
 
+    @pytest.mark.parametrize("d", range(2, 16))
+    def test_flat_simplex_state_is_its_spectrum_in_the_standard_basis(self, d):
+        # the optimizer works in rho's eigenbasis and rotates only its reported pair back,
+        # so verify-conjecture's bytes rest on V = I and rho = diag(lam) exactly
+        rng = np.random.default_rng(SEED + 40 + d)
+        for _ in range(50):
+            rho = sample_density(d, "flat-simplex", rng)
+            assert rho.eigenvectors.tobytes() == np.eye(d, dtype=complex).tobytes()
+            assert rho.matrix.tobytes() == np.diag(rho.spectrum).astype(complex).tobytes()
+
 
 class TestObservable:
     def test_requires_hermitian(self):
