@@ -1,4 +1,5 @@
-"""The mutation tool: every row of its table applies to the tree, and its report parses.
+"""The mutation tool: every row of its table applies to the tree, its report parses, and
+a failing unmutated copy stops it.
 
 The tool itself runs the whole suite once per mutant, which is too slow here; CI runs
 it on demand.
@@ -54,32 +55,61 @@ def test_first_failure_reads_the_short_summary(mutants):
     assert mutants.first_failure("5 passed in 1.00s\n") == "-"
 
 
-def test_report_round_trips(mutants):
-    lines = [
-        mutants.format_line("hard-slack", "killed", "tests/test_bounds.py::T::test_a"),
-        mutants.format_line("trace-tol", "survived", "-"),
-        mutants.format_line("ceiling-slack", "timeout", "-"),
-    ]
-    assert mutants.parse_report("\n".join(lines) + "\n") == [
-        ("hard-slack", "killed", "tests/test_bounds.py::T::test_a"),
-        ("trace-tol", "survived", "-"),
-        ("ceiling-slack", "timeout", "-"),
-    ]
-    with pytest.raises(ValueError, match="not a report line"):
-        mutants.parse_report("hard-slack\tmaybe\t-\n")
+def parse_report(text):
+    """(name, status, test) of each line of a report; ValueError on a malformed line."""
+    rows = []
+    for line in text.splitlines():
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[1] not in ("killed", "survived", "timeout"):
+            raise ValueError(f"not a report line: {line!r}")
+        rows.append(tuple(parts))
+    return rows
 
 
-def test_unknown_name_is_a_usage_error(mutants, capsys):
-    with pytest.raises(SystemExit) as info:
-        mutants.main(["no-such-mutant"])
-    assert info.value.code == 2
-    assert "unknown mutants: no-such-mutant" in capsys.readouterr().err
+def fake_run(baseline, status):
+    """A stand-in for ``run``: ``baseline`` for the unmutated copy, ``status`` for a mutant."""
+    def run(root, mutant=None):
+        if mutant is None:
+            return baseline
+        return status, f"tests/test_{mutant.name}.py::test_it" if status == "killed" else "-"
+    return run
 
 
 @pytest.mark.parametrize("status, code", [("killed", 0), ("survived", 1), ("timeout", 1)])
-def test_exit_status_is_0_only_when_every_mutant_is_killed(mutants, monkeypatch, capsys,
-                                                           status, code):
-    monkeypatch.setattr(mutants, "run", lambda root, m: mutants.format_line(
-        m.name, status, "-"))
-    assert mutants.main(["hard-slack", "trace-tol"]) == code
-    assert [row[1] for row in mutants.parse_report(capsys.readouterr().out)] == [status] * 2
+def test_report_parses_and_exits_0_only_when_every_mutant_is_killed(mutants, monkeypatch,
+                                                                    capsys, status, code):
+    monkeypatch.setattr(mutants, "run", fake_run(("survived", "-"), status))
+    assert mutants.main() == code
+    rows = parse_report(capsys.readouterr().out)
+    assert [(name, s) for name, s, _ in rows] == [(m.name, status) for m in mutants.MUTANTS]
+    if status == "killed":
+        assert rows[0][2] == f"tests/test_{mutants.MUTANTS[0].name}.py::test_it"
+    with pytest.raises(ValueError, match="not a report line"):
+        parse_report("hard-slack\tmaybe\t-\n")
+
+
+def test_one_survivor_fails_the_table(mutants, monkeypatch, capsys):
+    last = mutants.MUTANTS[-1]
+    monkeypatch.setattr(mutants, "run", lambda root, mutant=None: (
+        ("survived", "-") if mutant in (None, last) else ("killed", "tests/t.py::test_a")))
+    assert mutants.main() == 1
+    assert parse_report(capsys.readouterr().out)[-1] == (last.name, "survived", "-")
+
+
+@pytest.mark.parametrize("baseline, shown", [
+    (("killed", "tests/test_cli.py::test_a"), "tests/test_cli.py::test_a"),
+    (("timeout", "-"), "timeout"),
+])
+def test_a_failing_baseline_stops_before_any_mutant(mutants, monkeypatch, capsys,
+                                                   baseline, shown):
+    calls = []
+
+    def run(root, mutant=None):
+        calls.append(mutant)
+        return baseline
+
+    monkeypatch.setattr(mutants, "run", run)
+    assert mutants.main() == 2
+    out, err = capsys.readouterr()
+    assert calls == [None] and out == ""
+    assert err == f"baseline failed: {shown}\n"
