@@ -4,15 +4,18 @@ Task streams are Philox generators keyed on (seed, tag, *path); because the
 generator is counter-based and the key never involves the worker that runs
 the task, results are identical for any worker count, and byte-identical for
 a fixed seed.
+
+The process-pool machinery (``concurrent.futures.process`` and ``multiprocessing``, about
+12 ms of imports) is imported inside :func:`map_ordered`, only when a pool starts, so
+importing the package and every command that starts no pool skip it.  ``ctypes`` is
+imported inside :func:`_share_blas_threads`, only when it sets a thread count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import operator
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from enum import IntEnum
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -64,6 +67,8 @@ def _share_blas_threads(threads: int) -> None:
     if any(name in os.environ for name in BLAS_THREAD_VARS):
         return
     os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
+    import ctypes
+
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy 1.x, not built on scipy-openblas
@@ -92,6 +97,8 @@ def map_ordered(fn: Callable[[T], R], tasks: Sequence[T], workers: int) -> Itera
     if workers <= 1 or len(tasks) <= 1:
         yield from map(fn, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     window = 2 * workers
     size = min(workers, len(tasks))
     pool = ProcessPoolExecutor(

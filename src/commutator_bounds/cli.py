@@ -14,6 +14,7 @@ Exit codes: 0 success; 1 hard-inequality violation or non-converged trials;
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -494,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _configure_logging() -> None:
     level_name = os.environ.get("CB_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    level = getattr(logging, level_name, None)
+    if not isinstance(level, int):  # an unknown name, or an attribute such as BASIC_FORMAT
+        level = logging.WARNING
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -516,4 +519,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """Entry point of ``cbounds`` and ``python -m commutator_bounds``: exit with ``main``'s code.
+
+    The collector is frozen first (``gc.freeze``).  The imports are done by then, and none
+    of the ~25 000 objects they made holds a resource, so every exit, usage errors
+    included, skips the interpreter's final collections over that heap (about 22 ms of a
+    launch).  Objects that ``main`` makes are collected as usual.  The freeze is here and
+    not in ``main`` so that library callers and in-process tests keep a normal collector;
+    ``os._exit`` would save a little more but skip logging's flush and the pool's joins.
+    """
+    gc.freeze()
     sys.exit(main())

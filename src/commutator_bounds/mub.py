@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -127,17 +127,13 @@ def _circulant_sums(
     squared, never expanded into sums that cancel.
     """
     d = lams.shape[0]
-    shifts = np.arange(1, d)[:, None]
-    k = np.arange(d)
-    # rows s = 1..d-1 of ifft: g_s = sum_l b_l e^(2 pi i s l / d) / d, angles reduced mod d
-    angles = (2.0 * np.pi / d) * (shifts * k % d)
-    waves = np.concatenate([np.cos(angles), np.sin(angles)]) / d
+    waves, shifted = _phase_tables(d)
     parts = waves @ bt  # (2 (d - 1), n): real parts of g_s, then imaginary parts
     np.square(parts, out=parts)
     overlap = parts[: d - 1]  # (d - 1, n) table of c_s
     overlap += parts[d - 1 :]
     root = np.sqrt(lams)
-    pair_roots = root[(shifts + k) % d] @ root  # R_s
+    pair_roots = root[shifted] @ root  # R_s
     factor_b = pair_roots @ overlap
 
     gap = np.empty_like(at)
@@ -148,6 +144,22 @@ def _circulant_sums(
         np.dot(lams, np.square(gap, out=gap), out=spread[s - 1])
     spread *= overlap
     return spread.sum(axis=0), factor_b
+
+
+@lru_cache(maxsize=1)
+def _phase_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2(d - 1), d) cosine and sine rows of ifft and the (d - 1, d) index (s + k) mod d
+    of :func:`_circulant_sums`, read-only and cached for the last d, so that the sub-batches
+    of a task share one build."""
+    shifts = np.arange(1, d)[:, None]
+    k = np.arange(d)
+    # rows s = 1..d-1 of ifft: g_s = sum_l b_l e^(2 pi i s l / d) / d, angles reduced mod d
+    angles = (2.0 * np.pi / d) * (shifts * k % d)
+    waves = np.concatenate([np.cos(angles), np.sin(angles)]) / d
+    shifted = (shifts + k) % d
+    waves.setflags(write=False)
+    shifted.setflags(write=False)
+    return waves, shifted
 
 
 def mub_samples(lams: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:

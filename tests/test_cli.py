@@ -3,6 +3,7 @@
 import argparse
 import ctypes
 import dataclasses
+import gc
 import hashlib
 import importlib
 import json
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1132,3 +1134,77 @@ class TestReportGoldenBytes:
             "--seed", "19", "--mode", mode, "--workers", workers, cwd=tmp_path,
         ))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def resource_warnings(argv):
+    """``main(argv)``'s exit code, and the ResourceWarnings it and a full collection after
+    it raise: what the collector would have closed had ``main`` not."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code = main(argv)
+        gc.collect()
+    return code, [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestProcessExit:
+    """``cli.run`` freezes the collector before ``main``, so the objects the imports made
+    are never collected again.  That is safe while every command closes what it opens."""
+
+    def test_run_freezes_the_collector_then_exits_with_mains_code(self, monkeypatch):
+        from commutator_bounds import cli
+
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+        def fake_main(argv=None):
+            calls.append("main")
+            return 3
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert calls == ["freeze", "main"]
+        assert exit_info.value.code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fig1", "--points", "3"),
+            ("mc-average", "--mub", "--dim", "2", "--samples", "10000", "--workers", "1"),
+            ("verify-conjecture", "--dim", "2", "--trials", "2", "--restarts", "1",
+             "--workers", "1"),
+            ("verify-conjecture", "--dim", "2", "--trials", "2", "--restarts", "1",
+             "--workers", "2"),
+        ],
+        ids=["fig1", "mc-average-mub", "verify-conjecture-w1", "verify-conjecture-w2"],
+    )
+    def test_command_leaves_nothing_to_collect(self, argv, tmp_path):
+        code, leaks = resource_warnings([*argv, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert leaks == []
+
+    def test_flagged_compare_leaves_nothing_to_collect(self, monkeypatch, tmp_path):
+        from commutator_bounds import bounds, cli
+
+        real = bounds.violation_masks
+
+        def flag_largest(cols):
+            masks = real(cols)
+            masks["bound2"][np.argmax(cols["product"])] = True
+            return masks
+
+        monkeypatch.setattr(cli, "violation_masks", flag_largest)
+        code, leaks = resource_warnings([
+            "compare", "--dim", "2", "--samples", "8", "--workers", "1",
+            "--out", str(tmp_path / "out"), "--counterexample-dir", str(tmp_path / "cx"),
+        ])
+        assert code == 3
+        assert len(list((tmp_path / "cx").iterdir())) == 1  # one task, one flagged row
+        assert leaks == []
+
+    def test_log_level_naming_no_level_falls_back_to_warning(self, monkeypatch, tmp_path):
+        # in a child: in process, pytest's log handler turns basicConfig into a no-op
+        monkeypatch.setenv("CB_LOG", "basic_format")
+        proc = run_cli("fig1", "--points", "2", cwd=tmp_path)
+        assert ok_stdout(proc).startswith(FIG1_HEADER)
+        assert proc.stderr == ""

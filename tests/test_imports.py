@@ -1,6 +1,7 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
 is used, every constant and private function or class in the package is read, scipy
-stays off the import path of everything but the optimizer, the round-off floor, any
+stays off the import path of everything but the optimizer, the process-pool modules off
+that of every run that starts no pool, the round-off floor, any
 imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone, the
 MUB column names in ``mub`` alone, the Monte Carlo batch size in ``averages`` alone, no
 clamp bypasses ``linalg.nonnegative``, every seed stream is opened with a tag from
@@ -23,7 +24,8 @@ from commutator_bounds._parallel import Stream
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the package in a fresh interpreter, optionally runs one CLI command in
-# process, and prints its exit code with the scipy modules then loaded.
+# process, and prints its exit code with the scipy modules and the process-pool
+# modules then loaded.
 PROBE = """
 import json, sys
 import commutator_bounds
@@ -32,11 +34,13 @@ if sys.argv[1:]:
     from commutator_bounds import cli
     code = cli.main(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"exit": code, "scipy": loaded}))
+pool = sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules)
+print(json.dumps({"exit": code, "scipy": loaded, "pool": pool}))
 """
 
 
-def scipy_modules_after(*argv, cwd):
+def modules_after(*argv, cwd):
+    """The probe's report: the scipy and process-pool modules loaded after ``argv``."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
@@ -49,7 +53,11 @@ def scipy_modules_after(*argv, cwd):
     assert proc.returncode == 0, f"exit {proc.returncode}, stderr:\n{proc.stderr}"
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["exit"] == 0, proc.stderr
-    return report["scipy"]
+    return report
+
+
+def scipy_modules_after(*argv, cwd):
+    return modules_after(*argv, cwd=cwd)["scipy"]
 
 
 def test_package_import_loads_no_scipy(tmp_path):
@@ -69,6 +77,33 @@ def test_command_loads_no_scipy(argv, tmp_path):
     out = tmp_path / "out.txt"
     assert scipy_modules_after(*argv, "--out", str(out), cwd=tmp_path) == []
     assert out.stat().st_size > 0
+
+
+def test_package_import_loads_no_pool(tmp_path):
+    assert modules_after(cwd=tmp_path)["pool"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fig1", "--points", "2"),
+        ("compare", "--dim", "2", "--samples", "8", "--workers", "1"),
+        ("mc-average", "--mub", "--dim", "2", "--samples", "10000", "--workers", "1"),
+    ],
+    ids=["fig1", "compare", "mc-average-mub"],
+)
+def test_command_without_a_pool_loads_no_pool_modules(argv, tmp_path):
+    out = tmp_path / "out.txt"
+    assert modules_after(*argv, "--out", str(out), cwd=tmp_path)["pool"] == []
+    assert out.stat().st_size > 0
+
+
+def test_compare_at_two_workers_loads_the_pool(tmp_path):
+    # 4097 triples make two tasks (4096 and 1), so map_ordered really starts a pool
+    out = tmp_path / "out.jsonl"
+    argv = ("compare", "--dim", "2", "--samples", "4097", "--workers", "2", "--out", str(out))
+    pool = modules_after(*argv, cwd=tmp_path)["pool"]
+    assert pool == ["concurrent.futures.process", "multiprocessing"]
 
 
 def test_verify_conjecture_loads_scipy_linalg(tmp_path):

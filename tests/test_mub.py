@@ -36,7 +36,7 @@ from commutator_bounds import (
 from commutator_bounds._parallel import Stream
 from commutator_bounds.averages import seeded_moments
 from commutator_bounds.linalg import nonnegative
-from commutator_bounds.mub import MUB_COLUMN_NAMES, mub_samples
+from commutator_bounds.mub import MUB_COLUMN_NAMES, _phase_tables, mub_samples
 from commutator_bounds.states import checked_spectrum
 
 SEED = 20240905
@@ -510,6 +510,13 @@ class TestCirculantFourierPath:
         want = matrix_path_columns(shifted_fourier_phases(rng, d), lam, a, b)
         assert np.all(np.abs(cols - want) <= 1e-14 * np.abs(want).max(axis=0))
         assert np.all(cols >= 0.0)
+
+    def test_phase_tables_are_read_only_and_kept_for_the_last_dim_alone(self):
+        waves, shifted = _phase_tables(5)
+        assert not waves.flags.writeable and not shifted.flags.writeable
+        assert _phase_tables(5)[0] is waves
+        _phase_tables(6)
+        assert _phase_tables(5)[0] is not waves
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 9, 64])
     def test_row_major_and_level_major_spectra_give_the_same_bits(self, d):

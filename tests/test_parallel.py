@@ -76,7 +76,7 @@ class CountingPool:
 
 @pytest.fixture
 def counting_pool(monkeypatch):
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     # the pool runs its initializer in this process, whose BLAS threads it must not set
     CountingPool.shares = []
     monkeypatch.setattr(_parallel, "_share_blas_threads", CountingPool.shares.append)
