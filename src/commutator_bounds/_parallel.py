@@ -60,13 +60,12 @@ def _share_blas_threads(threads: int) -> None:
     one of :data:`BLAS_THREAD_VARS`.  Otherwise each worker's OpenBLAS would start one
     thread per CPU, and the workers together would oversubscribe the CPUs.
 
-    numpy's OpenBLAS is loaded already and is set through its own symbol, skipped where
-    that numpy has none, since the thread count changes no result.  scipy's loads later,
-    in the optimizer's lazy import, and reads the variable set here.
+    numpy's OpenBLAS, the only BLAS the package loads, is loaded already and would
+    ignore those variables, so it is set through its own symbol, skipped where that
+    numpy has none, since the thread count changes no result.
     """
     if any(name in os.environ for name in BLAS_THREAD_VARS):
         return
-    os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
     import ctypes
 
     try:

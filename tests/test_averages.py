@@ -33,7 +33,7 @@ from commutator_bounds.averages import (
     chunk_rows,
 )
 from commutator_bounds.bounds import qubit_closed_form_batch
-from commutator_bounds.mub import mub_samples
+from commutator_bounds.mub import _phase_tables, mub_samples
 
 SEED = 20240904
 
@@ -232,14 +232,17 @@ class TestChunkMemory:
 
 
 class TestPhaseTableMemory:
-    """Above d = 64 a ``mub_samples`` task's peak is set by the (2(d - 1), d) cosine and sine
-    table of ``_circulant_sums``, which each sub-batch rebuilds, not by its rows."""
+    """Above d = 64 a ``mub_samples`` task's peak is set by the build of the (2(d - 1), d)
+    cosine and sine table of ``_circulant_sums``, not by its rows.  The table is built on
+    the first sub-batch and cached for its d, so the cache is emptied before the traced
+    call, or the call would not build it."""
 
     def test_peak_at_d_256_is_bounded_by_the_table(self):
         d = 256
         sample = partial(mub_samples, np.full(d, 1.0 / d))
         count = 8 * chunk_rows(2 * d)  # eight sub-batches: the peak is one sub-batch's
         chunk_moments(sample, 2 * d, SEED, Stream.MC_MUB, (0, 100))  # first-call allocations
+        _phase_tables.cache_clear()
         tracemalloc.start()
         try:
             chunk_moments(sample, 2 * d, SEED, Stream.MC_MUB, (0, count))

@@ -1,7 +1,7 @@
 """Import hygiene: the export list resolves, every import in the package and its tests
 is used, every constant and private function or class in the package is read, scipy
-stays off the import path of everything but the optimizer, the process-pool modules off
-that of every run that starts no pool, the round-off floor, any
+stays off the import path of every command and its pool workers, the process-pool
+modules off that of every run that starts no pool, the round-off floor, any
 imaginary-residue tolerance and the two-level rule are written in ``linalg`` alone, the
 MUB column names in ``mub`` alone, the Monte Carlo batch size in ``averages`` alone, no
 clamp bypasses ``linalg.nonnegative``, every seed stream is opened with a tag from
@@ -25,15 +25,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imports the package in a fresh interpreter, optionally runs one CLI command in
 # process, and prints its exit code with the scipy modules and the process-pool
-# modules then loaded.
+# modules then loaded.  scipy is blocked first, so that an import of it fails the
+# command, also in a pool worker, which is forked with this sys.modules.
 PROBE = """
 import json, sys
+sys.modules["scipy"] = None
 import commutator_bounds
 code = 0
 if sys.argv[1:]:
     from commutator_bounds import cli
     code = cli.main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(
+    m for m, module in sys.modules.items()
+    if module is not None and (m == "scipy" or m.startswith("scipy."))
+)
 pool = sorted(m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules)
 print(json.dumps({"exit": code, "scipy": loaded, "pool": pool}))
 """
@@ -70,8 +75,10 @@ def test_package_import_loads_no_scipy(tmp_path):
         ("fig1", "--points", "2"),
         ("compare", "--dim", "2", "--samples", "8", "--workers", "1"),
         ("mc-average", "--mub", "--dim", "2", "--samples", "10000", "--workers", "1"),
+        ("verify-conjecture", "--dim", "3", "--trials", "2", "--workers", "1"),
+        ("verify-conjecture", "--dim", "3", "--trials", "2", "--workers", "2"),
     ],
-    ids=["fig1", "compare", "mc-average-mub"],
+    ids=["fig1", "compare", "mc-average-mub", "verify-conjecture-w1", "verify-conjecture-w2"],
 )
 def test_command_loads_no_scipy(argv, tmp_path):
     out = tmp_path / "out.txt"
@@ -104,13 +111,6 @@ def test_compare_at_two_workers_loads_the_pool(tmp_path):
     argv = ("compare", "--dim", "2", "--samples", "4097", "--workers", "2", "--out", str(out))
     pool = modules_after(*argv, cwd=tmp_path)["pool"]
     assert pool == ["concurrent.futures.process", "multiprocessing"]
-
-
-def test_verify_conjecture_loads_scipy_linalg(tmp_path):
-    # the optimizer's lazy import is really taken
-    out = tmp_path / "out.jsonl"
-    argv = ("verify-conjecture", "--dim", "2", "--trials", "1", "--workers", "1")
-    assert "scipy.linalg" in scipy_modules_after(*argv, "--out", str(out), cwd=tmp_path)
 
 
 def test_every_export_resolves_once():

@@ -32,7 +32,7 @@ from commutator_bounds import (
     weighted_norm_sq,
 )
 from commutator_bounds import optimizer
-from commutator_bounds.optimizer import _RatioProblem, _ascend
+from commutator_bounds.optimizer import _RatioProblem, _ascend, _witness_pair
 
 SEED = 20240906
 
@@ -406,14 +406,14 @@ class TestAssembledForm:
     @pytest.mark.parametrize("mode", ["hermitian", "complex"])
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 15])
     def test_form_matches_the_kronecker_reference(self, d, mode, monkeypatch):
-        eigh = scipy.linalg.eigh
+        top_pair = optimizer._top_pair
         forms = []
 
-        def capturing(form, *args, **kwargs):
+        def capturing(form, warm):
             forms.append(form.copy())
-            return eigh(form, *args, **kwargs)
+            return top_pair(form, warm)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", capturing)
+        monkeypatch.setattr(optimizer, "_top_pair", capturing)
         rng = np.random.default_rng(SEED + 50 + d)
         rho = sample_density(d, "hilbert-schmidt", rng)
         problem = _RatioProblem(rho.spectrum, mode)
@@ -429,6 +429,116 @@ class TestAssembledForm:
             else:
                 scale = np.abs(want).max()
                 np.testing.assert_allclose(forms[0], want, rtol=0.0, atol=1e-15 * scale)
+
+
+def ascent_inputs(lam, mode, rng, sweeps=3):
+    """The (form, warm) pairs that ``_top_pair`` receives over ``sweeps`` sweeps of an
+    ascent from a random start, the first one without a warm start."""
+    top_pair = optimizer._top_pair
+    inputs = []
+
+    def capturing(form, warm):
+        inputs.append((form.copy(), None if warm is None else warm.copy()))
+        return top_pair(form, warm)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_top_pair", capturing)
+        problem = _RatioProblem(lam, mode)
+        _ascend(problem, None, problem.random_start(rng), sweeps, 0.0)
+    return inputs
+
+
+def assert_certified_top(form, value, vector):
+    """``(value, vector)`` is a top eigenpair of ``form`` as far as the solver's bounds go.
+
+    The residual bound is the rounding of a computed residual, n eps |||F| |u|||
+    (written out here, not read from the optimizer); twice it allows for this
+    residual's own rounding.  The certificate puts the top eigenvalue below
+    value + 2 |r| + floor, so within 3 floors of ``value``, and the reference
+    ``eigvalsh`` adds its own n eps |F|.
+    """
+    n = form.shape[0]
+    eps = np.finfo(float).eps
+    floor = n * eps * np.linalg.norm(np.abs(form) @ np.abs(vector))
+    top = np.linalg.eigvalsh(form)[-1]
+    assert abs(np.linalg.norm(vector) - 1.0) <= n * eps
+    assert np.linalg.norm(form @ vector - value * vector) <= 2.0 * floor
+    assert abs(value - top) <= 3.0 * floor + n * eps * top
+
+
+class TestTopPair:
+    """The half step's eigensolver returns the certified top eigenpair: through the
+    dense ``eigh`` or the warm-started Krylov block, whichever the input selects."""
+
+    @pytest.mark.parametrize("mode", ["hermitian", "complex"])
+    @pytest.mark.parametrize("d", range(2, 16))
+    def test_top_matches_dense_eigh_with_and_without_a_warm_start(self, d, mode):
+        rng = np.random.default_rng(SEED + 70 + d)
+        lam = sample_density(d, "hilbert-schmidt", rng).spectrum
+        inputs = ascent_inputs(lam, mode, rng)
+        assert inputs[0][1] is None and all(warm is not None for _, warm in inputs[1:])
+        for form, warm in inputs:
+            assert_certified_top(form, *optimizer._top_pair(form, warm))
+            assert_certified_top(form, *optimizer._top_pair(form, None))
+
+    @pytest.mark.parametrize("mode", ["hermitian", "complex"])
+    def test_witness_start_breaks_the_block_down_at_its_first_product(self, mode, monkeypatch):
+        # the witness A is an exact top eigenvector of its B's form: the span stops at
+        # {x}, with no division by a vanishing direction
+        lam = np.sort(np.random.default_rng(SEED + 71).dirichlet(np.ones(8)))
+        problem = _RatioProblem(lam, mode)
+        a, b = (m / math.sqrt(weighted_norm_sq(m, problem.weight)) for m in _witness_pair(lam))
+        matmul, products = np.matmul, []
+
+        def counting(*args, **kwargs):  # the block's products F q are its np.matmul calls
+            products.append(None)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        new, value = problem.half_step(b, a)
+        assert len(products) == 1
+        assert value == pytest.approx(conjectured_constant(lam), rel=1e-13)
+        overlap = np.vdot(new * lam, a)  # <new, a> in the weighted inner product
+        assert abs(overlap) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["hermitian", "complex"])
+    def test_degenerate_top_at_the_maximally_mixed_state(self, mode):
+        lam = np.full(8, 1.0 / 8)
+        rng = np.random.default_rng(SEED + 72)
+        for form, warm in ascent_inputs(lam, mode, rng):
+            assert_certified_top(form, *optimizer._top_pair(form, warm))
+        result = maximize_ratio(np.eye(8) / 8, restarts=2, max_iters=50, mode=mode, rng=rng)
+        assert result.achieved_ratio == pytest.approx(16.0, rel=1e-12)
+
+    def test_warm_start_orthogonal_to_the_top_is_caught_by_the_certificate(self, monkeypatch):
+        # F = 1.2 lam_max(W) + W on e_0 and its complement: Krylov products of a start with
+        # no e_0 part keep exactly none, so the block converges to W's top, below F's
+        n = 64
+        rng = np.random.default_rng(SEED + 73)
+        h = rng.standard_normal((n - 1, n - 1))
+        w = h @ h.T
+        form = np.zeros((n, n))
+        form[1:, 1:] = w
+        form[0, 0] = 1.2 * np.linalg.eigvalsh(w)[-1]
+        warm = np.concatenate([[0.0], rng.standard_normal(n - 1)])
+        cholesky = np.linalg.cholesky
+        outcomes = []
+
+        def recording(a):
+            try:
+                factor = cholesky(a)
+            except np.linalg.LinAlgError:
+                outcomes.append("failed")
+                raise
+            outcomes.append("passed")
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        value, vector = optimizer._top_pair(form, warm)
+        assert outcomes == ["failed"]
+        assert value == pytest.approx(form[0, 0], rel=1e-14)
+        assert abs(vector[0]) == pytest.approx(1.0, rel=1e-14)
+        assert_certified_top(form, value, vector)
 
 
 @pytest.fixture(
@@ -475,17 +585,17 @@ class TestEigensolverFailure:
 
     @staticmethod
     def fail_calls(monkeypatch, failing):
-        """Make ``scipy.linalg.eigh`` raise on the 1-based calls that ``failing`` accepts."""
-        eigh = scipy.linalg.eigh
+        """Make the half step's eigensolver raise on the 1-based calls that ``failing`` accepts."""
+        top_pair = optimizer._top_pair
         calls = []
 
-        def flaky(*args, **kwargs):
+        def flaky(form, warm):
             calls.append(None)
             if failing(len(calls)):
                 raise np.linalg.LinAlgError("forced failure")
-            return eigh(*args, **kwargs)
+            return top_pair(form, warm)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", flaky)
+        monkeypatch.setattr(optimizer, "_top_pair", flaky)
 
     def test_failed_witness_start_is_discarded(self, monkeypatch, caplog):
         rho = sample_density(3, "hilbert-schmidt", np.random.default_rng(SEED + 45))
@@ -522,7 +632,7 @@ class TestIllConditionedSpectra:
         )
 
     @pytest.mark.parametrize("lam_min", [1e-4, 1e-8, 1e-12])
-    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("d", [3, 5, 8])
     def test_witness_start(self, d, lam_min):
         result = maximize_ratio(
             self.state(d, lam_min), restarts=2, rng=np.random.default_rng(SEED + 50)
@@ -530,7 +640,7 @@ class TestIllConditionedSpectra:
         assert result.relative_deviation <= 1e-12
 
     @pytest.mark.parametrize("lam_min", [1e-4, 1e-8, 1e-12])
-    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("d", [3, 5, 8])
     def test_random_starts_alone(self, d, lam_min):
         result = maximize_ratio(
             self.state(d, lam_min),
@@ -561,8 +671,8 @@ class TestAscentChecks:
         step = _RatioProblem.half_step
         values = []
 
-        def dipping(self, other):
-            new, value = step(self, other)
+        def dipping(self, other, warm):
+            new, value = step(self, other, warm)
             if values:
                 value = values[-1] * (1.0 - 1e-9)
             values.append(value)
@@ -603,7 +713,7 @@ class TestVerdictChecks:
         def __init__(self, step):
             self.weight, self.step, self.calls = RHO123.matrix, step, 0
 
-        def half_step(self, other):
+        def half_step(self, other, warm):
             self.calls += 1
             return other, 1.0 + self.calls * self.step
 

@@ -150,10 +150,11 @@ def _without_thread_variables(monkeypatch):
 
 def test_workers_take_their_share_when_no_thread_variable_is_set(monkeypatch):
     # forked workers inherit this environment and the patched CPU count; 4 threads each
-    # is more than this machine may have, which OpenBLAS allows and a count can show
+    # is more than this machine may have, which OpenBLAS allows and a count can show.
+    # The count is set on numpy's OpenBLAS alone: no thread variable is written.
     _without_thread_variables(monkeypatch)
     monkeypatch.setattr(_parallel, "usable_cpus", lambda: 8)
-    assert set(map_ordered(_blas_threads, range(4), 2)) == {("4", 4)}
+    assert set(map_ordered(_blas_threads, range(4), 2)) == {(None, 4)}
 
 
 def test_a_thread_variable_set_by_the_caller_wins(monkeypatch):
@@ -165,10 +166,10 @@ def test_a_thread_variable_set_by_the_caller_wins(monkeypatch):
 
 
 def test_a_numpy_without_the_thread_symbol_is_skipped(monkeypatch):
-    monkeypatch.setattr(os, "environ", {})  # the initializer writes the variable here
+    monkeypatch.setattr(os, "environ", {})  # no thread variable set, and none written
     monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
     _parallel._share_blas_threads(3)
-    assert os.environ == {"OPENBLAS_NUM_THREADS": "3"}
+    assert os.environ == {}
 
 
 @pytest.mark.parametrize(

@@ -42,7 +42,7 @@ def tracing():
         (
             ["verify-conjecture", "--dim", "3", "--trials", "2", "--restarts", "1",
              "--max-iters", "5"],
-            ["optimizer.maximize_ratio", "optimizer.half_step", "optimizer.eigh",
+            ["optimizer.maximize_ratio", "optimizer.half_step",
              "optimizer.ratio", "linalg.weighted_norm_sq"],
         ),
     ],

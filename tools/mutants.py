@@ -74,6 +74,10 @@ MUTANTS = (
            "ties between starts go to the earliest"),
     Mutant("rotate-back-wrong-way", OPTIMIZER, "return vectors @ m @ vectors.conj().T",
            "return vectors.conj().T @ m @ vectors", "the reported pair's rotation, V X V^dag"),
+    Mutant("krylov-residual-bound", OPTIMIZER, "        if residual <= floor:",
+           "        if residual <= 1e4 * floor:", "the Krylov block's eigen-residual bound"),
+    Mutant("certificate-sigma", OPTIMIZER, "+= theta + 2.0 * residual + floor",
+           "+= 1.5 * theta + 2.0 * residual + floor", "the shift sigma of the top's certificate"),
 )
 
 #: A line of pytest's short summary that names a failed or erroring test.
